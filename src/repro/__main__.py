@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.apps.registry import ALL_APPS, get_app
@@ -80,34 +80,74 @@ def cmd_config(args) -> int:
     return 0
 
 
-def _render_phases(spans) -> str:
-    """``run --time``: phase breakdown computed from ``repro.obs`` spans.
+#: ``run --time`` rows in print order
+PHASE_ROWS = ("parse", "analysis exec", "analysis tasks", "transforms",
+              "DSE", "codegen", "other")
+_KIND_ROWS = {"A": "analysis tasks", "T": "transforms", "O": "DSE",
+              "CG": "codegen"}
 
-    Parse and dynamic program execution come from the ``parse`` /
-    ``execute_unit`` chokepoint spans (so the execution row also counts
-    runs that happen *inside* analysis and DSE tasks); task wall times
-    bucket by the ``kind`` attribute the flow-task spans carry; the
-    total is the root flow span."""
+
+def _phase_of(span) -> Optional[str]:
+    if span.name == "parse":
+        return "parse"
+    if span.name == "execute_unit":
+        return "analysis exec"
+    return _KIND_ROWS.get(span.attrs.get("kind"))
+
+
+def phase_totals(spans) -> Dict[str, float]:
+    """Exclusive wall seconds per :data:`PHASE_ROWS` row, plus ``total``.
+
+    A span's exclusive time is its wall minus the union of its
+    children's intervals (clipped to its own), so nested work counts
+    once, in the innermost classified span: an ``execute_unit`` inside
+    an analysis or DSE task lands in "analysis exec" only.  The
+    ``parse`` / ``execute_unit`` chokepoint spans and the flow-task
+    spans (by their ``kind`` attribute) are classified; any other span
+    (``dse.sweep``, ``profile.collect``, PSA branches) counts toward
+    its nearest classified ancestor, and work under none toward
+    "other".  ``total`` is the summed wall of the roots -- spans whose
+    parent is not in ``spans`` -- which the rows add up to whenever
+    sibling spans do not overlap, as within one flow.
+    """
+    by_id = {s.span_id: s for s in spans}
+    children: Dict[Optional[str], list] = {}
+    for s in spans:
+        children.setdefault(s.parent_id, []).append(s)
+    totals = dict.fromkeys(PHASE_ROWS, 0.0)
+    totals["total"] = 0.0
+    for s in spans:
+        end = s.t0 + s.wall_s
+        covered, cursor = 0.0, s.t0
+        for child in sorted(children.get(s.span_id, ()),
+                            key=lambda c: c.t0):
+            lo, hi = max(child.t0, cursor), min(child.t0 + child.wall_s, end)
+            if hi > lo:
+                covered += hi - lo
+                cursor = hi
+        owner, phase = s, _phase_of(s)
+        while phase is None and owner.parent_id in by_id:
+            owner = by_id[owner.parent_id]
+            phase = _phase_of(owner)
+        totals[phase or "other"] += s.wall_s - covered
+        if s.parent_id not in by_id:
+            totals["total"] += s.wall_s
+    return totals
+
+
+def _render_phases(spans, total_label: str = "total flow") -> str:
+    """``run --time`` / ``batch --telemetry``: the exclusive breakdown."""
     from repro.lang.engine import execution_mode
 
-    parse_s = sum(s.wall_s for s in spans if s.name == "parse")
-    execs = [s for s in spans if s.name == "execute_unit"]
-    kinds = {}
-    for s in spans:
-        kind = s.attrs.get("kind")
-        if kind:
-            kinds[kind] = kinds.get(kind, 0.0) + s.wall_s
-    total_s = sum(s.wall_s for s in spans if s.parent_id is None)
-    rows = [
-        ("parse", parse_s, ""),
-        ("analysis exec", sum(s.wall_s for s in execs),
-         f"({len(execs)} program runs, engine={execution_mode()})"),
-        ("analysis tasks", kinds.get("A", 0.0), "(incl. exec)"),
-        ("transforms", kinds.get("T", 0.0), ""),
-        ("DSE", kinds.get("O", 0.0), "(incl. exec)"),
-        ("codegen", kinds.get("CG", 0.0), ""),
-        ("total flow", total_s, ""),
-    ]
+    totals = phase_totals(spans)
+    runs = sum(1 for s in spans if s.name == "execute_unit")
+    notes = {"analysis exec": f"({runs} program runs, "
+                              f"engine={execution_mode()})",
+             "analysis tasks": "(excl. exec)", "DSE": "(excl. exec)",
+             "other": "(flow and service glue)"}
+    rows = [(name, totals[name], notes.get(name, ""))
+            for name in PHASE_ROWS]
+    rows.append((total_label, totals["total"], "(sum of the rows)"))
     width = max(len(name) for name, _, _ in rows)
     lines = ["phase breakdown (wall):"]
     for name, secs, note in rows:
@@ -235,6 +275,45 @@ def _batch_remote(args, jobs) -> int:
     return 0 if failed == 0 else 1
 
 
+def _render_batch(report, spans, top: int = 5) -> str:
+    """``batch --telemetry``: sources, cache counts, phases, slow jobs."""
+    lines = ["== batch telemetry ==",
+             f"jobs: {len(report.items)} total | run {report.count('run')}"
+             f" | cache "
+             f"{report.count('cache-disk') + report.count('cache-memory')}"
+             f" | inflight-joins {report.count('inflight')}"
+             f" | failed {len(report.failed)}"]
+    if report.cache_stats is not None:
+        stats = report.cache_stats
+        lines.append(f"disk cache: {stats['hits']} hits / "
+                     f"{stats['misses']} misses / {stats['writes']} "
+                     f"writes / {stats['invalidated']} invalidated")
+    if spans:
+        lines.append(_render_phases(spans, total_label="total jobs"))
+    executed = sorted((item for item in report.items
+                       if item.source == "run"),
+                      key=lambda item: -item.wall_s)
+    if executed:
+        lines.append(f"slowest jobs (of {len(executed)} executed):")
+        for item in executed[:top]:
+            lines.append(f"  {item.job.label:28s}{item.wall_s:8.2f}s  "
+                         f"({'ok' if item.ok else 'failed'})")
+    return "\n".join(lines)
+
+
+def _batch_json(report, spans) -> dict:
+    """``batch --json``: per-job outcomes, cache counts, phase totals."""
+    return {
+        "jobs": [{"app": item.job.app, "mode": item.job.mode,
+                  "source": item.source, "ok": item.ok,
+                  "wall_s": item.wall_s,
+                  "error": str(item.error) if item.error else None}
+                 for item in report.items],
+        "cache": report.cache_stats,
+        "phases": phase_totals(spans),
+    }
+
+
 def cmd_batch(args) -> int:
     import json as _json
 
@@ -279,7 +358,9 @@ def cmd_batch(args) -> int:
                   f"FAILED: {item.error}")
 
     with obs.trace_session(args.trace_out, args.metrics_out,
-                           root="batch", jobs=len(jobs)), \
+                           root="batch", jobs=len(jobs),
+                           collect=args.telemetry or bool(args.json)
+                           ) as collector, \
          DesignService(cache_dir=cfg.cache_dir, workers=cfg.workers,
                        pool=args.pool) as service:
         if service.scheduler.fallback_note:
@@ -288,20 +369,23 @@ def cmd_batch(args) -> int:
               f"{service.scheduler.mode} worker(s)"
               + (f", cache at {cfg.cache_dir}" if cfg.cache_dir else ""))
         report = run_batch(service, jobs, on_item=show)
-        counters = service.telemetry.counters
+        disk = report.count("cache-disk")
+        memory = report.count("cache-memory")
+        misses = (report.cache_stats or {}).get("misses", 0)
         print(f"done: {len(report.items) - len(report.failed)}/"
               f"{len(report.items)} ok | "
-              f"cache hits {service.telemetry.cache_hits} "
-              f"(disk {counters['cache_hit_disk']}, "
-              f"memory {counters['cache_hit_memory']}) | "
-              f"misses {counters['cache_miss']} | "
-              f"runs {counters['jobs_run']}")
+              f"cache hits {disk + memory} "
+              f"(disk {disk}, memory {memory}) | "
+              f"misses {misses} | runs {report.count('run')}")
+        # the session root is still open, so each executed job's
+        # service.job span is a root of this snapshot
+        spans = collector.snapshot() if collector is not None else []
         if args.telemetry:
             print()
-            print(service.telemetry.render_ascii())
+            print(_render_batch(report, spans))
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(service.telemetry.to_dict(), fh, indent=2)
+                _json.dump(_batch_json(report, spans), fh, indent=2)
             print(f"telemetry JSON written to {args.json}")
     return 0 if report.ok else 1
 
@@ -522,9 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-job attempt timeout in seconds")
     batch.add_argument("--telemetry", action="store_true",
-                       help="print the fleet telemetry report")
+                       help="print the batch telemetry report")
     batch.add_argument("--json", default=None, metavar="PATH",
-                       help="dump fleet telemetry as JSON")
+                       help="dump batch telemetry as JSON")
     batch.add_argument("--server", default=None, metavar="URL",
                        help="run the batch against a `repro serve` "
                             "instance instead of a local service")

@@ -33,7 +33,6 @@ field              env var                 meaning
 ``fastpath``       ``REPRO_FASTPATH``      numpy affine-loop fast path
 ``profile_cache``  ``REPRO_PROFILE_CACHE`` share profiling runs
 ``dse_mode``       ``REPRO_DSE``           ``batched`` | ``point``
-``native``         ``REPRO_NATIVE``        generated-C batch core (cffi)
 ``retries``        ``REPRO_RETRIES``       per-job retry budget
 ``trace_dir``      ``REPRO_TRACE_DIR``     per-process JSONL span sink
 ``faults``         ``REPRO_FAULTS``        fault-injection plan spec
@@ -86,7 +85,6 @@ ENV_VARS = (
     ("exec_mode", "REPRO_EXEC"),
     ("fastpath", "REPRO_FASTPATH"),
     ("dse_mode", "REPRO_DSE"),
-    ("native", "REPRO_NATIVE"),
     ("profile_cache", "REPRO_PROFILE_CACHE"),
     ("retries", "REPRO_RETRIES"),
     ("trace_dir", "REPRO_TRACE_DIR"),
@@ -159,9 +157,6 @@ class ReproConfig:
     #: tensors, ``point`` is the one-candidate-at-a-time fidelity
     #: fallback (both produce element-wise identical results)
     dse_mode: str = "batched"
-    #: route the batched affine core through generated C (cffi); falls
-    #: back to numpy silently when no compiler is available
-    native: bool = False
     profile_cache: bool = True
     retries: int = 0
     trace_dir: Optional[str] = None
@@ -274,9 +269,6 @@ class ReproConfig:
             # same forgiveness as REPRO_EXEC: unknown modes run the
             # default lowering rather than failing the process
             kwargs["dse_mode"] = mode if mode in DSE_MODES else "batched"
-        raw = env.get("REPRO_NATIVE")
-        if raw is not None and raw.strip():
-            kwargs["native"] = raw.strip() == "1"
         raw = env.get("REPRO_FASTPATH")
         if raw is not None:
             kwargs["fastpath"] = _parse_bool("REPRO_FASTPATH", raw)
@@ -328,7 +320,7 @@ class ReproConfig:
                 "REPRO_SLO_LATENCY_S", raw, 0.0)
         raw = env.get("REPRO_DURABLE")
         if raw is not None and raw.strip():
-            # opt-in like REPRO_NATIVE: only an explicit "1" enables
+            # opt-in: only an explicit "1" enables
             kwargs["durable"] = raw.strip() == "1"
         raw = env.get("REPRO_JOURNAL_DIR")
         if raw:

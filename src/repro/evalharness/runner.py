@@ -20,14 +20,11 @@ The experiment modules (fig5/table1/fig6/energy/report) all route
 through :func:`repro.api.shared_runner`, one process-wide instance,
 instead of each constructing their own -- identical flows are never
 re-run when several experiments are generated in one process.
-(``shared_runner`` / ``set_shared_runner`` are re-exported here for
-backward compatibility but their canonical home is :mod:`repro.api`.)
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import List, Optional
 
 from repro.apps.registry import PAPER_ORDER
@@ -121,19 +118,3 @@ class EvaluationRunner:
         if self.service is not None:
             self.service.close()
 
-
-#: names that moved to repro.api (PR 5); kept importable here
-_MOVED_TO_API = ("shared_runner", "set_shared_runner")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_API:
-        warnings.warn(
-            f"repro.evalharness.runner.{name} moved to repro.api.{name}; "
-            f"update the import (this shim will be removed)",
-            DeprecationWarning, stacklevel=2)
-        from repro import api
-
-        return getattr(api, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -63,10 +63,8 @@ class PeerFetchCache:
         return self.local.stats
 
     def put(self, key: str, job_spec: Dict[str, Any],
-            result_dict: Dict[str, Any],
-            telemetry: Optional[Dict[str, Any]] = None) -> str:
-        return self.local.put(key, job_spec, result_dict,
-                              telemetry=telemetry)
+            result_dict: Dict[str, Any]) -> str:
+        return self.local.put(key, job_spec, result_dict)
 
     def put_entry(self, entry: Dict[str, Any]) -> str:
         return self.local.put_entry(entry)

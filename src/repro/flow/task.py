@@ -30,8 +30,10 @@ class FlowObserver:
     An observer attached to a :class:`~repro.flow.context.FlowContext`
     receives one callback pair per executed task and one callback per
     branch decision.  The base class is a no-op so observers override
-    only what they need; ``repro.service.telemetry.Tracer`` turns these
-    callbacks into structured spans.
+    only what they need.  The HTTP server's
+    :class:`~repro.server.core.TaskFrames` streams these callbacks as
+    live SSE frames; per-task timing for traces and breakdowns comes
+    from the ``repro.obs`` span each task opens, not from an observer.
     """
 
     def on_task_start(self, task: "Task", ctx: "FlowContext") -> None:

@@ -14,8 +14,7 @@ Three pieces:
   lowering/profiling work for the whole space at once.
 - :class:`BatchPlan` -- the lowering.  Metrics register either into
   the **affine core** (``const + sum(slope_k * mesh_k)``, evaluated as
-  one tensor expression -- optionally through generated C via cffi
-  under ``REPRO_NATIVE=1``), as arbitrary **vectorized** numpy
+  one tensor expression), as arbitrary **vectorized** numpy
   callables, or into the **non-affine residue**: per-point closures,
   compiled once and cached by point key, invoked only for the grid
   entries the vector paths cannot express.
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -49,11 +47,6 @@ except Exception:                                    # pragma: no cover
 #: magnitude past which float64 integer-grid arithmetic may round --
 #: affine terms beyond it drop to the residue path
 _EXACT_LIMIT = float(1 << 50)
-
-
-def native_enabled() -> bool:
-    """``REPRO_NATIVE=1`` requests the generated-C (cffi) core path."""
-    return os.environ.get("REPRO_NATIVE", "0").strip() == "1"
 
 
 # =====================================================================
@@ -236,63 +229,6 @@ class SweepResult:
 
 
 # =====================================================================
-# The native (generated C via cffi) affine evaluator
-# =====================================================================
-_native_lock = threading.Lock()
-_native_fn = None          # compiled entry point, or False after failure
-
-_NATIVE_SRC = """
-void repro_affine_acc(double* out, const double* mesh,
-                      double slope, long n) {
-    for (long i = 0; i < n; i++)
-        out[i] = out[i] + slope * mesh[i];
-}
-"""
-
-
-def _native_affine():
-    """The cffi-compiled affine accumulator, or None.
-
-    Compiled once per process on first use; any failure (no cffi, no C
-    compiler, sandboxed tmpdir) permanently falls back to numpy -- the
-    native path is an accelerator, never a dependency.
-    """
-    global _native_fn
-    with _native_lock:
-        if _native_fn is not None:
-            return _native_fn or None
-        try:
-            import tempfile
-
-            from cffi import FFI
-
-            ffi = FFI()
-            ffi.cdef("void repro_affine_acc(double* out, "
-                     "const double* mesh, double slope, long n);")
-            tmp = tempfile.mkdtemp(prefix="repro-native-")
-            ffi.set_source("_repro_batch_native", _NATIVE_SRC)
-            lib_path = ffi.compile(tmpdir=tmp)
-            lib = ffi.dlopen(lib_path)
-
-            def accumulate(out, mesh, slope):
-                n = out.size
-                optr = ffi.cast("double*", out.ctypes.data)
-                mptr = ffi.cast("double*", mesh.ctypes.data)
-                lib.repro_affine_acc(optr, mptr, float(slope), n)
-
-            _native_fn = accumulate
-        except Exception:
-            _native_fn = False
-            return None
-        return _native_fn
-
-
-def native_available() -> bool:
-    """True when the generated-C path compiled (forces the attempt)."""
-    return _native_affine() is not None
-
-
-# =====================================================================
 # BatchPlan
 # =====================================================================
 class _Affine:
@@ -310,8 +246,7 @@ class BatchPlan:
 
     - ``affine(name, const, **slopes)`` -- the affine-vectorizable
       core, ``const + sum(slope_k * mesh(axis_k))`` as one broadcast
-      tensor expression (or the cffi-generated C kernel under
-      ``REPRO_NATIVE=1``);
+      tensor expression;
     - ``vector(name, fn)`` -- any metric expressible as elementwise
       numpy over the grid meshes (``fn(grid) -> tensor``);
     - ``residue(name, fn, where=mask)`` -- the non-affine residue:
@@ -368,20 +303,9 @@ class BatchPlan:
     def _eval_affine(self, spec: _Affine):
         out = _np.zeros(self.grid.shape, dtype=_np.float64)
         out += _np.asarray(spec.const, dtype=_np.float64)
-        native = _native_affine() if native_enabled() else None
         for axis, slope in spec.slopes.items():
             mesh = _np.asarray(self.grid.mesh(axis), dtype=_np.float64)
-            slope_arr = _np.asarray(slope, dtype=_np.float64)
-            if native is not None and slope_arr.ndim == 0 \
-                    and mesh.size == out.size:
-                # the generated-C kernel handles the dense scalar-slope
-                # case; anything fancier stays on numpy broadcasting
-                full = _np.ascontiguousarray(
-                    _np.broadcast_to(mesh, self.grid.shape),
-                    dtype=_np.float64)
-                native(out, full, float(slope_arr))
-            else:
-                out += slope_arr * mesh
+            out += _np.asarray(slope, dtype=_np.float64) * mesh
         return out
 
     def _eval_residue(self, result: SweepResult, name: str,

@@ -78,20 +78,21 @@ def configure_from_env() -> Optional[JsonlSink]:
 @contextlib.contextmanager
 def trace_session(trace_out: Optional[str] = None,
                   metrics_out: Optional[str] = None,
-                  root: Optional[str] = None, **root_attrs):
+                  root: Optional[str] = None, collect: bool = False,
+                  **root_attrs):
     """CLI session: collect spans, then export on exit.
 
     Attaches an in-memory collector (when ``trace_out`` is given or a
-    span-consuming caller needs one), opens an optional root span, and
-    on exit writes the Chrome trace to ``trace_out`` and the Prometheus
-    text dump to ``metrics_out``.  Yields the collector (or None when
-    nothing was requested).
+    span-consuming caller passes ``collect=True``), opens an optional
+    root span, and on exit writes the Chrome trace to ``trace_out`` and
+    the Prometheus text dump to ``metrics_out``.  Yields the collector
+    (or None when nothing was requested).
     """
-    if trace_out is None and metrics_out is None:
+    if trace_out is None and metrics_out is None and not collect:
         yield None
         return
     collector: Optional[SpanCollector] = None
-    if trace_out is not None:
+    if trace_out is not None or collect:
         collector = add_sink(SpanCollector())
     try:
         if collector is not None and root is not None:
@@ -102,6 +103,7 @@ def trace_session(trace_out: Optional[str] = None,
     finally:
         if collector is not None:
             remove_sink(collector)
+        if trace_out is not None:
             write_chrome_trace(collector.snapshot(), trace_out)
         if metrics_out is not None:
             with open(metrics_out, "w", encoding="utf-8") as fh:

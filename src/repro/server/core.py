@@ -5,8 +5,9 @@ request per connection.  The interesting part is not the parsing but
 the plumbing between three worlds:
 
 - **service threads** complete jobs and fire listener callbacks;
-- **flow worker threads** execute tasks and fire Tracer callbacks
-  (installed through :meth:`DesignService.set_tracer_factory`);
+- **flow worker threads** execute tasks and fire :class:`TaskFrames`
+  observer callbacks (installed through
+  :meth:`DesignService.set_tracer_factory`);
 - **the event loop** owns every per-job event history and SSE
   subscriber queue.
 
@@ -24,9 +25,9 @@ waits out in-flight jobs up to ``drain_timeout_s``, then closes every
 SSE stream with a ``shutdown`` event.
 
 Live SSE task events stream in thread-pool execution mode (the
-default); with process workers the tracer runs in the child and ships
-back at completion, so remote clients still get ``queued`` /
-``scheduled`` / ``done`` but per-task frames only for thread mode.
+default); process workers run their flows unobserved, so remote
+clients still get ``queued`` / ``scheduled`` / ``done`` but per-task
+frames only for thread mode.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import repro
 from repro import api, obs
 from repro.config import ReproConfig
 from repro.flow.serialize import result_to_dict
+from repro.flow.task import FlowObserver
 from repro.server import protocol
 from repro.server.http import (
     HttpServerBase, MAX_BODY_BYTES, parse_trace_parent,
@@ -50,14 +52,53 @@ from repro.server.protocol import JobNotFound, ServerError
 from repro.service import DesignService
 from repro.service.core import ServiceOverloaded
 from repro.service.jobs import FlowJob, JobValidationError
-from repro.service.telemetry import Tracer
 
-__all__ = ["ReproServer", "MAX_BODY_BYTES", "TERMINAL"]
+__all__ = ["ReproServer", "MAX_BODY_BYTES", "TERMINAL", "TaskFrames"]
 
 log = logging.getLogger("repro.server")
 
 #: job states with nothing left to wait for
 TERMINAL = ("succeeded", "failed", "quarantined", "timeout", "cancelled")
+
+
+class TaskFrames(FlowObserver):
+    """Flow observer turning one job's task and branch callbacks into
+    SSE frames.
+
+    A ``task`` frame carries ``name``, ``kind`` (A/T/CG/O), ``scope``
+    (the Fig. 4 grouping), ``wall_s``, ``status`` and ``t0`` (the
+    epoch-aligned start), plus ``error`` (``"ExcType: message"``) for a
+    failed task and ``span_id`` (the task's ``repro.obs`` span) when
+    tracing is on.  A ``branch`` frame carries ``branch``, ``selected``
+    and ``reasons``.  ``publish(event, frame)`` runs on the flow's
+    worker thread; an exception it raises never disturbs the flow.
+    """
+
+    def __init__(self, publish):
+        self._publish = publish
+
+    def _emit(self, event: str, frame: Dict[str, Any]) -> None:
+        try:
+            self._publish(event, frame)
+        except Exception:
+            pass
+
+    def on_task_end(self, task, ctx, wall_s: float, status: str = "ok",
+                    error: Optional[BaseException] = None) -> None:
+        frame = {"name": task.name, "kind": task.kind.value,
+                 "scope": task.scope, "wall_s": wall_s, "status": status,
+                 "t0": obs.now() - wall_s}
+        if error is not None:
+            frame["error"] = f"{type(error).__name__}: {error}"
+        current = obs.current_span()
+        if current is not None:
+            frame["span_id"] = current.span_id
+        self._emit("task", frame)
+
+    def on_branch(self, decision, ctx) -> None:
+        self._emit("branch", {"branch": decision.branch,
+                              "selected": list(decision.selected),
+                              "reasons": list(decision.reasons)})
 
 
 class _JobState:
@@ -157,7 +198,7 @@ class ReproServer(HttpServerBase):
         self._idle = asyncio.Event()
         self._idle.set()
         self.service.add_listener(self._on_service_event)
-        self.service.set_tracer_factory(self._tracer_for)
+        self.service.set_tracer_factory(self._frames_for)
         if self.span_buffer is not None:
             obs.add_sink(self.span_buffer)
         self.slo.attach(obs.REGISTRY)
@@ -271,13 +312,10 @@ class ReproServer(HttpServerBase):
                 "id": key, "status": "quarantined",
                 "source": "dead-letter"})
 
-    def _tracer_for(self, job: FlowJob, key: str) -> Tracer:
-        """Per-job Tracer streaming task/branch frames to subscribers."""
-        return Tracer(
-            on_task=lambda span: self._publish_threadsafe(
-                key, "task", span.to_dict()),
-            on_branch_event=lambda event: self._publish_threadsafe(
-                key, "branch", event.to_dict()))
+    def _frames_for(self, job: FlowJob, key: str) -> TaskFrames:
+        """Per-job observer streaming task/branch frames to subscribers."""
+        return TaskFrames(lambda event, frame: self._publish_threadsafe(
+            key, event, frame))
 
     # ------------------------------------------------------------------
     # HTTP layer (parsing/response plumbing lives in HttpServerBase)

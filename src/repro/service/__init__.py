@@ -11,8 +11,6 @@ needs):
 - :mod:`repro.service.scheduler` -- :class:`JobScheduler`, a worker
   pool (processes with thread fallback) with in-flight dedup, per-job
   timeout, bounded retry with backoff, and cancellation;
-- :mod:`repro.service.telemetry` -- task spans from the FlowEngine
-  observer hooks, per-job records, fleet aggregation and reporters;
 - :mod:`repro.service.batch` -- app x mode expansion and streaming
   batch execution;
 - :mod:`repro.service.core` -- :class:`DesignService`, the facade
@@ -24,7 +22,7 @@ Quick use::
 
     with DesignService(cache_dir=".repro-cache", workers=4) as svc:
         report = run_batch(svc, expand_jobs())   # 5 apps x 2 modes
-        print(svc.telemetry.render_ascii())
+        print(report.count("cache-disk"), report.cache_stats)
 """
 
 from repro.service.batch import (
@@ -41,9 +39,6 @@ from repro.service.scheduler import (
     JobCancelled, JobError, JobFailed, JobHandle, JobQuarantined,
     JobResultPending, JobScheduler, JobStatus, JobTimeout,
 )
-from repro.service.telemetry import (
-    BranchEvent, FleetTelemetry, JobTelemetry, TaskSpan, Tracer,
-)
 
 __all__ = [
     "BatchItem", "BatchReport", "expand_jobs", "iter_batch", "run_batch",
@@ -52,5 +47,4 @@ __all__ = [
     "FlowJob", "JobValidationError", "execute_job", "execute_job_payload",
     "JobCancelled", "JobError", "JobFailed", "JobHandle", "JobQuarantined",
     "JobResultPending", "JobScheduler", "JobStatus", "JobTimeout",
-    "BranchEvent", "FleetTelemetry", "JobTelemetry", "TaskSpan", "Tracer",
 ]

@@ -5,7 +5,7 @@ list of :class:`FlowJob` specs; ``iter_batch`` submits them to a
 :class:`DesignService` and yields :class:`BatchItem` outcomes in
 completion order (cache hits first, then executed jobs as the pool
 finishes them); ``run_batch`` collects everything into a
-:class:`BatchReport` with the fleet telemetry snapshot.
+:class:`BatchReport` with the result-cache statistics.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class BatchItem:
 @dataclass
 class BatchReport:
     items: List[BatchItem] = field(default_factory=list)
-    telemetry: Optional[Dict[str, Any]] = None
     cache_stats: Optional[Dict[str, int]] = None
 
     @property
@@ -83,6 +82,10 @@ class BatchReport:
     @property
     def failed(self) -> List[BatchItem]:
         return [item for item in self.items if not item.ok]
+
+    def count(self, source: str) -> int:
+        """Items whose result came from ``source`` ('run', ...)."""
+        return sum(1 for item in self.items if item.source == source)
 
 
 def iter_batch(service, jobs: Iterable[FlowJob],
@@ -102,7 +105,6 @@ def run_batch(service, jobs: Iterable[FlowJob],
         report.items.append(item)
         if on_item is not None:
             on_item(item)
-    report.telemetry = service.telemetry.to_dict()
     if service.cache is not None:
         stats = service.cache.stats
         report.cache_stats = {

@@ -8,8 +8,11 @@ holding::
      "key": "<sha256>",
      "job": {...job spec...},
      "result": {...flow.serialize.result_to_dict(..., sources=True)...},
-     "telemetry": {...spans of the run that produced it...},
      "crc32": <checksum of the canonical entry body>}
+
+Entries written before the ``"telemetry"`` span dump was dropped still
+carry that key; it is covered by the CRC like any other field, so they
+verify and hit unchanged.
 
 Keys are the :meth:`FlowJob.key` content hashes, which already include
 the format version and the app source hash -- so *semantic* staleness
@@ -150,8 +153,7 @@ class CacheBackend(Protocol):
         ...
 
     def put(self, key: str, job_spec: Dict[str, Any],
-            result_dict: Dict[str, Any],
-            telemetry: Optional[Dict[str, Any]] = None) -> str:
+            result_dict: Dict[str, Any]) -> str:
         """Persist one computed result; returns a storage locator."""
         ...
 
@@ -206,8 +208,7 @@ class ResultCache:
         return result_from_dict(entry["result"])
 
     def put(self, key: str, job_spec: Dict[str, Any],
-            result_dict: Dict[str, Any],
-            telemetry: Optional[Dict[str, Any]] = None) -> str:
+            result_dict: Dict[str, Any]) -> str:
         """Atomically persist one result; returns the file path."""
         faults.inject("cache.write")
         path = self._path(key)
@@ -217,7 +218,6 @@ class ResultCache:
             "key": key,
             "job": job_spec,
             "result": result_dict,
-            "telemetry": telemetry or {},
         }
         entry["crc32"] = entry_crc32(entry)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),

@@ -10,7 +10,8 @@ The lookup path for one submitted :class:`FlowJob`:
 
 Executed results are written back to both layers, so a warm rerun of a
 whole batch is pure cache reads.  Every lookup and execution feeds the
-:class:`FleetTelemetry` counters and span records.
+``repro_service_events_total{event}`` counter and the
+``repro_service_job_wall_seconds{source}`` histogram.
 
 Results are live :class:`FlowResult` objects when the flow ran in this
 process (thread pool), and :class:`FlowResultRecord` (the deserialized
@@ -49,9 +50,15 @@ from repro.service.jobs import FlowJob, execute_job, execute_job_payload
 from repro.service.scheduler import (
     JobHandle, JobQuarantined, JobResultPending, JobScheduler, JobStatus,
 )
-from repro.service.telemetry import (
-    FleetTelemetry, JobTelemetry, Tracer,
-)
+
+_EVENTS = obs.REGISTRY.counter(
+    "repro_service_events_total",
+    "design-service cache/dedup/run events",
+    ("event",))
+_JOB_WALL = obs.REGISTRY.histogram(
+    "repro_service_job_wall_seconds",
+    "per-job wall time by result source",
+    ("source",))
 
 
 class ServiceOverloaded(RuntimeError):
@@ -141,8 +148,6 @@ class DesignService:
                  crash_retries: int = 2,
                  overload_threshold: int = 3,
                  overload_cooldown_s: float = 30.0,
-                 telemetry: Optional[FleetTelemetry] = None,
-                 tracer_factory=None,
                  cache: Optional[Any] = None):
         self.engine = engine or FlowEngine()
         # a custom strategy object defeats content hashing and pickling
@@ -173,10 +178,9 @@ class DesignService:
             "service.admission",
             failure_threshold=overload_threshold,
             cooldown_s=overload_cooldown_s)
-        self.telemetry = telemetry or FleetTelemetry()
-        # per-job flow observer override (the HTTP server streams live
-        # task events through this); called as factory(job, key)
-        self._tracer_factory = tracer_factory
+        # per-job flow observer (the HTTP server streams live task
+        # events through this); called as factory(job, key)
+        self._observer_factory = None
         self._memory: Dict[str, Any] = {}
         self._pending: Dict[str, _Pending] = {}
         self._lock = threading.Lock()
@@ -214,11 +218,19 @@ class DesignService:
         """Install (or clear) the per-job flow-observer factory.
 
         ``factory(job, key)`` must return a
-        :class:`~repro.service.telemetry.Tracer`; it applies to
+        :class:`~repro.flow.task.FlowObserver`; it applies to
         thread-pool executions scheduled after the call (process
-        workers rebuild their own tracer and ship it back as data).
+        workers run their flows unobserved).
         """
-        self._tracer_factory = factory
+        self._observer_factory = factory
+
+    @staticmethod
+    def _served(job: FlowJob, source: str, event: str) -> None:
+        """Account one submission answered without running a flow."""
+        obs.event("service.lookup", source=source,
+                  app=job.app, mode=job.mode)
+        _EVENTS.inc(event=event)
+        _JOB_WALL.observe(0.0, source=source)
 
     def _notify(self, event: str, job: FlowJob, key: str,
                 **info: Any) -> None:
@@ -304,46 +316,26 @@ class DesignService:
         key = job.key()
         with self._lock:
             if key in self._memory:
-                obs.event("service.lookup", source="cache-memory",
-                          app=job.app, mode=job.mode)
-                self.telemetry.count("cache_hit_memory")
-                self.telemetry.record_job(JobTelemetry(
-                    key=key, app=job.app, mode=job.mode,
-                    source="cache-memory", status="ok"))
+                self._served(job, "cache-memory", "cache_hit_memory")
                 self._notify("lookup", job, key, source="cache-memory")
                 return ServiceResult(job, "cache-memory",
                                      value=self._memory[key])
             pending = self._pending.get(key)
             if pending is not None:
-                obs.event("service.lookup", source="inflight",
-                          app=job.app, mode=job.mode)
-                self.telemetry.count("dedup")
-                self.telemetry.record_job(JobTelemetry(
-                    key=key, app=job.app, mode=job.mode,
-                    source="inflight", status="ok"))
+                self._served(job, "inflight", "dedup")
                 self._notify("lookup", job, key, source="inflight")
                 return ServiceResult(job, "inflight", pending=pending)
             if self.cache is not None:
                 record = self.cache.get(key)
                 if record is not None:
-                    obs.event("service.lookup", source="cache-disk",
-                              app=job.app, mode=job.mode)
-                    self.telemetry.count("cache_hit_disk")
-                    self.telemetry.record_job(JobTelemetry(
-                        key=key, app=job.app, mode=job.mode,
-                        source="cache-disk", status="ok"))
+                    self._served(job, "cache-disk", "cache_hit_disk")
                     self._memory[key] = record
                     self._notify("lookup", job, key, source="cache-disk")
                     return ServiceResult(job, "cache-disk", value=record)
-                self.telemetry.count("cache_miss")
+                _EVENTS.inc(event="cache_miss")
             if self.dead_letter.contains(key):
                 # quarantined payloads never reach the pool again
-                obs.event("service.lookup", source="dead-letter",
-                          app=job.app, mode=job.mode)
-                self.telemetry.count("dead_letter_hit")
-                self.telemetry.record_job(JobTelemetry(
-                    key=key, app=job.app, mode=job.mode,
-                    source="dead-letter", status="quarantined"))
+                self._served(job, "dead-letter", "dead_letter_hit")
                 record = self.dead_letter.get(key) or {}
                 refused = _Pending(job, key)
                 refused.resolve(error=JobQuarantined(
@@ -355,7 +347,7 @@ class DesignService:
                 return ServiceResult(job, "dead-letter", pending=refused)
             if not self._overload.allow():
                 obs.event("service.overloaded", app=job.app, mode=job.mode)
-                self.telemetry.count("overload_rejected")
+                _EVENTS.inc(event="overload_rejected")
                 self._notify("lookup", job, key, source="shed",
                              retry_after_s=self._overload.cooldown_s)
                 raise ServiceOverloaded(
@@ -376,24 +368,23 @@ class DesignService:
             fn, args = execute_job_payload, (job.spec(), obs.enabled())
         else:
             parent = pending.obs_ctx
-            make_tracer = self._tracer_factory or (lambda _job, _key:
-                                                   Tracer())
+            factory = self._observer_factory
 
             def fn():
                 with obs.span("service.job", parent=parent,
                               app=job.app, mode=job.mode,
                               key=pending.key[:12]):
-                    tracer = make_tracer(job, pending.key)
-                    result = execute_job(job, engine=self._engine_for(job),
-                                         observer=tracer)
-                    return result, tracer
+                    observer = (factory(job, pending.key)
+                                if factory is not None else None)
+                    return execute_job(job, engine=self._engine_for(job),
+                                       observer=observer)
             args = ()
         handle, created = self.scheduler.submit(
             pending.key, fn, *args,
             timeout=job.timeout_s, retries=job.retries)
         pending.handle = handle
         if created:
-            self.telemetry.count("jobs_run")
+            _EVENTS.inc(event="jobs_run")
         self._notify("scheduled", job, pending.key, created=created)
         handle.add_done_callback(
             lambda done: self._complete(pending, done))
@@ -416,14 +407,11 @@ class DesignService:
                     pending.key, job.spec(),
                     reason=str(handle.error), attempts=handle.attempts,
                     crashes=handle.crashes)
-                self.telemetry.count("dead_letter")
+                _EVENTS.inc(event="dead_letter")
                 # each dead-letter is an admission-breaker strike
                 self._overload.record_failure()
-            self.telemetry.count("jobs_failed")
-            self.telemetry.record_job(JobTelemetry(
-                key=pending.key, app=job.app, mode=job.mode,
-                source="run", status=handle.status.value,
-                wall_s=handle.wall_s, attempts=handle.attempts))
+            _EVENTS.inc(event="jobs_failed")
+            _JOB_WALL.observe(handle.wall_s, source="run")
             with self._lock:
                 self._pending.pop(pending.key, None)
             pending.resolve(error=handle.error)
@@ -435,37 +423,28 @@ class DesignService:
         raw = handle._result
         try:
             if isinstance(raw, dict):          # process-pool payload
-                value = result_from_dict(raw["result"])
                 result_dict = raw["result"]
-                trace_dict = raw.get("telemetry") or {}
-                tracer = Tracer.from_dict(trace_dict)
+                value = result_from_dict(result_dict)
                 if raw.get("obs_spans"):
                     obs.adopt_spans(raw["obs_spans"], pending.obs_ctx)
-            else:                              # in-process (result, tracer)
-                value, tracer = raw
-                result_dict = None
-                trace_dict = tracer.to_dict()
+            else:                              # in-process FlowResult
+                value, result_dict = raw, None
             if self.cache is not None and self._cacheable:
                 if result_dict is None:
                     result_dict = result_to_dict(value,
                                                  include_sources=True)
                 try:
-                    self.cache.put(pending.key, job.spec(), result_dict,
-                                   telemetry=trace_dict)
-                    self.telemetry.count("cache_write")
+                    self.cache.put(pending.key, job.spec(), result_dict)
+                    _EVENTS.inc(event="cache_write")
                 except (faults.InjectedFault, OSError) as exc:
                     # degrade to an uncached result: the computed value
                     # must never be lost to a persistence failure
                     obs.event("service.cache_write_failed",
                               key=pending.key[:12],
                               error=type(exc).__name__)
-                    self.telemetry.count("cache_write_failed")
+                    _EVENTS.inc(event="cache_write_failed")
             self._overload.record_success()
-            self.telemetry.record_job(JobTelemetry(
-                key=pending.key, app=job.app, mode=job.mode,
-                source="run", status="ok",
-                wall_s=handle.wall_s, attempts=handle.attempts,
-                spans=tracer.spans, branches=tracer.branches))
+            _JOB_WALL.observe(handle.wall_s, source="run")
             with self._lock:
                 if self._cacheable:
                     self._memory[pending.key] = value

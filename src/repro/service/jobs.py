@@ -180,8 +180,7 @@ def execute_job_payload(spec: Dict[str, Any],
 
     Module-level and dict-in/dict-out so it pickles across the process
     boundary; the serialized result (sources included, so the cache
-    entry is complete) and the telemetry spans travel back as JSON-
-    compatible payload.
+    entry is complete) travels back as JSON-compatible payload.
 
     ``collect_obs`` is passed separately from ``spec`` because the spec
     is the content-hash input -- tracing must not change cache keys.
@@ -195,7 +194,6 @@ def execute_job_payload(spec: Dict[str, Any],
     from repro import obs
     from repro.flow.serialize import result_to_dict
     from repro.resilience import faults
-    from repro.service.telemetry import Tracer
 
     # chaos site: hard worker death (BrokenProcessPool on the driver
     # side).  Gated to real pool children so a thread-pool or direct
@@ -207,21 +205,19 @@ def execute_job_payload(spec: Dict[str, Any],
             os._exit(13)
 
     job = FlowJob.from_spec(spec)
-    tracer = Tracer()
     collector = obs.add_sink(obs.SpanCollector()) if collect_obs else None
     try:
         # same root shape as the thread-pool path; adopt_spans re-homes
         # this root under the submitting span on the service side
         with obs.span("service.job", app=job.app, mode=job.mode,
                       key=job.key()[:12], pool="process"):
-            result = execute_job(job, observer=tracer)
+            result = execute_job(job)
     finally:
         if collector is not None:
             obs.remove_sink(collector)
     payload = {
         "key": job.key(),
         "result": result_to_dict(result, include_sources=True),
-        "telemetry": tracer.to_dict(),
     }
     if collector is not None:
         payload["obs_spans"] = [s.to_dict()

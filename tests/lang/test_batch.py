@@ -170,36 +170,3 @@ class TestBatchPlan:
         out = plan.evaluate().tensor("x")
         assert out.shape == (2, 2)
         assert out[1, 1] == 1.0 + 2.0 + 10.0
-
-
-class TestNativePath:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        assert not batch.native_enabled()
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        assert batch.native_enabled()
-
-    def test_native_matches_numpy_or_falls_back(self, monkeypatch):
-        """Under REPRO_NATIVE=1 the generated-C core either compiles
-        and reproduces the numpy result exactly, or degrades to the
-        numpy path -- never an error."""
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        grid = ParamGrid(f=tuple(float(2 ** k) for k in range(1, 11)))
-        plan = BatchPlan(grid)
-        plan.affine("alms", 1234.5, f=17.5)
-        native_out = plan.evaluate().tensor("alms")
-
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        plain = BatchPlan(grid)
-        plain.affine("alms", 1234.5, f=17.5)
-        numpy_out = plain.evaluate().tensor("alms")
-        assert np.array_equal(native_out, numpy_out)
-
-    def test_failure_is_permanent_fallback(self, monkeypatch):
-        monkeypatch.setattr(batch, "_native_fn", False)
-        assert not batch.native_available()
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        grid = ParamGrid(f=(2.0, 4.0))
-        plan = BatchPlan(grid)
-        plan.affine("x", 0.0, f=1.0)
-        assert list(plan.evaluate().tensor("x")) == [2.0, 4.0]

@@ -1,8 +1,9 @@
 """End-to-end observability: flows, engines, caches, service, CLI.
 
 These tests exercise the real instrumented stack -- a flow run under a
-collector sink must produce one nested trace whose spans and metrics
-agree with the legacy telemetry counters.
+collector sink must produce one nested trace, the service's metrics
+must count its lookups and runs, and the ``run --time`` breakdown must
+attribute each span's exclusive time once.
 """
 
 import threading
@@ -153,20 +154,26 @@ class TestServiceTrace:
         assert obs.span_depth(spans) >= 4
 
     def test_metrics_agree_with_fleet_telemetry(self):
+        """The service's event counter and its per-source job-wall
+        histogram agree on one run and one memory hit."""
         events = obs.REGISTRY.counter("repro_service_events_total",
                                       labelnames=("event",))
+        walls = obs.REGISTRY.histogram("repro_service_job_wall_seconds",
+                                       labelnames=("source",))
         before = {k: events.get(event=k)
                   for k in ("jobs_run", "cache_hit_memory")}
+        before_walls = {k: walls.count(source=k)
+                        for k in ("run", "cache-memory")}
         with DesignService(workers=1, pool="thread") as svc:
             job = svc.job_for("kmeans", "informed")
-            svc.run(job, timeout=120)
-            svc.run(job, timeout=120)   # memory hit
-            counters = dict(svc.telemetry.counters)
-        assert (events.get(event="jobs_run") - before["jobs_run"]
-                == counters["jobs_run"] == 1)
+            assert svc.submit(job).result(120) is not None
+            assert svc.submit(job).source == "cache-memory"
+        assert events.get(event="jobs_run") - before["jobs_run"] == 1
         assert (events.get(event="cache_hit_memory")
-                - before["cache_hit_memory"]
-                == counters["cache_hit_memory"] == 1)
+                - before["cache_hit_memory"] == 1)
+        assert walls.count(source="run") - before_walls["run"] == 1
+        assert (walls.count(source="cache-memory")
+                - before_walls["cache-memory"] == 1)
 
     def test_scheduler_counters_feed_registry(self):
         attempts = obs.REGISTRY.counter("repro_scheduler_attempts_total",
@@ -268,3 +275,47 @@ class TestCliRegression:
         data = json.loads(trace.read_text())
         assert data["traceEvents"]
         assert "repro_exec_total" in metrics.read_text()
+
+
+def _span(name, span_id, parent_id, t0, end, **attrs):
+    return obs.Span(name=name, trace_id="t", span_id=span_id,
+                    parent_id=parent_id, t0=t0, end=end, attrs=attrs)
+
+
+class TestPhaseBreakdown:
+    """``run --time`` rows are exclusive: nested work counts once."""
+
+    def test_exclusive_rows_on_a_synthetic_tree(self):
+        from repro.__main__ import phase_totals
+
+        spans = [
+            _span("flow app/informed", "root", None, 0.0, 10.0),
+            _span("parse", "p", "root", 0.0, 0.5, phase="parse"),
+            # an A task running the program, then parsing inside it
+            _span("Identify Hotspot Loops", "a", "root", 0.5, 4.0,
+                  kind="A"),
+            _span("execute_unit", "x1", "a", 1.0, 3.0),
+            _span("parse", "p2", "a", 3.0, 3.5, phase="parse"),
+            # a T task that also executes the program
+            _span("Remove Array Dependencies", "t", "root", 4.0, 7.0,
+                  kind="T"),
+            _span("execute_unit", "x2", "t", 5.0, 6.0),
+            # a DSE task whose unclassified sweep holds two overlapping
+            # program runs: the sweep's own time is wall - union
+            _span("GPU Blocksize DSE", "o", "root", 7.0, 9.5, kind="O"),
+            _span("dse.sweep", "s", "o", 7.0, 9.0),
+            _span("execute_unit", "x3", "s", 7.5, 8.5),
+            _span("execute_unit", "x4", "s", 8.0, 9.0),
+            _span("Generate HIP", "cg", "root", 9.5, 9.75, kind="CG"),
+        ]
+        totals = phase_totals(spans)
+        assert totals == pytest.approx({
+            "parse": 1.0,                  # 0.5 top-level + 0.5 in A
+            "analysis exec": 5.0,          # 2 + 1 + 1 + 1
+            "analysis tasks": 1.0,         # 3.5 - 2 exec - 0.5 parse
+            "transforms": 2.0,             # 3 - 1 exec
+            "DSE": 1.0,                    # task 0.5 + sweep 2 - 1.5
+            "codegen": 0.25,
+            "other": 0.25,                 # root time under no task
+            "total": 10.0,
+        })

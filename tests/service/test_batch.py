@@ -4,15 +4,31 @@ The headline check mirrors `python -m repro batch --all --jobs 4`:
 all 5 apps x 2 modes execute on a 4-worker pool, the speedup numbers
 are identical to serial execution, and a warm-cache rerun (a fresh
 service on the same cache directory, as a new process would be)
-completes with 10/10 cache hits -- verified via telemetry counters.
+completes with 10/10 cache hits -- verified from the batch report's
+item sources and cache stats, and from ``repro_service_events_total``.
 """
 
 import pytest
 
+from repro import obs
 from repro.evalharness.runner import DESIGN_LABELS, EvaluationRunner
 from repro.service import (
     DesignService, FlowJob, expand_jobs, iter_batch, run_batch,
 )
+
+EVENTS = ("cache_hit_disk", "cache_hit_memory", "cache_miss",
+          "cache_write", "jobs_run")
+
+
+def service_events(before=None):
+    """``repro_service_events_total`` by event, or its delta since
+    ``before`` (an earlier return value)."""
+    counter = obs.REGISTRY.counter("repro_service_events_total",
+                                   labelnames=("event",))
+    now = {event: counter.get(event=event) for event in EVENTS}
+    if before is None:
+        return now
+    return {event: now[event] - before[event] for event in EVENTS}
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +41,9 @@ def cold_report(cache_dir):
     """One cold `--all --jobs 4` batch through a cached service."""
     with DesignService(cache_dir=cache_dir, workers=4,
                        pool="thread") as service:
+        before = service_events()
         report = run_batch(service, expand_jobs())
-        counters = dict(service.telemetry.counters)
-    return report, counters
+    return report, service_events(before)
 
 
 class TestExpansion:
@@ -56,8 +72,9 @@ class TestColdBatch:
         report, counters = cold_report
         assert len(report.items) == 10
         assert report.ok, [str(i.error) for i in report.failed]
-        assert counters["jobs_run"] == 10
-        assert counters["cache_write"] == 10
+        assert report.count("run") == counters["jobs_run"] == 10
+        assert report.cache_stats["writes"] == counters["cache_write"] \
+            == 10
 
     def test_speedups_identical_to_serial_execution(self, cold_report,
                                                     runner):
@@ -81,9 +98,10 @@ class TestColdBatch:
         with DesignService(cache_dir=cache_dir, workers=2,
                            pool="thread") as service:
             job = FlowJob("kmeans", "informed")
+            before = service_events()
             service.run(job)
             service.run(job)
-            counters = service.telemetry.counters
+            counters = service_events(before)
             # first resolve from disk (cold service), second from memory
             assert counters["cache_hit_disk"] == 1
             assert counters["cache_hit_memory"] == 1
@@ -95,13 +113,16 @@ class TestWarmBatch:
         """A fresh service on the same cache dir never re-executes."""
         with DesignService(cache_dir=cache_dir, workers=4,
                            pool="thread") as service:
+            before = service_events()
             report = run_batch(service, expand_jobs())
-            counters = service.telemetry.counters
+            counters = service_events(before)
             assert len(report.items) == 10 and report.ok
-            assert counters["cache_hit_disk"] == 10
-            assert counters["jobs_run"] == 0
-            assert counters["cache_miss"] == 0
-            assert service.telemetry.cache_hits == 10
+            assert report.count("cache-disk") == counters["cache_hit_disk"] \
+                == 10
+            assert report.count("run") == counters["jobs_run"] == 0
+            assert report.cache_stats["misses"] == counters["cache_miss"] \
+                == 0
+            assert report.cache_stats["hits"] == 10
             assert service.cache.stats.hits == 10
             assert all(item.source == "cache-disk"
                        for item in report.items)
@@ -135,9 +156,11 @@ class TestServiceBackedRunner:
         service = DesignService(cache_dir=cache_dir, pool="thread")
         try:
             eval_runner = EvaluationRunner(service=service)
+            before = service_events()
             result = eval_runner.informed("kmeans")
+            counters = service_events(before)
             assert result.selected_target == "omp"
-            assert service.telemetry.counters["jobs_run"] == 0
-            assert service.telemetry.counters["cache_hit_disk"] == 1
+            assert counters["jobs_run"] == 0
+            assert counters["cache_hit_disk"] == 1
         finally:
             service.close()

@@ -178,3 +178,14 @@ class TestDurableWrites:
         # the very next write (fault budget spent) publishes atomically
         key = put_result(cache, kmeans_informed, job)
         assert cache.get(key).app_name == "kmeans"
+
+
+class TestEntryShape:
+    def test_new_entries_carry_no_telemetry(self, tmp_path,
+                                            kmeans_informed):
+        cache = ResultCache(str(tmp_path))
+        key = put_result(cache, kmeans_informed,
+                         FlowJob("kmeans", "informed"))
+        entry = cache.get_entry(key)
+        assert "telemetry" not in entry
+        assert set(entry) == {"format", "key", "job", "result", "crc32"}

@@ -80,20 +80,8 @@ def test_gather_return_exceptions():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims: the old import paths still work, but warn
+# The process-wide shared runner
 # ----------------------------------------------------------------------
-
-def test_runner_module_shims_warn_and_forward():
-    from repro.evalharness import runner as runner_module
-
-    with pytest.warns(DeprecationWarning, match="moved to repro.api"):
-        shim = runner_module.shared_runner
-    assert shim is api.shared_runner
-    with pytest.warns(DeprecationWarning):
-        assert runner_module.set_shared_runner is api.set_shared_runner
-    with pytest.raises(AttributeError):
-        runner_module.does_not_exist
-
 
 def test_shared_runner_is_process_wide():
     sentinel = object()
@@ -105,7 +93,7 @@ def test_shared_runner_is_process_wide():
 
 
 def test_experiment_modules_import_cleanly():
-    # the migrated internal callers must not hit the shim
+    # the experiment modules import without deprecation warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         from repro.evalharness import energy, fig5, fig6, report, table1

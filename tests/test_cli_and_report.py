@@ -62,3 +62,40 @@ def test_cli_run_json_output(tmp_path, capsys):
     data = json.loads(open(path).read())
     assert data["selected_target"] == "omp"
     assert data["designs"][0]["speedup"] > 1
+
+
+def test_cli_batch_telemetry_report_and_json(tmp_path, capsys,
+                                            monkeypatch):
+    import json
+
+    from repro.config import ENV_VARS
+
+    # the CLI writes its resolved config (--cache-dir included) into
+    # os.environ; setenv records each variable so teardown restores it
+    # and later flows do not hit this cache
+    for _field, var in ENV_VARS:
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
+    cache = str(tmp_path / "cache")
+    path = str(tmp_path / "batch.json")
+    argv = ["batch", "--apps", "kmeans", "--modes", "informed",
+            "--pool", "thread", "--cache-dir", cache]
+    assert cli_main(argv + ["--telemetry", "--json", path]) == 0
+    out = capsys.readouterr().out
+    assert "misses 1 | runs 1" in out
+    assert "disk cache: 0 hits / 1 misses / 1 writes" in out
+    assert "phase breakdown (wall):" in out
+    assert "kmeans/informed" in out.split("slowest jobs")[1]
+    data = json.loads(open(path).read())
+    assert [(j["app"], j["source"], j["ok"]) for j in data["jobs"]] \
+        == [("kmeans", "run", True)]
+    assert data["cache"]["writes"] == 1
+    phases = data["phases"]
+    assert phases["total"] > 0
+    assert sum(secs for row, secs in phases.items() if row != "total") \
+        == pytest.approx(phases["total"], rel=1e-9)
+
+    assert cli_main(argv + ["--telemetry"]) == 0
+    out = capsys.readouterr().out
+    assert "cache hits 1 (disk 1, memory 0) | misses 0 | runs 0" in out
+    assert "phase breakdown" not in out       # nothing ran
