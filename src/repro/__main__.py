@@ -27,8 +27,6 @@ Every flow-running subcommand (``run``, ``eval``, ``batch``,
 
     --cache-dir DIR    persistent result cache
     --workers N        service worker pool size
-    --exec MODE        UHL execution engine (compiled|interp)
-    --dse MODE         DSE lowering (batched|point)
     --retries N        per-job retry budget
     --trace-out PATH   write a Perfetto-loadable Chrome trace
     --metrics-out PATH write the Prometheus text dump
@@ -54,8 +52,6 @@ def _config_from_args(args) -> ReproConfig:
     return ReproConfig.resolve(cli={
         "cache_dir": getattr(args, "cache_dir", None),
         "workers": getattr(args, "workers", None),
-        "exec_mode": getattr(args, "exec_mode", None),
-        "dse_mode": getattr(args, "dse_mode", None),
         "retries": getattr(args, "retries", None),
         "fleet_runners": getattr(args, "runners", None),
         "fleet_peers": getattr(args, "peers", None),
@@ -433,8 +429,6 @@ def cmd_router(args) -> int:
         # span collection is on by default for a router; REPRO_OBS_BUFFER
         # can only resize it upward from the CLI, never disable tracing
         obs_buffer=cfg.obs_buffer or 4096,
-        slo_target=cfg.slo_target,
-        slo_latency_s=cfg.slo_latency_s,
         journal_dir=cfg.journal_dir,
         node_name=getattr(args, "node_name", None),
         standby_of=cfg.fleet_standby_of)
@@ -532,13 +526,6 @@ def _common_parent() -> argparse.ArgumentParser:
                             "($REPRO_CACHE_DIR)")
     group.add_argument("--workers", type=int, default=None, metavar="N",
                        help="service worker pool size ($REPRO_WORKERS)")
-    group.add_argument("--exec", dest="exec_mode", default=None,
-                       choices=("compiled", "interp"),
-                       help="UHL execution engine ($REPRO_EXEC)")
-    group.add_argument("--dse", dest="dse_mode", default=None,
-                       choices=("batched", "point"),
-                       help="DSE lowering: whole-space tensor sweeps or "
-                            "point-at-a-time ($REPRO_DSE)")
     group.add_argument("--retries", type=int, default=None, metavar="N",
                        help="retry failed/timed-out jobs up to N times "
                             "($REPRO_RETRIES)")

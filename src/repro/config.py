@@ -29,10 +29,6 @@ field              env var                 meaning
 =================  ======================  ==============================
 ``cache_dir``      ``REPRO_CACHE_DIR``     persistent result-cache root
 ``workers``        ``REPRO_WORKERS``       service worker-pool size
-``exec_mode``      ``REPRO_EXEC``          ``compiled`` | ``interp``
-``fastpath``       ``REPRO_FASTPATH``      numpy affine-loop fast path
-``profile_cache``  ``REPRO_PROFILE_CACHE`` share profiling runs
-``dse_mode``       ``REPRO_DSE``           ``batched`` | ``point``
 ``retries``        ``REPRO_RETRIES``       per-job retry budget
 ``trace_dir``      ``REPRO_TRACE_DIR``     per-process JSONL span sink
 ``faults``         ``REPRO_FAULTS``        fault-injection plan spec
@@ -47,9 +43,6 @@ field              env var                 meaning
                                            the fleet collector (0 = off)
 ``profile_hz``     ``REPRO_PROFILE_HZ``    sampling stack profiler rate
                                            in Hz (0 = off)
-``slo_target``     ``REPRO_SLO_TARGET``    SLO good-request target (0,1)
-``slo_latency_s``  ``REPRO_SLO_LATENCY_S`` SLO per-request latency
-                                           budget in seconds
 ``durable``        ``REPRO_DURABLE``       fsync cache/journal writes
 ``journal_dir``    ``REPRO_JOURNAL_DIR``   router write-ahead journal
                                            root (enables recovery)
@@ -57,11 +50,19 @@ field              env var                 meaning
                                            warm standby tails
 =================  ======================  ==============================
 
-Some subsystems read their env var lazily at call time (the execution
-engine, the vectorizer, the profile cache); :meth:`apply` writes the
-config back into an environ mapping so those readers -- and pool
-worker *processes*, which inherit the environment -- observe the same
-resolved values.
+Some subsystems read their env var lazily at call time (the profile
+cache root, the fault plan, the simulated latency, durable writes);
+:meth:`apply` writes the config back into an environ mapping so those
+readers -- and pool worker *processes*, which inherit the environment
+-- observe the same resolved values.
+
+The reference paths are not knobs.  A reference *process* (reference
+digests, the interpreter CI tier, the perf baseline) selects them with
+``REPRO_EXEC=interp`` and ``REPRO_PROFILE_CACHE=0``, each read at its
+one point of use (:func:`repro.lang.engine.execution_mode`,
+:func:`repro.analysis.profile.collect_profile`); tests reach the point
+DSE loops and the no-fastpath compiled path by patching
+``repro.flow.sweep.LOWERING`` and ``repro.lang.vectorize.ENABLED``.
 """
 
 from __future__ import annotations
@@ -72,20 +73,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, MutableMapping, Optional
 
-#: execution engines ``exec_mode`` may select (repro.lang.engine._MODES)
-EXEC_MODES = ("compiled", "interp")
-
-#: DSE lowering modes ``dse_mode`` may select (repro.flow.sweep)
-DSE_MODES = ("batched", "point")
-
 #: (field, env var) in documentation order
 ENV_VARS = (
     ("cache_dir", "REPRO_CACHE_DIR"),
     ("workers", "REPRO_WORKERS"),
-    ("exec_mode", "REPRO_EXEC"),
-    ("fastpath", "REPRO_FASTPATH"),
-    ("dse_mode", "REPRO_DSE"),
-    ("profile_cache", "REPRO_PROFILE_CACHE"),
     ("retries", "REPRO_RETRIES"),
     ("trace_dir", "REPRO_TRACE_DIR"),
     ("faults", "REPRO_FAULTS"),
@@ -96,8 +87,6 @@ ENV_VARS = (
     ("fleet_probe_interval_s", "REPRO_FLEET_PROBE_INTERVAL"),
     ("obs_buffer", "REPRO_OBS_BUFFER"),
     ("profile_hz", "REPRO_PROFILE_HZ"),
-    ("slo_target", "REPRO_SLO_TARGET"),
-    ("slo_latency_s", "REPRO_SLO_LATENCY_S"),
     ("durable", "REPRO_DURABLE"),
     ("journal_dir", "REPRO_JOURNAL_DIR"),
     ("fleet_standby_of", "REPRO_FLEET_STANDBY_OF"),
@@ -138,26 +127,12 @@ def _parse_float(name: str, raw: str, minimum: float) -> float:
     return value
 
 
-def _parse_bool(name: str, raw: Any) -> bool:
-    # matches the historical readers: only "0" disables
-    if isinstance(raw, bool):
-        return raw
-    return str(raw).strip() != "0"
-
-
 @dataclass(frozen=True)
 class ReproConfig:
     """Resolved runtime configuration (immutable value object)."""
 
     cache_dir: Optional[str] = None
     workers: int = 1
-    exec_mode: str = "compiled"
-    fastpath: bool = True
-    #: DSE lowering: ``batched`` evaluates whole candidate spaces as
-    #: tensors, ``point`` is the one-candidate-at-a-time fidelity
-    #: fallback (both produce element-wise identical results)
-    dse_mode: str = "batched"
-    profile_cache: bool = True
     retries: int = 0
     trace_dir: Optional[str] = None
     faults: Optional[str] = None
@@ -182,11 +157,6 @@ class ReproConfig:
     #: sampling stack-profiler frequency in Hz (``/v1/obs/profile``);
     #: 0 (the default) keeps the profiler off
     profile_hz: float = 0.0
-    #: SLO good-request target in (0, 1) for the burn-rate tracker
-    slo_target: float = 0.99
-    #: per-request latency past which a (successful) request still
-    #: counts against the SLO error budget
-    slo_latency_s: float = 5.0
     #: fsync cache and journal writes so a SIGKILL/power-loss never
     #: leaves a half-visible entry (opt-in: slower, crash-consistent)
     durable: bool = False
@@ -202,14 +172,6 @@ class ReproConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.exec_mode not in EXEC_MODES:
-            raise ConfigError(
-                f"exec_mode must be one of {EXEC_MODES}, "
-                f"got {self.exec_mode!r}")
-        if self.dse_mode not in DSE_MODES:
-            raise ConfigError(
-                f"dse_mode must be one of {DSE_MODES}, "
-                f"got {self.dse_mode!r}")
         if self.sim_latency_s < 0:
             raise ConfigError(
                 f"sim_latency_s must be >= 0, got {self.sim_latency_s}")
@@ -227,12 +189,6 @@ class ReproConfig:
         if self.profile_hz < 0:
             raise ConfigError(
                 f"profile_hz must be >= 0, got {self.profile_hz}")
-        if not 0.0 < self.slo_target < 1.0:
-            raise ConfigError(
-                f"slo_target must be in (0, 1), got {self.slo_target}")
-        if not self.slo_latency_s > 0:
-            raise ConfigError(
-                f"slo_latency_s must be > 0, got {self.slo_latency_s}")
 
     # ------------------------------------------------------------------
     def runner_list(self) -> list:
@@ -256,26 +212,6 @@ class ReproConfig:
         raw = env.get("REPRO_WORKERS")
         if raw is not None and raw.strip():
             kwargs["workers"] = _parse_int("REPRO_WORKERS", raw, 1)
-        raw = env.get("REPRO_EXEC")
-        if raw is not None and raw.strip():
-            mode = raw.strip().lower()
-            # the lang engine silently falls back to 'compiled' on an
-            # unknown mode; the config layer keeps that forgiveness so
-            # `repro config` reports what will actually run
-            kwargs["exec_mode"] = mode if mode in EXEC_MODES else "compiled"
-        raw = env.get("REPRO_DSE")
-        if raw is not None and raw.strip():
-            mode = raw.strip().lower()
-            # same forgiveness as REPRO_EXEC: unknown modes run the
-            # default lowering rather than failing the process
-            kwargs["dse_mode"] = mode if mode in DSE_MODES else "batched"
-        raw = env.get("REPRO_FASTPATH")
-        if raw is not None:
-            kwargs["fastpath"] = _parse_bool("REPRO_FASTPATH", raw)
-        raw = env.get("REPRO_PROFILE_CACHE")
-        if raw is not None:
-            kwargs["profile_cache"] = _parse_bool(
-                "REPRO_PROFILE_CACHE", raw)
         raw = env.get("REPRO_RETRIES")
         if raw is not None and raw.strip():
             kwargs["retries"] = _parse_int("REPRO_RETRIES", raw, 0)
@@ -310,14 +246,6 @@ class ReproConfig:
         if raw is not None and raw.strip():
             kwargs["profile_hz"] = _parse_float(
                 "REPRO_PROFILE_HZ", raw, 0.0)
-        raw = env.get("REPRO_SLO_TARGET")
-        if raw is not None and raw.strip():
-            kwargs["slo_target"] = _parse_float(
-                "REPRO_SLO_TARGET", raw, 0.0)
-        raw = env.get("REPRO_SLO_LATENCY_S")
-        if raw is not None and raw.strip():
-            kwargs["slo_latency_s"] = _parse_float(
-                "REPRO_SLO_LATENCY_S", raw, 0.0)
         raw = env.get("REPRO_DURABLE")
         if raw is not None and raw.strip():
             # opt-in: only an explicit "1" enables

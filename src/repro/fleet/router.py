@@ -101,8 +101,6 @@ class FleetRouter(HttpServerBase):
                  breaker_threshold: int = 3,
                  breaker_cooldown_s: float = 5.0,
                  obs_buffer: int = 4096,
-                 slo_target: float = 0.99,
-                 slo_latency_s: float = 5.0,
                  journal: Optional[RouterJournal] = None,
                  journal_dir: Optional[str] = None,
                  node_name: Optional[str] = None,
@@ -156,8 +154,7 @@ class FleetRouter(HttpServerBase):
         self.span_buffer: Optional[obs.SpanBuffer] = (
             obs.SpanBuffer(obs_buffer) if obs_buffer > 0 else None)
         self.trace_store = obs.TraceStore()
-        self.slo = obs.SLOTracker("router", target=slo_target,
-                                  latency_s=slo_latency_s)
+        self.slo = obs.SLOTracker("router")
         self._own_cursor = 0          # drain cursor into span_buffer
         self._placements: Dict[str, _Placement] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -13,13 +13,14 @@
   embarrassingly parallel benchmarks, §IV-B.i).
 
 Each task submits its whole candidate axis as one batched tensor
-evaluation by default (:mod:`repro.flow.sweep` over
-:mod:`repro.lang.batch`); ``REPRO_DSE=point`` selects the original
-candidate-at-a-time loops.  The two lowerings are element-wise
-identical -- same chosen design point, same costs, same reports, same
-``dse.point`` telemetry -- which the differential suite pins for every
-app and device.  Either way the sweep runs under one ``dse.sweep``
-parent span with per-axis ``dse.point`` child events.
+evaluation (:mod:`repro.flow.sweep` over :mod:`repro.lang.batch`).
+The original candidate-at-a-time loops stay as the reference the
+differential suite reaches by setting ``sweep.LOWERING = "point"``.
+The two lowerings are element-wise identical -- same chosen design
+point, same costs, same reports, same ``dse.point`` telemetry -- which
+the differential suite pins for every app and device.  Either way the
+sweep runs under one ``dse.sweep`` parent span with per-axis
+``dse.point`` child events.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class UnrollUntilOvermapDSE(Task):
         if design is None:
             raise FlowError("unroll DSE needs a oneAPI design in flight")
         kernel = design.kernel_name
-        mode = sweep.dse_mode()
+        mode = sweep.LOWERING
         with obs.span("dse.sweep", dse="unroll", device=self.device,
                       mode=mode) as sp:
             if mode == "batched":
@@ -89,7 +90,7 @@ class UnrollUntilOvermapDSE(Task):
                 f"(ALM {best_report.alm_utilization:.0%}, "
                 f"DSP {best_report.dsp_utilization:.0%})")
 
-    # -- point-at-a-time lowering (REPRO_DSE=point) --------------------
+    # -- point-at-a-time reference lowering -----------------------------
     def _run_point(self, ctx, design, kernel) -> int:
         # baseline compile at factor 1
         report = self.toolchain.partial_compile(design.ast, kernel,
@@ -192,7 +193,7 @@ class BlocksizeDSE(Task):
             uses_intrinsics=design.metadata.get("intrinsics", False),
             spilled=compile_report.spilled,
         )
-        mode = sweep.dse_mode()
+        mode = sweep.LOWERING
         with obs.span("dse.sweep", dse="blocksize", device=self.device,
                       mode=mode) as sp:
             if mode == "batched":
@@ -248,7 +249,7 @@ class OmpThreadsDSE(Task):
         profile = ctx.profile_for(design)
         candidates = [t for t in (1, 2, 4, 8, 16, 24, 32)
                       if t <= model.spec.cores]
-        mode = sweep.dse_mode()
+        mode = sweep.LOWERING
         with obs.span("dse.sweep", dse="omp-threads", mode=mode) as sp:
             if mode == "batched":
                 times = sweep.omp_sweep(model, profile, candidates)

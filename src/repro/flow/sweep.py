@@ -8,10 +8,10 @@ whole candidate axis through :mod:`repro.lang.batch` instead -- one
 (FPGA resource polynomials), vectorized model evaluations (GPU / CPU
 rooflines) and a non-affine residue (per-point extraction closures) --
 and hands back per-point values that are **element-wise bit-identical**
-to what the scalar loops compute.  ``REPRO_DSE=point`` keeps the
-original loops as the fidelity fallback; the differential suite in
-``tests/flow/test_dse_batch.py`` pins the equivalence for every app and
-device, including the overmap and unsynthesisable edge cases.
+to what the scalar loops compute.  The original loops stay as the
+reference: the differential suite in ``tests/flow/test_dse_batch.py``
+sets :data:`LOWERING` to ``"point"`` and pins the equivalence for every
+app and device, including the overmap and unsynthesisable edge cases.
 
 Early-exit predicates become masked reductions: the Fig. 2 "stop at the
 first overmapping factor" break is ``SweepResult.first_true`` over the
@@ -22,12 +22,10 @@ behaviour exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.config import DSE_MODES
 from repro.lang.batch import BatchPlan, ParamGrid
 
 #: per-point evaluations by lowering mode and DSE family -- the
@@ -46,15 +44,10 @@ BATCH_SIZE = obs.REGISTRY.histogram(
              512.0, 1024.0))
 
 
-def dse_mode() -> str:
-    """The DSE lowering ``$REPRO_DSE`` selects (default ``batched``).
-
-    Read lazily at sweep time, like the execution-engine knobs, so pool
-    workers and per-job overrides (``FlowJob.dse``) take effect without
-    re-importing anything.  Unknown values run the default lowering.
-    """
-    raw = (os.environ.get("REPRO_DSE") or "").strip().lower()
-    return raw if raw in DSE_MODES else "batched"
+#: the DSE lowering every sweep runs: ``batched`` evaluates whole
+#: candidate spaces as tensors.  ``point`` -- the candidate-at-a-time
+#: reference loops -- is reached only by tests patching this constant.
+LOWERING = "batched"
 
 
 def record_sweep(span, mode: str, dse: str, points: int) -> None:

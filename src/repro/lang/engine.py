@@ -1,5 +1,6 @@
 """Execution-engine dispatch: closure-compiled by default, tree-walking
-interpreter on request (``REPRO_EXEC=interp``) or as an exact fallback.
+interpreter as an exact fallback or in a reference process started with
+``REPRO_EXEC=interp`` (read here only; it is not a ``ReproConfig`` knob).
 
 ``execute_unit`` is the single entry point every dynamic execution in
 the repo goes through (``Ast.execute`` delegates here).  That makes it

@@ -32,12 +32,11 @@ to running the loop iteration by iteration.  Three mechanisms ensure it:
   are vectorized (``+ - *``, division with a zero-free divisor,
   correctly-rounded ``sqrt``, ``fabs``, ``floor``).
 
-Set ``REPRO_FASTPATH=0`` to disable recognition entirely.
+:data:`ENABLED` is off only without numpy; the differential suite
+turns it off to compare the plain compiled loops with the interpreter.
 """
 
 from __future__ import annotations
-
-import os
 
 try:
     import numpy as _np
@@ -52,6 +51,9 @@ from repro.meta.ast_nodes import (
 )
 
 _FASTPATH_MIN_TRIPS = 16
+
+#: recognise affine loops at compile time (read on every compile)
+ENABLED = _np is not None
 
 # one-argument builtins where numpy is bit-identical to the interpreter's
 # (``_safe``-wrapped) math implementation for every float input
@@ -82,14 +84,9 @@ def _bind_kinds():
         K_INT, K_FLOAT, K_PTR_F = _c.K_INT, _c.K_FLOAT, _c.K_PTR_F
 
 
-def enabled() -> bool:
-    return (_np is not None
-            and os.environ.get("REPRO_FASTPATH", "1") != "0")
-
-
 def try_vectorize(fc, s: ForStmt):
     """A plan ``(rt, frame, counter) -> trips_done`` or None."""
-    if not enabled():
+    if not ENABLED:
         return None
     _bind_kinds()
     try:

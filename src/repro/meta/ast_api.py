@@ -89,8 +89,9 @@ class Ast:
         ``exec(ast)`` of Fig. 2.
 
         Execution goes through :mod:`repro.lang.engine`: the closure
-        compiler by default, the tree-walking interpreter under
-        ``REPRO_EXEC=interp`` (both produce identical reports).
+        compiler, or the tree-walking reference interpreter in a
+        process started with ``REPRO_EXEC=interp`` (both produce
+        identical reports).
         """
         from repro.lang.engine import execute_unit
 

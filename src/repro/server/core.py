@@ -159,9 +159,7 @@ class ReproServer(HttpServerBase):
         self.span_buffer: Optional[obs.SpanBuffer] = (
             obs.SpanBuffer(self.config.obs_buffer)
             if self.config.obs_buffer > 0 else None)
-        self.slo = obs.SLOTracker(
-            "server", target=self.config.slo_target,
-            latency_s=self.config.slo_latency_s)
+        self.slo = obs.SLOTracker("server")
         self.profiler: Optional[obs.StackProfiler] = (
             obs.StackProfiler(self.config.profile_hz)
             if self.config.profile_hz > 0 else None)

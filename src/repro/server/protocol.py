@@ -43,7 +43,7 @@ API_VERSION = "v1"
 #: fields a POST /v1/jobs body may set (everything else is rejected --
 #: unknown keys are typos, not forward compatibility)
 JOB_FIELDS = ("app", "mode", "intensity_threshold", "scale", "priority",
-              "timeout_s", "retries", "dse")
+              "timeout_s", "retries")
 
 
 class JobNotFound(KeyError):
@@ -97,7 +97,6 @@ def job_to_payload(job: FlowJob) -> Dict[str, Any]:
         "intensity_threshold": job.intensity_threshold,
         "scale": job.scale, "priority": job.priority,
         "timeout_s": job.timeout_s, "retries": job.retries,
-        "dse": job.dse,
     }
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.apps.registry import ALL_APPS, get_app
-from repro.config import DSE_MODES
 from repro.flow.engine import FlowEngine, FlowResult
 
 #: modes a job may request (FlowEngine.strategy_for rejects others too)
@@ -54,14 +53,14 @@ class FlowJob:
     timeout_s: Optional[float] = None
     #: bounded retries on failure/timeout (None = scheduler default)
     retries: Optional[int] = None
-    #: DSE lowering override: ``batched`` | ``point`` (None = the
-    #: process default, ``$REPRO_DSE``).  A whole batched sweep is one
-    #: job -- one cache entry, one span tree -- and because the two
-    #: lowerings are element-wise identical they share content hashes
-    #: unless explicitly pinned here.
-    dse: Optional[str] = None
 
     def __post_init__(self):
+        # a JSON ``true`` is not a number: it would hash apart from 1.0
+        for name in ("intensity_threshold", "scale", "priority",
+                     "timeout_s", "retries"):
+            if isinstance(getattr(self, name), bool):
+                raise JobValidationError(
+                    f"{name} must be a number, not a boolean")
         if self.app not in ALL_APPS:
             raise JobValidationError(
                 f"unknown app {self.app!r}; known: {sorted(ALL_APPS)}")
@@ -80,12 +79,10 @@ class FlowJob:
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise JobValidationError(
                 f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.retries is not None and self.retries < 0:
+        if self.retries is not None and not (
+                isinstance(self.retries, int) and self.retries >= 0):
             raise JobValidationError(
-                f"retries must be >= 0, got {self.retries}")
-        if self.dse is not None and self.dse not in DSE_MODES:
-            raise JobValidationError(
-                f"unknown dse mode {self.dse!r}; valid: {DSE_MODES}")
+                f"retries must be an int >= 0, got {self.retries!r}")
 
     # ------------------------------------------------------------------
     @property
@@ -100,7 +97,7 @@ class FlowJob:
         """
         from repro.service.cache import CACHE_FORMAT_VERSION
 
-        spec = {
+        return {
             "format": CACHE_FORMAT_VERSION,
             "app": self.app,
             "source_sha": hashlib.sha256(
@@ -109,13 +106,6 @@ class FlowJob:
             "intensity_threshold": self.intensity_threshold,
             "scale": self.scale,
         }
-        # only a *pinned* lowering enters the hash: the lowerings are
-        # result-identical, so unpinned jobs keep their historical keys
-        # and stay interchangeable with pinned ones' cache entries only
-        # when the caller asked for that distinction
-        if self.dse is not None:
-            spec["dse"] = self.dse
-        return spec
 
     def key(self) -> str:
         """Deterministic content hash -- cache and dedup identity."""
@@ -127,8 +117,7 @@ class FlowJob:
     def from_spec(cls, spec: Dict[str, Any], **overrides) -> "FlowJob":
         return cls(app=spec["app"], mode=spec["mode"],
                    intensity_threshold=spec["intensity_threshold"],
-                   scale=spec["scale"], dse=spec.get("dse"),
-                   **overrides)
+                   scale=spec["scale"], **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -157,21 +146,8 @@ def execute_job(job: FlowJob, engine: Optional[FlowEngine] = None,
         time.sleep(latency)
     engine = engine or FlowEngine(
         intensity_threshold=job.intensity_threshold)
-    if job.dse is None:
-        return engine.run(get_app(job.app), mode=job.mode,
-                          scale=job.scale, observer=observer)
-    # pin the DSE lowering for this job; the sweep reads $REPRO_DSE
-    # lazily, so scope the override to the run and restore after
-    previous = os.environ.get("REPRO_DSE")
-    os.environ["REPRO_DSE"] = job.dse
-    try:
-        return engine.run(get_app(job.app), mode=job.mode,
-                          scale=job.scale, observer=observer)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_DSE", None)
-        else:
-            os.environ["REPRO_DSE"] = previous
+    return engine.run(get_app(job.app), mode=job.mode,
+                      scale=job.scale, observer=observer)
 
 
 def execute_job_payload(spec: Dict[str, Any],

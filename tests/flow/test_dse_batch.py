@@ -1,13 +1,14 @@
 """Differential suite: batched DSE lowering vs point-at-a-time.
 
-The tentpole guarantee is that ``REPRO_DSE=batched`` (the default) is a
-pure *performance* lowering: for every app and device the chosen design
-point, the model costs, the HLS reports, the failure classifications and
-even the human-readable trace lines are element-wise identical to the
-original candidate-at-a-time loops.  These tests pin that equivalence
-app by app -- including the edge cases: Rush Larsen overmapping at
-factor 1 (unsynthesisable on both FPGAs) and n-body's variable-bound
-inner loop discounting the unroll pragma.
+The guarantee is that the batched lowering every flow runs
+(``sweep.LOWERING``) is a pure *performance* lowering: for every app
+and device the chosen design point, the model costs, the HLS reports,
+the failure classifications and even the human-readable trace lines are
+element-wise identical to the original candidate-at-a-time loops, which
+these tests reach by patching ``sweep.LOWERING`` to ``"point"``.  They
+pin that equivalence app by app -- including the edge cases: Rush
+Larsen overmapping at factor 1 (unsynthesisable on both FPGAs) and
+n-body's variable-bound inner loop discounting the unroll pragma.
 """
 
 import random
@@ -48,7 +49,7 @@ def _design_fingerprint(design):
 
 
 def _run(app_name, mode, dse, monkeypatch):
-    monkeypatch.setenv("REPRO_DSE", dse)
+    monkeypatch.setattr(sweep, "LOWERING", dse)
     result = FlowEngine().run(get_app(app_name), mode=mode)
     return ([_design_fingerprint(d) for d in result.designs],
             [line for line in result.trace if "DSE" in line])
@@ -67,7 +68,7 @@ def test_rush_larsen_overmap_edge_case(monkeypatch):
     """Overmap at factor 1 -> unsynthesisable, identically in both
     lowerings (the batched path must not even fit the polynomial)."""
     for dse in ("point", "batched"):
-        monkeypatch.setenv("REPRO_DSE", dse)
+        monkeypatch.setattr(sweep, "LOWERING", dse)
         result = FlowEngine().run(get_app("rush_larsen"),
                                   mode="uninformed")
         for label in ("oneapi-a10", "oneapi-s10"):
@@ -81,20 +82,11 @@ def test_nbody_variable_inner_edge_case(monkeypatch):
     """The discounted pragma (variable-bound inner loop) keeps factor 1
     under both lowerings."""
     for dse in ("point", "batched"):
-        monkeypatch.setenv("REPRO_DSE", dse)
+        monkeypatch.setattr(sweep, "LOWERING", dse)
         result = FlowEngine().run(get_app("nbody"), mode="uninformed")
         design = result.design("oneapi-s10")
         assert design.metadata["unroll_factor"] == 1
         assert design.metadata["hls_report"].variable_inner_loop
-
-
-def test_unknown_dse_mode_runs_default(monkeypatch):
-    monkeypatch.setenv("REPRO_DSE", "bogus")
-    assert sweep.dse_mode() == "batched"
-    monkeypatch.delenv("REPRO_DSE")
-    assert sweep.dse_mode() == "batched"
-    monkeypatch.setenv("REPRO_DSE", "point")
-    assert sweep.dse_mode() == "point"
 
 
 # ---------------------------------------------------------------------
@@ -209,10 +201,9 @@ class TestCloneFunction:
 # Telemetry: dse.sweep spans and per-axis dse.point events
 # ---------------------------------------------------------------------
 
-def test_sweep_spans_and_metrics(monkeypatch):
+def test_sweep_spans_and_metrics():
     from repro import obs
 
-    monkeypatch.setenv("REPRO_DSE", "batched")
     collector = obs.add_sink(obs.SpanCollector())
     try:
         FlowEngine().run(get_app("kmeans"), mode="uninformed")

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.profile import normalized_pointer_events
 from repro.apps import ALL_APPS, get_app
+from repro.lang import vectorize
 from repro.lang.compiler import compile_unit
 from repro.lang.interpreter import Interpreter, RuntimeFault, Workload
 from repro.meta.ast_api import Ast
@@ -239,7 +240,7 @@ class TestFastpath:
         run_both(self.SOURCE, self.wl)
 
     def test_fastpath_off_matches_interpreter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        monkeypatch.setattr(vectorize, "ENABLED", False)
         run_both(self.SOURCE, self.wl)
 
 

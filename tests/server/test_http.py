@@ -13,7 +13,7 @@ import repro.service.core as service_core
 from repro.client import ReproClient
 from repro.config import ReproConfig
 from repro.flow.serialize import FlowResultRecord, result_to_dict
-from repro.server.protocol import JobNotFound
+from repro.server.protocol import JobNotFound, error_from_payload
 from repro.service.core import ServiceOverloaded
 from repro.service.jobs import JobValidationError
 from repro.service.scheduler import JobResultPending
@@ -92,6 +92,21 @@ def test_invalid_job_is_400(client):
     assert data["error"]["code"] == "invalid_job"
     with pytest.raises(JobValidationError):
         client.submit("kmeans", mode="clairvoyant")
+
+
+@pytest.mark.parametrize("body", [
+    {"app": "kmeans", "retries": 1.5},
+    {"app": "kmeans", "retries": True},
+    {"app": "kmeans", "priority": True},
+    {"app": "kmeans", "scale": True},
+])
+def test_non_numeric_job_fields_are_400(client, body):
+    # a fractional retry budget would buy an extra attempt, and a JSON
+    # true hashes apart from 1.0 so identical work would miss the cache
+    status, data, _ = client._request_once("POST", "/v1/jobs", body)
+    assert status == 400
+    with pytest.raises(JobValidationError):
+        raise error_from_payload(status, data)
 
 
 def test_unknown_job_is_404(client):

@@ -114,8 +114,21 @@ def test_job_payload_round_trip():
 
 
 def test_job_payload_rejects_unknown_fields():
-    with pytest.raises(JobValidationError, match="unknown job field"):
-        job_from_payload({"app": "kmeans", "sudo": True})
+    # "dse" pinned a job's DSE lowering; the wire no longer carries it
+    for body in ({"app": "kmeans", "sudo": True},
+                 {"app": "kmeans", "dse": "point"}):
+        with pytest.raises(JobValidationError, match="unknown job field"):
+            job_from_payload(body)
+
+
+def test_job_spec_keys_are_stable():
+    # the spec is the cache-key input: a new key here re-keys every
+    # cached result, so the set (and one known key) is pinned
+    job = FlowJob(app="kmeans", mode="informed")
+    assert set(job.spec()) == {"format", "app", "source_sha", "mode",
+                               "intensity_threshold", "scale"}
+    assert job.key() == ("416702f0660989484f0956d2e84a9b9f"
+                         "bb40068358b8f6885b1731d8d078c7db")
 
 
 def test_job_payload_rejects_non_object():

@@ -30,6 +30,12 @@ class TestValidation:
             FlowJob("kmeans", retries=-1)
         with pytest.raises(JobValidationError):
             FlowJob("kmeans", priority="high")
+        with pytest.raises(JobValidationError, match="int"):
+            FlowJob("kmeans", retries=1.5)
+        for name in ("intensity_threshold", "scale", "priority",
+                     "timeout_s", "retries"):
+            with pytest.raises(JobValidationError, match="boolean"):
+                FlowJob("kmeans", **{name: True})
 
 
 class TestKeys:
@@ -66,3 +72,41 @@ class TestKeys:
         rebuilt = FlowJob.from_spec(job.spec())
         assert rebuilt == job
         assert rebuilt.key() == job.key()
+
+
+class TestExecution:
+    def test_concurrent_jobs_share_one_lowering_and_leave_env_alone(self):
+        """Jobs carry no per-process switch: running several at once
+        neither reads nor writes the environment's REPRO_* state, and
+        every DSE sweep runs the batched lowering."""
+        import os
+        import threading
+
+        from repro import obs
+        from repro.service.jobs import execute_job
+
+        before = dict(os.environ)
+        collector = obs.add_sink(obs.SpanCollector())
+        errors = []
+
+        def run(scale):
+            try:
+                execute_job(FlowJob("kmeans", "uninformed", scale=scale))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(scale,))
+                   for scale in (0.5, 0.75, 1.0)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            obs.remove_sink(collector)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert dict(os.environ) == before
+        sweeps = [s for s in collector.snapshot() if s.name == "dse.sweep"]
+        assert len(sweeps) >= 3
+        assert {s.attrs["mode"] for s in sweeps} == {"batched"}

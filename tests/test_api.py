@@ -104,7 +104,7 @@ def test_experiment_modules_import_cleanly():
 # Uniform CLI flags: one vocabulary across every flow subcommand
 # ----------------------------------------------------------------------
 
-SHARED = ["--cache-dir", "/x", "--workers", "3", "--exec", "interp",
+SHARED = ["--cache-dir", "/x", "--workers", "3",
           "--retries", "2", "--trace-out", "/t.json",
           "--metrics-out", "/m.prom"]
 
@@ -120,10 +120,17 @@ def test_every_flow_subcommand_takes_the_shared_flags(argv):
     args = build_parser().parse_args(argv)
     assert args.cache_dir == "/x"
     assert args.workers == 3
-    assert args.exec_mode == "interp"
     assert args.retries == 2
     assert args.trace_out == "/t.json"
     assert args.metrics_out == "/m.prom"
+
+
+@pytest.mark.parametrize("flag", [["--exec", "interp"],
+                                  ["--dse", "point"]])
+def test_reference_paths_are_not_cli_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "kmeans"] + flag)
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_batch_jobs_is_an_alias_for_workers():

@@ -15,36 +15,49 @@ from repro.config import ConfigError, ENV_VARS, ReproConfig
 def test_defaults():
     cfg = ReproConfig.from_env(environ={})
     assert cfg == ReproConfig()
-    assert cfg.workers == 1 and cfg.exec_mode == "compiled"
-    assert cfg.fastpath and cfg.profile_cache
-    assert cfg.cache_dir is None and cfg.retries == 0
+    assert cfg.workers == 1 and cfg.retries == 0
+    assert cfg.cache_dir is None
 
 
 def test_from_env_reads_every_var():
     cfg = ReproConfig.from_env(environ={
         "REPRO_CACHE_DIR": "/tmp/c", "REPRO_WORKERS": "4",
-        "REPRO_EXEC": "interp", "REPRO_FASTPATH": "0",
-        "REPRO_PROFILE_CACHE": "0", "REPRO_RETRIES": "2",
+        "REPRO_RETRIES": "2",
         "REPRO_TRACE_DIR": "/tmp/t", "REPRO_FAULTS": "worker.exec:0.5",
     })
     assert cfg.cache_dir == "/tmp/c" and cfg.workers == 4
-    assert cfg.exec_mode == "interp"
-    assert not cfg.fastpath and not cfg.profile_cache
     assert cfg.retries == 2 and cfg.trace_dir == "/tmp/t"
     assert cfg.faults == "worker.exec:0.5"
 
 
-def test_bool_parsing_only_zero_disables():
-    # matches the historical readers of REPRO_FASTPATH and friends
-    for raw, expected in [("0", False), ("1", True), ("false", True),
-                          ("", True), ("no", True)]:
-        cfg = ReproConfig.from_env(environ={"REPRO_FASTPATH": raw})
-        assert cfg.fastpath is expected, raw
+def test_bool_parsing_only_zero_disables(monkeypatch):
+    # REPRO_PROFILE_CACHE is read where profiles are collected, not by
+    # ReproConfig; only "0" turns sharing off there
+    from repro.analysis.profile import (
+        clear_profile_cache, collect_profile, profile_cache_stats,
+    )
+    from repro.lang.interpreter import Workload
+    from repro.meta.ast_api import Ast
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)   # memory only
+    ast = Ast("int main() { return 3; }")
+    for raw, shared in [("0", False), ("1", True), ("false", True),
+                        ("", True), ("no", True)]:
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", raw)
+        clear_profile_cache()
+        collect_profile(ast, Workload())
+        collect_profile(ast, Workload())
+        assert profile_cache_stats().executions == (1 if shared else 2), \
+            raw
+    clear_profile_cache()
 
 
-def test_unknown_exec_mode_falls_back_like_the_engine():
-    cfg = ReproConfig.from_env(environ={"REPRO_EXEC": "quantum"})
-    assert cfg.exec_mode == "compiled"
+def test_unknown_exec_mode_falls_back_like_the_engine(monkeypatch):
+    from repro.lang.engine import execution_mode
+
+    monkeypatch.setenv("REPRO_EXEC", "quantum")
+    assert execution_mode() == "compiled"
+    assert "exec_mode" not in ReproConfig().to_dict()
 
 
 def test_bad_values_raise_config_error():
@@ -56,8 +69,8 @@ def test_bad_values_raise_config_error():
         ReproConfig.from_env(environ={"REPRO_RETRIES": "-1"})
     with pytest.raises(ConfigError):
         ReproConfig(workers=0)
-    with pytest.raises(ConfigError):
-        ReproConfig(exec_mode="quantum")
+    with pytest.raises(TypeError):
+        ReproConfig(exec_mode="interp")     # a reference switch, no knob
 
 
 # ----------------------------------------------------------------------
@@ -99,13 +112,14 @@ def test_replace_filters_none():
 # ----------------------------------------------------------------------
 
 def test_apply_round_trips_through_environ():
-    cfg = ReproConfig(cache_dir="/tmp/c", workers=3, exec_mode="interp",
-                      fastpath=False, retries=2)
-    env = {"REPRO_TRACE_DIR": "/stale"}     # must be cleared by apply
+    cfg = ReproConfig(cache_dir="/tmp/c", workers=3, retries=2,
+                      durable=True)
+    env = {"REPRO_TRACE_DIR": "/stale",     # must be cleared by apply
+           "REPRO_EXEC": "interp"}          # not ours: left alone
     cfg.apply(environ=env)
     assert "REPRO_TRACE_DIR" not in env     # unset field removes the var
-    assert env["REPRO_WORKERS"] == "3" and env["REPRO_EXEC"] == "interp"
-    assert env["REPRO_FASTPATH"] == "0"
+    assert env["REPRO_WORKERS"] == "3" and env["REPRO_DURABLE"] == "1"
+    assert env["REPRO_EXEC"] == "interp"
     assert ReproConfig.from_env(environ=env) == cfg
 
 
@@ -207,7 +221,10 @@ def test_config_subcommand_prints_resolved_json(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_EXEC", "interp")
     assert main(["config"]) == 0
     resolved = json.loads(capsys.readouterr().out)
-    assert resolved["workers"] == 7 and resolved["exec_mode"] == "interp"
+    assert resolved["workers"] == 7
+    # the reference-process switch is not part of the configuration
+    assert "interp" not in json.dumps(resolved)
+    assert len(resolved) == len(ENV_VARS) == 15
 
 
 def test_config_subcommand_flag_beats_env(capsys, monkeypatch):
@@ -221,3 +238,37 @@ def test_config_subcommand_reports_bad_env(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "banana")
     assert main(["config"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# no hidden knobs
+# ----------------------------------------------------------------------
+
+#: environment variables read outside ReproConfig on purpose
+NOT_KNOBS = {
+    "REPRO_EXEC",            # reference process: tree-walking interpreter
+    "REPRO_PROFILE_CACHE",   # reference process: no profile sharing
+    "REPRO_SERVER",          # client: address of a remote server
+}
+
+
+def test_every_env_var_under_src_is_a_config_knob():
+    import pathlib
+    import re
+
+    import repro
+
+    known = {var for _, var in ENV_VARS} | NOT_KNOBS
+    stray = {}
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in re.finditer(r"REPRO_[A-Z_]*[A-Z](_\*)?", text):
+            name = match.group(0)
+            if name.endswith("_*"):       # a documented family
+                ok = any(var.startswith(name[:-1]) for var in known)
+            else:
+                ok = name in known
+            if not ok:
+                stray.setdefault(name, str(path.relative_to(root)))
+    assert not stray, f"REPRO_* variables outside ReproConfig: {stray}"
