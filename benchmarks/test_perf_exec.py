@@ -1,4 +1,4 @@
-"""Bench: execution-engine performance (interpreter vs closure compiler).
+"""Bench: execution-engine performance (interpreter vs compiled engine).
 
 Two layers of perf regression coverage:
 

@@ -61,8 +61,7 @@ digests, the interpreter CI tier, the perf baseline) selects them with
 ``REPRO_EXEC=interp`` and ``REPRO_PROFILE_CACHE=0``, each read at its
 one point of use (:func:`repro.lang.engine.execution_mode`,
 :func:`repro.analysis.profile.collect_profile`); tests reach the point
-DSE loops and the no-fastpath compiled path by patching
-``repro.flow.sweep.LOWERING`` and ``repro.lang.vectorize.ENABLED``.
+DSE loops by patching ``repro.flow.sweep.LOWERING``.
 """
 
 from __future__ import annotations
@@ -306,7 +305,7 @@ class ReproConfig:
               ) -> "ReproConfig":
         """Write the config into ``environ`` (default ``os.environ``).
 
-        Lazy env readers (execution engine, vectorizer, profile cache)
+        Lazy env readers (execution engine, profile cache)
         and inherited-environment pool workers then see the resolved
         values.  Unset optional fields *remove* their variable, so an
         explicit ``cache_dir=None`` really disables the cache.

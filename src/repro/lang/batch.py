@@ -23,8 +23,7 @@ Three pieces:
   masked reductions (``argmin`` / ``first_true``) that replace the
   scalar early-exit predicates of the point-at-a-time loops.
 
-Exactness is non-negotiable, exactly as for the loop fast path in
-:mod:`repro.lang.vectorize`: a batched sweep must be element-wise
+Exactness is non-negotiable: a batched sweep must be element-wise
 identical to running every point through the scalar path.  The affine
 core only accepts coefficients whose products and sums stay exact in
 float64 (the toolchain resource charges are all multiples of 0.5 well

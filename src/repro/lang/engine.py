@@ -1,4 +1,4 @@
-"""Execution-engine dispatch: closure-compiled by default, tree-walking
+"""Execution-engine dispatch: compiled to Python by default, tree-walking
 interpreter as an exact fallback or in a reference process started with
 ``REPRO_EXEC=interp`` (read here only; it is not a ``ReproConfig`` knob).
 
@@ -7,8 +7,10 @@ the repo goes through (``Ast.execute`` delegates here).  That makes it
 the natural place to hang *execution observers* -- callbacks notified
 once per dynamic program execution, used by tests and telemetry to
 assert how many executions a flow actually performs -- and the
-``repro.obs`` instrumentation: one span per execution and one
-``repro_exec_total{mode=...}`` count per engine that actually ran.
+``repro.obs`` instrumentation: one span per execution (its
+``compile_ms`` attribute separates generating the code from running
+it) and one ``repro_exec_total{mode=...}`` count per engine that
+actually ran.
 
 Fallback rules keeping the two engines observationally identical:
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 import weakref
 from typing import Callable, List, Optional, Sequence
 
@@ -166,7 +169,10 @@ def _dispatch(unit, workload, entry, max_steps, args, mode, sp) -> ExecReport:
             program = None
             try:
                 faults.inject("exec.compiled")
+                started = time.perf_counter()
                 program = compile_unit(unit)
+                # generating the code vs running it, in one trace
+                sp.set(compile_ms=(time.perf_counter() - started) * 1e3)
             except CompileUnsupported as exc:
                 # deterministic property of the program, not a failure:
                 # does not feed the breaker.  Nothing ran yet.

@@ -60,7 +60,7 @@ class _Return(Exception):
 # Per-instance (not module-level) because the service runs jobs on a thread
 # pool: a shared _Return.value would race between concurrent runs.  Catch
 # sites drop the traceback so re-raising never chains frames iteration over
-# iteration.  (The compiled engine goes further and uses sentinel returns.)
+# iteration.  (The compiled engine uses Python's own break/continue/return.)
 
 
 class Workload:
@@ -650,18 +650,21 @@ class Interpreter:
                         rec.read_before_write = True
 
     def _load_ptr(self, ptr: PointerValue, index: int) -> Value:
+        arr = ptr.array
         counter = self.counter_stack[-1]
         counter.mem_reads += 1
-        if not ptr.array.is_local:
-            counter.bytes_read += ptr.array.elem_size
+        if not arr.is_local:
+            counter.bytes_read += arr.elem_size
             if self.frame_arrays:
-                self._record_access(ptr.array, write=False)
-        try:
-            return ptr.load(index)
-        except IndexError:
-            raise RuntimeFault(
-                f"out-of-bounds read at {ptr.array.name or 'buffer'}"
-                f"[{ptr.offset + index}] (size {len(ptr.array)})") from None
+                self._record_access(arr, write=False)
+        k = ptr.offset + index
+        if k >= 0:               # a negative offset would wrap around
+            try:
+                return arr.data[k]
+            except IndexError:
+                pass
+        raise RuntimeFault(f"out-of-bounds read at {arr.name or 'buffer'}"
+                           f"[{k}] (size {len(arr)})")
 
     def _store_ptr(self, ptr: PointerValue, index: int, value: Value) -> Value:
         counter = self.counter_stack[-1]

@@ -28,7 +28,7 @@ class ArrayValue:
     """
 
     __slots__ = ("data", "elem_type", "name", "array_id", "is_local",
-                 "elem_size")
+                 "elem_size", "is_float", "dram")
 
     def __init__(self, size: int, elem_type: CType, name: str = "",
                  fill: Scalar = 0, is_local: bool = False):
@@ -43,6 +43,9 @@ class ArrayValue:
         # local (stack) arrays live in registers/L1 on every target and
         # never reach DRAM; the profiler excludes them from byte counts
         self.is_local = is_local
+        self.is_float = elem_type.is_floating
+        # bytes one element access moves to or from DRAM
+        self.dram = 0 if is_local else self.elem_size
         if elem_type.is_floating:
             self.data: List[Scalar] = [float(fill)] * size
         else:
@@ -67,7 +70,7 @@ class ArrayValue:
 
     def coerce(self, value: Scalar) -> Scalar:
         """Apply C assignment conversion for this element type."""
-        if self.elem_type.is_floating:
+        if self.is_float:
             return float(value)
         return int(value)
 

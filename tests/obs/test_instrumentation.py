@@ -91,6 +91,18 @@ class TestEngineMetrics:
         assert tiers.get(tier="miss") == before_miss + 1
         assert tiers.get(tier="memory") == before_mem + 1
 
+    def test_execute_unit_span_separates_compile_time(self):
+        app = get_app("kmeans")
+        sink = obs.add_sink(obs.SpanCollector())
+        try:
+            eng.execute_unit(Ast(app.source).unit, app.workload_factory(),
+                             mode="compiled")
+        finally:
+            obs.remove_sink(sink)
+        [span] = [s for s in sink.snapshot() if s.name == "execute_unit"]
+        assert span.attrs["mode"] == "compiled"
+        assert 0 < span.attrs["compile_ms"] < span.wall_s * 1e3
+
 
 class TestEngineObservers:
     def test_add_is_idempotent(self):
