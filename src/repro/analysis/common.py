@@ -38,10 +38,12 @@ def loop_path(loop: ForStmt) -> LoopPath:
     fn = loop.enclosing(FunctionDecl)
     if fn is None:
         raise ValueError("loop is not inside a function")
-    loops = fn.loops()
-    for i, candidate in enumerate(loops):
-        if candidate is loop:
-            return LoopPath(fn.name, i)
+    index = 0
+    for node in fn.body.walk():
+        if node is loop:
+            return LoopPath(fn.name, index)
+        if isinstance(node, ForStmt):
+            index += 1
     raise ValueError("loop not found in its own function")
 
 

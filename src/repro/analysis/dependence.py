@@ -139,7 +139,10 @@ def _self_reads(assigns: List[Assign], name: str) -> int:
 
 def analyze_loop_dependences(loop: ForStmt) -> DependenceInfo:
     """Dependence facts for one loop (see module docstring for the method)."""
-    path = loop_path(loop)
+    return _loop_dependences(loop, loop_path(loop))
+
+
+def _loop_dependences(loop: ForStmt, path: LoopPath) -> DependenceInfo:
     var = loop.loop_var()
     carried: List[CarriedDep] = []
     reductions: List[str] = []
@@ -269,5 +272,8 @@ def _array_dep(name: str, writes: List[Expr], all_subs: List[Expr],
 def analyze_dependences(ast: Ast, fn_name: str) -> Dict[LoopPath, DependenceInfo]:
     """Dependence facts for every loop of ``fn_name``, keyed by loop path."""
     fn = ast.function(fn_name)
-    return {loop_path(loop): analyze_loop_dependences(loop)
-            for loop in fn.loops()}
+    infos = {}
+    for index, loop in enumerate(fn.loops()):
+        path = LoopPath(fn.name, index)
+        infos[path] = _loop_dependences(loop, path)
+    return infos

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.analysis.common import LoopPath, loop_path, resolve_loop
+from repro.analysis.common import LoopPath
 from repro.lang.interpreter import Workload
 from repro.meta.ast_api import Ast
 from repro.meta.instrument import wrap_around
@@ -48,11 +48,14 @@ def identify_hotspot_loops(ast: Ast, workload: Workload,
     candidates = ast.outermost_loops(entry)
     if not candidates:
         return []
-    paths = [loop_path(loop) for loop in candidates]
+    position = {loop: index
+                for index, loop in enumerate(ast.function(entry).loops())}
+    paths = [LoopPath(entry, position[loop]) for loop in candidates]
 
     instrumented = ast.clone()
+    copies = instrumented.function(entry).loops()
     for path in paths:
-        loop = resolve_loop(instrumented, path)
+        loop = copies[path.index]
         timer = str(path)
         wrap_around(loop,
                     prologue=[f'timer_start("{timer}");'],

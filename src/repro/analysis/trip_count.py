@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional
 
-from repro.analysis.common import LoopPath, loop_path
+from repro.analysis.common import LoopPath
 from repro.lang.interpreter import Workload
 from repro.meta.ast_api import Ast
 from repro.meta.ast_nodes import (
@@ -109,8 +109,8 @@ def analyze_trip_counts(ast: Ast, workload: Workload, fn_name: str,
     report = collect_profile(ast, workload, entry=entry)
 
     results: Dict[LoopPath, TripCountInfo] = {}
-    for loop in loops:
-        path = loop_path(loop)
+    for index, loop in enumerate(loops):
+        path = LoopPath(fn.name, index)
         profile = report.loop_profiles.get(loop.node_id)
         static = static_trip_count(loop)
         if profile is None or profile.entries == 0:

@@ -117,6 +117,10 @@ class FleetRouter(HttpServerBase):
         #: primary whose lease moved on (it sheds too).
         self.role = "standby" if standby_of else "primary"
         self.fenced = False
+        #: set while a promoted standby reconciles its journal: it
+        #: journals as primary but still sheds job traffic, so no
+        #: request sees a half-recovered placement table
+        self.recovering = False
         self.node_name = node_name or ("standby" if standby_of
                                        else "primary")
         self.journal = journal
@@ -530,6 +534,7 @@ class FleetRouter(HttpServerBase):
             term = await self._in_executor(self.journal.promote,
                                            self.node_name)
             self._m_lease_term.set(term)
+        self.recovering = True
         self.role = "primary"
         self._m_failovers.inc()
         log.warning("standby taking over as primary (term %s) after "
@@ -540,9 +545,12 @@ class FleetRouter(HttpServerBase):
                   placements=len(self._mirror))
         table = (self.journal.table if self.journal is not None
                  else self._mirror)
-        await self._probe_all()
-        if table:
-            await self._recover(dict(table))
+        try:
+            await self._probe_all()
+            if table:
+                await self._recover(dict(table))
+        finally:
+            self.recovering = False
         self._probe_task = self._loop.create_task(self._probe_loop())
 
     # ------------------------------------------------------------------
@@ -773,7 +781,8 @@ class FleetRouter(HttpServerBase):
     def _shed_unless_primary(self) -> None:
         """Job traffic is a primary-only privilege.
 
-        A standby sheds with a retryable 503 until takeover; a fenced
+        A standby sheds with a retryable 503 until takeover has
+        recovered its journaled placements; a fenced
         ex-primary sheds forever (a newer term owns the journal) -- in
         both cases the client's endpoint rotation lands the request on
         the node that is actually serving.
@@ -782,6 +791,10 @@ class FleetRouter(HttpServerBase):
             raise ServerError(
                 f"standby router (tailing {self._primary.url}); "
                 f"not serving jobs until takeover",
+                status=503, code="unavailable")
+        if self.recovering:
+            raise ServerError(
+                "router taking over; recovering journaled placements",
                 status=503, code="unavailable")
         if self.fenced:
             raise ServerError(

@@ -15,7 +15,7 @@ from repro.analysis.hotspot import identify_hotspot_loops
 from repro.analysis.intensity import analyze_intensity
 from repro.analysis.pointer_alias import AliasInfo, AliasPair
 from repro.analysis.trip_count import TripCountInfo, static_trip_count
-from repro.analysis.common import loop_path
+from repro.analysis.common import LoopPath
 from repro.codegen.hip import generate_hip_design
 from repro.codegen.oneapi import generate_oneapi_design
 from repro.codegen.openmp import generate_openmp_design
@@ -166,8 +166,8 @@ class LoopTripCountAnalysis(Task):
         report = ctx.kernel_report()
         kernel = ctx.ast.function(ctx.kernel_name)
         infos = {}
-        for loop in kernel.loops():
-            path = loop_path(loop)
+        for index, loop in enumerate(kernel.loops()):
+            path = LoopPath(kernel.name, index)
             profile = report.loop_profiles.get(loop.node_id)
             static = static_trip_count(loop)
             if profile is None or profile.entries == 0:

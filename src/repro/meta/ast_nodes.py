@@ -110,27 +110,49 @@ class Node:
         self.node_id = next(_node_ids)
 
     # -- tree navigation --------------------------------------------------
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes in source order."""
+    def children(self) -> List["Node"]:
+        """Direct child nodes in source order: the nodes held by the
+        class's ``_fields``, directly or as items of a list."""
+        out: List[Node] = []
         for name in self._fields:
             value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
+                out.append(value)
             elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+                out.extend(item for item in value if isinstance(item, Node))
+        return out
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants, pre-order.
+
+        The walk keeps an explicit stack, so it has no recursion-depth
+        limit.  It is lazy: a node's children are read when the walk
+        resumes after yielding that node.  So rewriting attributes of
+        any node during the iteration is fine, and replacing a field of
+        the node just yielded is seen (the new child is walked).  Any
+        other structural edit (inserting, removing or replacing nodes
+        elsewhere) must iterate over ``list(node.walk())`` instead.
+        """
+        stack = [self]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            node = pop()
+            yield node
+            for name in reversed(node._fields):
+                value = getattr(node, name)
+                if isinstance(value, Node):
+                    push(value)
+                elif isinstance(value, list):
+                    for item in reversed(value):
+                        if isinstance(item, Node):
+                            push(item)
 
     def descendants(self) -> Iterator["Node"]:
         """Yield strict descendants, pre-order."""
-        for child in self.children():
-            yield from child.walk()
+        nodes = self.walk()
+        next(nodes)
+        return nodes
 
     def ancestors(self) -> Iterator["Node"]:
         """Yield ancestors from the immediate parent up to the root."""
@@ -171,65 +193,80 @@ class Node:
         raise ValueError(f"{old!r} is not a child of {self!r}")
 
     def clone(self) -> "Node":
-        """Deep copy of the subtree with fresh node ids and parents."""
-        dup = self._clone_subtree()
-        set_parents(dup)
-        return dup
+        """Deep copy of the subtree with fresh node ids and parents.
 
-    def _clone_subtree(self) -> "Node":
-        """Structural copy: child nodes are cloned, every other
-        attribute (names, operators, types, spans) is shared -- they
-        are treated as immutable throughout the codebase.  Avoids
-        ``copy.deepcopy``, which both runs an order of magnitude
-        slower and drags the entire enclosing tree along through the
-        ``parent`` backrefs when cloning a subtree."""
-        cls = type(self)
-        dup = cls.__new__(cls)
-        d = dup.__dict__
-        for name, value in self.__dict__.items():
-            if name == "parent":
-                continue
-            if isinstance(value, Node):
-                value = value._clone_subtree()
-            elif isinstance(value, list):
-                # fast path: flat list of nodes/scalars (stmt bodies,
-                # arg lists); containers nested inside recurse
-                value = [item._clone_subtree() if isinstance(item, Node)
-                         else (_clone_field(item)
-                               if isinstance(item, (list, tuple, dict))
-                               else item)
-                         for item in value]
-            elif isinstance(value, (tuple, dict)):
-                value = _clone_field(value)
-            d[name] = value
-        d["parent"] = None
-        d["node_id"] = next(_node_ids)
-        return dup
+        Structural copy: child nodes are cloned, every other attribute
+        (names, operators, types, spans) is shared -- they are treated
+        as immutable throughout the codebase.  Avoids ``copy.deepcopy``,
+        which both runs an order of magnitude slower and drags the
+        entire enclosing tree along through the ``parent`` backrefs when
+        cloning a subtree.  Nodes are copied from an explicit work list,
+        so depth is unbounded.
+        """
+        pending: List[tuple] = []
+
+        def copy(node: Node, parent: Optional[Node] = None) -> Node:
+            cls = type(node)
+            dup = cls.__new__(cls)
+            dup.parent = parent
+            pending.append((node, dup))
+            return dup
+
+        root = copy(self)
+        while pending:
+            node, dup = pending.pop()
+            fields = node._fields
+            d = dup.__dict__
+            for name, value in node.__dict__.items():
+                if name == "parent":
+                    continue
+                # as in set_parents: only ``_fields`` children get a parent
+                parent = dup if name in fields else None
+                if isinstance(value, Node):
+                    value = copy(value, parent)
+                elif isinstance(value, list):
+                    # fast path: flat list of nodes/scalars (stmt bodies,
+                    # arg lists); containers nested inside are walked
+                    value = [copy(item, parent) if isinstance(item, Node)
+                             else (_clone_field(item, copy)
+                                   if isinstance(item, (list, tuple, dict))
+                                   else item)
+                             for item in value]
+                elif isinstance(value, (tuple, dict)):
+                    value = _clone_field(value, copy)
+                d[name] = value
+            d["node_id"] = next(_node_ids)
+        return root
 
     def __repr__(self):
         return f"<{type(self).__name__} #{self.node_id} @{self.span}>"
 
 
-def _clone_field(value):
+def _clone_field(value, copy):
     """Copy any container shape that may hold :class:`Node` objects so a
-    clone never aliases nodes with its original; non-node leaves are
-    shared (they are treated as immutable throughout the codebase)."""
+    clone never aliases nodes with its original; nodes go to ``copy``,
+    non-node leaves are shared (they are treated as immutable
+    throughout the codebase)."""
     if isinstance(value, Node):
-        return value._clone_subtree()
+        return copy(value)
     if isinstance(value, list):
-        return [_clone_field(item) for item in value]
+        return [_clone_field(item, copy) for item in value]
     if isinstance(value, tuple):
-        return tuple(_clone_field(item) for item in value)
+        return tuple(_clone_field(item, copy) for item in value)
     if isinstance(value, dict):
-        return {key: _clone_field(item) for key, item in value.items()}
+        return {key: _clone_field(item, copy) for key, item in value.items()}
     return value
 
 
 def set_parents(root: Node, parent: Optional[Node] = None) -> Node:
     """(Re)establish parent links throughout the subtree rooted at ``root``."""
     root.parent = parent
-    for child in root.children():
-        set_parents(child, root)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children():
+            child.parent = node
+            stack.append(child)
     return root
 
 
@@ -611,7 +648,19 @@ class FunctionDecl(Node):
         return [n for n in self.body.walk() if isinstance(n, ForStmt)]
 
     def outermost_loops(self) -> List[ForStmt]:
-        return [l for l in self.loops() if l.is_outermost]
+        """For-loops not nested in another for-loop, pre-order: the walk
+        collects each loop it meets and does not enter it."""
+        if self.body is None:
+            return []
+        found: List[ForStmt] = []
+        stack: List[Node] = [self.body]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ForStmt):
+                found.append(node)
+            else:
+                stack.extend(reversed(node.children()))
+        return found
 
 
 class TranslationUnit(Node):

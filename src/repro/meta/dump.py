@@ -72,7 +72,7 @@ def dump(node: Node, max_depth: int = 100) -> str:
             lines.append("  " * depth + f"#pragma {pragma.text}")
         lines.append("  " * depth + label)
         if depth >= max_depth:
-            if any(True for _ in current.children()):
+            if current.children():
                 lines.append("  " * (depth + 1) + "...")
             return
         for child in current.children():

@@ -6,6 +6,7 @@ same wire a chaos run exercises, minus the SIGKILLs (those live in
 ``test_journal.py``).
 """
 
+import asyncio
 import os
 import time
 
@@ -148,6 +149,37 @@ def test_standby_takes_over_and_serves_journaled_jobs(
     client2 = ReproClient(standby.url, backoff_s=0.05,
                           poll_interval_s=0.05)
     assert finished(client2, key, 60)["status"] == "succeeded"
+
+
+def test_takeover_sheds_until_journaled_jobs_are_recovered(
+        durable_fleet, live_router_factory):
+    # the promoted standby flips to primary before it has probed the
+    # runners and replayed its journal; a slow probe pass widens that
+    # window, and a status request inside it must be shed (retryable),
+    # not answered JobNotFound
+    a, b, router, client, journal_dir = durable_fleet
+    standby = live_router_factory([a.url, b.url],
+                                  standby_of=router.url,
+                                  journal_dir=journal_dir,
+                                  tail_interval_s=0.05,
+                                  takeover_after=2)
+    key = client.submit("kmeans", "informed", scale=1.17)["id"]
+    finished(client, key)
+    wait_until(lambda: (standby.router.journal.table.get(key)
+                        or {}).get("done"))
+    probe_all = standby.router._probe_all
+
+    async def slow_probe_all():
+        await asyncio.sleep(0.5)
+        await probe_all()
+
+    standby.router._probe_all = slow_probe_all
+    router.stop()
+    wait_until(lambda: standby.router.role == "primary")
+    client2 = ReproClient(standby.url, backoff_s=0.05,
+                          poll_interval_s=0.05)
+    assert client2.status(key)["status"] == "succeeded"
+    assert not standby.router.recovering
 
 
 def test_client_endpoint_list_fails_over_to_the_serving_node(
