@@ -204,7 +204,8 @@ class ReproClient:
         taxonomy exception for any non-2xx (and for 202 pending).
 
         Both retry classes rotate the endpoint chain first: a connect
-        error means this endpoint is gone, and a retryable refusal is
+        error (or read timeout) means this endpoint is gone or
+        stalled, and a retryable refusal is
         what a standby (or fenced ex-primary) sheds -- either way the
         next endpoint is the better bet.
         """
@@ -214,7 +215,10 @@ class ReproClient:
             try:
                 status, data, headers = self._request_once(
                     method, path, payload)
-            except urllib.error.URLError:
+            except (urllib.error.URLError, TimeoutError):
+                # a read timeout is treated like a connect error: the
+                # endpoint is stalled.  Resending is safe -- submits
+                # are content-hash idempotent
                 if not retry or attempt >= self.max_retries:
                     raise
                 self._rotate()

@@ -32,7 +32,6 @@ field              env var                 meaning
 ``retries``        ``REPRO_RETRIES``       per-job retry budget
 ``trace_dir``      ``REPRO_TRACE_DIR``     per-process JSONL span sink
 ``faults``         ``REPRO_FAULTS``        fault-injection plan spec
-``sim_latency_s``  ``REPRO_SIM_LATENCY_S`` simulated toolchain latency
 ``fleet_runners``  ``REPRO_FLEET_RUNNERS`` router: runner URLs (comma)
 ``fleet_peers``    ``REPRO_FLEET_PEERS``   runner: peer-fetch URLs
 ``fleet_steal_threshold``  ``REPRO_FLEET_STEAL_THRESHOLD``  queue depth
@@ -51,7 +50,7 @@ field              env var                 meaning
 =================  ======================  ==============================
 
 Some subsystems read their env var lazily at call time (the profile
-cache root, the fault plan, the simulated latency, durable writes);
+cache root, the fault plan, durable writes);
 :meth:`apply` writes the config back into an environ mapping so those
 readers -- and pool worker *processes*, which inherit the environment
 -- observe the same resolved values.
@@ -79,7 +78,6 @@ ENV_VARS = (
     ("retries", "REPRO_RETRIES"),
     ("trace_dir", "REPRO_TRACE_DIR"),
     ("faults", "REPRO_FAULTS"),
-    ("sim_latency_s", "REPRO_SIM_LATENCY_S"),
     ("fleet_runners", "REPRO_FLEET_RUNNERS"),
     ("fleet_peers", "REPRO_FLEET_PEERS"),
     ("fleet_steal_threshold", "REPRO_FLEET_STEAL_THRESHOLD"),
@@ -135,10 +133,6 @@ class ReproConfig:
     retries: int = 0
     trace_dir: Optional[str] = None
     faults: Optional[str] = None
-    #: per-job simulated external-toolchain latency in seconds -- the
-    #: wall time a real (non-simulated) flow spends blocked on vendor
-    #: tools.  Load/saturation testing knob; 0 disables.
-    sim_latency_s: float = 0.0
     #: comma-separated runner base URLs `python -m repro router` shards
     #: jobs across
     fleet_runners: Optional[str] = None
@@ -171,9 +165,6 @@ class ReproConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.sim_latency_s < 0:
-            raise ConfigError(
-                f"sim_latency_s must be >= 0, got {self.sim_latency_s}")
         if self.fleet_steal_threshold < 1:
             raise ConfigError(
                 f"fleet_steal_threshold must be >= 1, "
@@ -220,10 +211,6 @@ class ReproConfig:
         raw = env.get("REPRO_FAULTS")
         if raw:
             kwargs["faults"] = raw
-        raw = env.get("REPRO_SIM_LATENCY_S")
-        if raw is not None and raw.strip():
-            kwargs["sim_latency_s"] = _parse_float(
-                "REPRO_SIM_LATENCY_S", raw, 0.0)
         raw = env.get("REPRO_FLEET_RUNNERS")
         if raw:
             kwargs["fleet_runners"] = raw

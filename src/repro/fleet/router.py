@@ -442,8 +442,7 @@ class FleetRouter(HttpServerBase):
                 if handle is not None and handle.routable:
                     try:
                         status, data, _ = await self._in_executor(
-                            handle.request, "GET", f"/v1/jobs/{key}",
-                            None, None, self.forward_timeout_s)
+                            handle.request, "GET", f"/v1/jobs/{key}")
                     except (urllib.error.URLError, OSError) as exc:
                         self._note_forward_failure(handle, exc)
                     else:
@@ -701,11 +700,18 @@ class FleetRouter(HttpServerBase):
             code = ((data.get("error") or {}).get("code")
                     if isinstance(data, dict) else None)
             if status in (200, 201):
-                placement = self._track(key, payload, target,
-                                        done=bool(data.get("done")),
+                done = bool(data.get("done"))
+                before = self._placements.get(key)
+                # a resubmit that lands where the job already lives
+                # changes nothing the journal does not already hold
+                unchanged = (before is not None
+                             and before.runner == target.url
+                             and before.done == done)
+                placement = self._track(key, payload, target, done=done,
                                         reserved=True, obs_ctx=obs_ctx)
-                self._journal_place(key, placement,
-                                    reroute_reason=reroute_reason)
+                if not unchanged:
+                    self._journal_place(key, placement,
+                                        reroute_reason=reroute_reason)
                 if reroute_reason is not None:
                     self._m_reroutes.inc(reason=reroute_reason)
                 self.breaker.record_success()
@@ -1086,8 +1092,7 @@ class FleetRouter(HttpServerBase):
         for handle in self.routable():
             try:
                 status, data, _ = await self._in_executor(
-                    handle.request, "GET", f"/v1/jobs/{key}",
-                    None, None, self.forward_timeout_s)
+                    handle.request, "GET", f"/v1/jobs/{key}")
             except (urllib.error.URLError, OSError) as exc:
                 self._note_forward_failure(handle, exc)
                 continue
@@ -1116,6 +1121,10 @@ class FleetRouter(HttpServerBase):
         A wire error or a runner that forgot the job (it restarted)
         triggers a resubmission to a survivor and answers ``202
         pending`` -- the polling client never observes the failover.
+        The read is bounded by the handle's own ``timeout_s``, not
+        ``forward_timeout_s``: a state read never waits on a flow, so
+        a runner that stalls it is partitioned, and the router must
+        answer before the client's own read timeout fires.
         """
         placement = self._placements.get(key)
         if placement is None:
@@ -1129,8 +1138,7 @@ class FleetRouter(HttpServerBase):
         else:
             try:
                 status, data, _ = await self._in_executor(
-                    handle.request, "GET", path, None, None,
-                    self.forward_timeout_s)
+                    handle.request, "GET", path)
             except (urllib.error.URLError, OSError) as exc:
                 self._note_forward_failure(handle, exc)
                 reason = "node_loss"

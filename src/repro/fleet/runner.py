@@ -19,8 +19,8 @@ skew) are reachable-but-unroutable; ``unhealthy`` means the node is
 gone and its in-flight jobs need re-routing.
 
 :class:`RunnerProcess` supervises a real ``python -m repro serve``
-child on localhost -- the benchmark, the chaos tests and the CI
-fleet-smoke job all boot their fleets through it.
+child on localhost -- the fleet tests, the served benchmark and
+``scripts/chaos_fleet.py`` all boot their fleets through it.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ class RunnerProcess:
     Boots the runner on its own port with an isolated (or shared)
     cache directory, waits until ``/healthz`` answers, and can kill it
     dead (SIGKILL) for node-loss chaos.  ``env`` entries overlay the
-    parent environment, which is how tests pin ``REPRO_SIM_LATENCY_S``
+    parent environment, which is how tests pin ``REPRO_OBS_BUFFER``
     or ``REPRO_FLEET_PEERS`` per node.
     """
 

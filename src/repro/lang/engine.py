@@ -23,14 +23,8 @@ Fallback rules keeping the two engines observationally identical:
   the program's fault: it is contained (fallback ``compile-crash``)
   rather than propagated, so a compiler defect degrades throughput,
   never correctness.
-
-A per-unit :class:`~repro.resilience.CircuitBreaker` watches these
-dynamic failures (bailouts, compile crashes, injected faults --
-*not* deterministic ``CompileUnsupported``): a unit that keeps
-bailing out stops paying the compile-then-discard tax and goes
-straight to the interpreter until the breaker's cooldown re-admits a
-probe.  Breakers are keyed weakly, so dropping a unit drops its
-breaker.
+- an injected ``exec.compiled`` fault (chaos testing) is contained the
+  same way (fallback ``fault-injected``).
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import weakref
 from typing import Callable, List, Optional, Sequence
 
 from repro import obs
@@ -47,7 +40,7 @@ from repro.lang.compiler import (
 )
 from repro.lang.interpreter import ExecReport, Interpreter, Workload
 from repro.meta.ast_nodes import TranslationUnit
-from repro.resilience import CircuitBreaker, faults
+from repro.resilience import faults
 
 _MODES = ("interp", "compiled")
 
@@ -105,43 +98,6 @@ def execution_mode() -> str:
     return mode if mode in _MODES else "compiled"
 
 
-# Per-unit breakers guarding the compiled engine.  Weak keys: a breaker
-# lives exactly as long as its TranslationUnit.
-_breakers: "weakref.WeakKeyDictionary[TranslationUnit, CircuitBreaker]" = \
-    weakref.WeakKeyDictionary()
-_breakers_lock = threading.Lock()
-
-#: consecutive dynamic compiled-path failures before a unit's breaker opens
-BREAKER_THRESHOLD = 3
-#: seconds an open breaker keeps a unit on the interpreter
-BREAKER_COOLDOWN_S = 30.0
-
-
-def _breaker_for(unit: TranslationUnit) -> CircuitBreaker:
-    with _breakers_lock:
-        breaker = _breakers.get(unit)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                "exec.compiled",
-                failure_threshold=BREAKER_THRESHOLD,
-                cooldown_s=BREAKER_COOLDOWN_S)
-            _breakers[unit] = breaker
-        return breaker
-
-
-def breaker_state(unit: TranslationUnit) -> str:
-    """The unit's compiled-path breaker state ('closed' if none yet)."""
-    with _breakers_lock:
-        breaker = _breakers.get(unit)
-    return breaker.state if breaker is not None else "closed"
-
-
-def reset_breakers() -> None:
-    """Forget all compiled-path breakers (tests)."""
-    with _breakers_lock:
-        _breakers.clear()
-
-
 def execute_unit(unit: TranslationUnit,
                  workload: Optional[Workload] = None,
                  entry: str = "main",
@@ -159,58 +115,43 @@ def execute_unit(unit: TranslationUnit,
 
 def _dispatch(unit, workload, entry, max_steps, args, mode, sp) -> ExecReport:
     if mode == "compiled":
-        breaker = _breaker_for(unit)
-        if not breaker.allow():
-            # this unit keeps failing compiled; stop paying the
-            # compile-then-discard tax until the cooldown passes
-            _EXEC_FALLBACKS.inc(reason="breaker-open")
-            sp.event("fallback", reason="breaker-open")
-        else:
-            program = None
+        program = None
+        try:
+            faults.inject("exec.compiled")
+            started = time.perf_counter()
+            program = compile_unit(unit)
+            # generating the code vs running it, in one trace
+            sp.set(compile_ms=(time.perf_counter() - started) * 1e3)
+        except CompileUnsupported as exc:
+            # deterministic property of the program.  Nothing ran yet.
+            _EXEC_FALLBACKS.inc(reason="compile-unsupported")
+            sp.event("fallback", reason="compile-unsupported",
+                     detail=str(exc))
+        except faults.InjectedFault as exc:
+            _EXEC_FALLBACKS.inc(reason="fault-injected")
+            sp.event("fallback", reason="fault-injected", detail=str(exc))
+        except Exception as exc:
+            # a compiler bug: contain it and degrade to the interpreter
+            _EXEC_FALLBACKS.inc(reason="compile-crash")
+            sp.event("fallback", reason="compile-crash",
+                     detail=f"{type(exc).__name__}: {exc}")
+        if program is not None:
+            _notify(unit, workload, entry, "compiled")
             try:
-                faults.inject("exec.compiled")
-                started = time.perf_counter()
-                program = compile_unit(unit)
-                # generating the code vs running it, in one trace
-                sp.set(compile_ms=(time.perf_counter() - started) * 1e3)
-            except CompileUnsupported as exc:
-                # deterministic property of the program, not a failure:
-                # does not feed the breaker.  Nothing ran yet.
-                _EXEC_FALLBACKS.inc(reason="compile-unsupported")
-                sp.event("fallback", reason="compile-unsupported",
+                report = program.run(workload, entry, max_steps, args)
+                sp.set(mode="compiled")
+                return report
+            except CompiledBailout as exc:
+                # discard buffers the aborted compiled run may have
+                # touched; the interpreter re-derives them from the
+                # workload spec
+                workload.reset_buffers()
+                _EXEC_FALLBACKS.inc(reason="compiled-bailout")
+                sp.event("fallback", reason="compiled-bailout",
                          detail=str(exc))
-            except faults.InjectedFault as exc:
-                breaker.record_failure()
-                _EXEC_FALLBACKS.inc(reason="fault-injected")
-                sp.event("fallback", reason="fault-injected",
-                         detail=str(exc))
-            except Exception as exc:
-                # a compiler bug: contain it, degrade to the
-                # interpreter, and strike the breaker
-                breaker.record_failure()
-                _EXEC_FALLBACKS.inc(reason="compile-crash")
-                sp.event("fallback", reason="compile-crash",
-                         detail=f"{type(exc).__name__}: {exc}")
-            if program is not None:
-                _notify(unit, workload, entry, "compiled")
-                try:
-                    report = program.run(workload, entry, max_steps, args)
-                    breaker.record_success()
-                    sp.set(mode="compiled")
-                    return report
-                except CompiledBailout as exc:
-                    # discard buffers the aborted compiled run may have
-                    # touched; the interpreter re-derives them from the
-                    # workload spec
-                    workload.reset_buffers()
-                    breaker.record_failure()
-                    _EXEC_FALLBACKS.inc(reason="compiled-bailout")
-                    sp.event("fallback", reason="compiled-bailout",
-                             detail=str(exc))
-                    _notify(unit, workload, entry, "interp-fallback")
-                sp.set(mode="interp-fallback")
-                return Interpreter(unit, workload).run(entry, max_steps,
-                                                       args)
+                _notify(unit, workload, entry, "interp-fallback")
+            sp.set(mode="interp-fallback")
+            return Interpreter(unit, workload).run(entry, max_steps, args)
     _notify(unit, workload, entry, "interp")
     sp.set(mode="interp")
     return Interpreter(unit, workload).run(entry, max_steps, args)

@@ -127,23 +127,10 @@ class FlowJob:
 def execute_job(job: FlowJob, engine: Optional[FlowEngine] = None,
                 observer=None) -> FlowResult:
     """Run one job in this process and return the live FlowResult."""
-    import os
-    import time
-
     from repro.resilience import faults
 
     # chaos site: a transient worker error the retry policy absorbs
     faults.inject("worker.exec")
-    # $REPRO_SIM_LATENCY_S models the external-toolchain wall time a
-    # real (non-simulated) flow spends blocked on vendor tools -- the
-    # regime where fleet scale-out pays.  Read lazily like the other
-    # execution knobs so pool workers inherit it; 0/unset is free.
-    try:
-        latency = float(os.environ.get("REPRO_SIM_LATENCY_S") or 0.0)
-    except ValueError:
-        latency = 0.0
-    if latency > 0:
-        time.sleep(latency)
     engine = engine or FlowEngine(
         intensity_threshold=job.intensity_threshold)
     return engine.run(get_app(job.app), mode=job.mode,

@@ -84,6 +84,26 @@ def test_journal_endpoint_serves_the_tail(durable_fleet):
     assert status == 200 and ahead["records"] == []
 
 
+def test_resubmitting_a_settled_job_appends_no_record(
+        durable_fleet, live_router_factory):
+    a, b, router, client, journal_dir = durable_fleet
+    key = client.submit("kmeans", "informed", scale=1.06)["id"]
+    assert finished(client, key)["status"] == "succeeded"
+    journal = router.router.journal
+    wait_until(lambda: journal.table[key]["done"])
+    records = journal.seq
+    for _ in range(3):
+        assert client.submit("kmeans", "informed", scale=1.06)["id"] == key
+    assert journal.seq == records
+    router.stop()
+
+    reborn = live_router_factory([a.url, b.url],
+                                 journal_dir=journal_dir)
+    client2 = ReproClient(reborn.url, backoff_s=0.05,
+                          poll_interval_s=0.05)
+    assert finished(client2, key, 60)["status"] == "succeeded"
+
+
 # ----------------------------------------------------------------------
 # Restart recovery
 # ----------------------------------------------------------------------

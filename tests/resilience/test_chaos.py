@@ -9,7 +9,7 @@ and asserts the three resilience guarantees end to end --
 2. **visibility**: every fired fault shows up in telemetry
    (``repro_faults_injected_total`` and ``fault.injected`` events);
 3. **containment**: poisonous payloads are dead-lettered, corrupt
-   cache entries quarantined, tripped breakers degrade gracefully.
+   cache entries quarantined, overload breakers degrade gracefully.
 """
 
 import os
@@ -28,13 +28,11 @@ from repro.service import (
 
 @pytest.fixture(autouse=True)
 def clean_chaos_state():
-    """No plan and no tripped engine breakers leak between tests."""
+    """No fault plan leaks between tests."""
     previous = faults.current_plan()
     faults.clear_plan()
-    lang_engine.reset_breakers()
     yield
     faults.install_plan(previous)
-    lang_engine.reset_breakers()
 
 
 def _fault_counter_total():
@@ -150,7 +148,7 @@ class TestCacheCorruptionChaos:
             assert submission.source == "cache-disk"
 
 
-class TestEngineBreakerChaos:
+class TestEngineFaultFallback:
     SOURCE = """
         int main() {
             int acc = 0;
@@ -158,37 +156,38 @@ class TestEngineBreakerChaos:
             return acc;
         }
     """
+    RUNS = 4
 
-    def test_compiled_faults_trip_the_unit_breaker(self):
+    def test_faulted_compiled_runs_fall_back_to_interpreter(self):
         unit = Ast(self.SOURCE).unit
         plan = FaultPlan(seed=0, rate=1.0, sites=("exec.compiled",))
         with faults.active_plan(plan):
             # every compiled attempt faults; each run still succeeds
-            # on the interpreter and strikes the breaker
-            for _ in range(lang_engine.BREAKER_THRESHOLD):
+            # on the interpreter
+            for _ in range(self.RUNS):
                 report = lang_engine.execute_unit(unit, mode="compiled")
                 assert repr(report.return_value) == "45"
-        assert lang_engine.breaker_state(unit) == "open"
-        invocations = plan.counts()["exec.compiled"]
-        assert invocations == lang_engine.BREAKER_THRESHOLD
-        # breaker open: the next run goes straight to the interpreter
-        # without even consulting the fault site
-        with faults.active_plan(plan):
-            report = lang_engine.execute_unit(unit, mode="compiled")
-            assert repr(report.return_value) == "45"
-        assert plan.counts()["exec.compiled"] == invocations
+        # no run skipped the compiled attempt
+        assert plan.counts()["exec.compiled"] == self.RUNS
 
-    def test_unrelated_unit_keeps_its_own_breaker(self):
-        unit_a = Ast(self.SOURCE).unit
-        unit_b = Ast(self.SOURCE).unit
+    def test_unit_runs_compiled_once_the_storm_passes(self):
+        unit = Ast(self.SOURCE).unit
         plan = FaultPlan(seed=0, rate=1.0, sites=("exec.compiled",))
         with faults.active_plan(plan):
-            for _ in range(lang_engine.BREAKER_THRESHOLD):
-                lang_engine.execute_unit(unit_a, mode="compiled")
-        assert lang_engine.breaker_state(unit_a) == "open"
-        assert lang_engine.breaker_state(unit_b) == "closed"
-        report = lang_engine.execute_unit(unit_b, mode="compiled")
+            for _ in range(self.RUNS):
+                lang_engine.execute_unit(unit, mode="compiled")
+        modes = []
+
+        def watcher(_unit, _workload, _entry, mode):
+            modes.append(mode)
+
+        lang_engine.add_execution_observer(watcher)
+        try:
+            report = lang_engine.execute_unit(unit, mode="compiled")
+        finally:
+            lang_engine.remove_execution_observer(watcher)
         assert repr(report.return_value) == "45"
+        assert modes == ["compiled"]
 
 
 @pytest.fixture

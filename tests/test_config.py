@@ -143,7 +143,6 @@ def test_fleet_vars_parse_from_env():
         "REPRO_FLEET_PEERS": "http://10.0.0.3:8003",
         "REPRO_FLEET_STEAL_THRESHOLD": "9",
         "REPRO_FLEET_PROBE_INTERVAL": "0.5",
-        "REPRO_SIM_LATENCY_S": "0.25",
     })
     # whitespace trimmed, trailing slash and empty items dropped
     assert cfg.runner_list() == ["http://10.0.0.1:8001",
@@ -151,7 +150,6 @@ def test_fleet_vars_parse_from_env():
     assert cfg.peer_list() == ["http://10.0.0.3:8003"]
     assert cfg.fleet_steal_threshold == 9
     assert cfg.fleet_probe_interval_s == 0.5
-    assert cfg.sim_latency_s == 0.25
 
 
 def test_fleet_defaults_are_single_node():
@@ -159,7 +157,6 @@ def test_fleet_defaults_are_single_node():
     assert cfg.runner_list() == [] and cfg.peer_list() == []
     assert cfg.fleet_steal_threshold == 4
     assert cfg.fleet_probe_interval_s == 2.0
-    assert cfg.sim_latency_s == 0.0
 
 
 def test_fleet_validation_rejects_bad_values():
@@ -167,8 +164,6 @@ def test_fleet_validation_rejects_bad_values():
         ReproConfig(fleet_steal_threshold=0)
     with pytest.raises(ConfigError):
         ReproConfig(fleet_probe_interval_s=0.0)
-    with pytest.raises(ConfigError):
-        ReproConfig(sim_latency_s=-1.0)
     with pytest.raises(ConfigError):
         ReproConfig.from_env(
             environ={"REPRO_FLEET_STEAL_THRESHOLD": "lots"})
@@ -194,7 +189,7 @@ def test_fleet_vars_round_trip_through_apply():
     cfg = ReproConfig(fleet_runners="http://a:1,http://b:2",
                       fleet_peers="http://c:3",
                       fleet_steal_threshold=7,
-                      fleet_probe_interval_s=1.5, sim_latency_s=0.1)
+                      fleet_probe_interval_s=1.5)
     env = {}
     cfg.apply(environ=env)
     assert env["REPRO_FLEET_RUNNERS"] == "http://a:1,http://b:2"
@@ -224,7 +219,7 @@ def test_config_subcommand_prints_resolved_json(capsys, monkeypatch):
     assert resolved["workers"] == 7
     # the reference-process switch is not part of the configuration
     assert "interp" not in json.dumps(resolved)
-    assert len(resolved) == len(ENV_VARS) == 15
+    assert len(resolved) == len(ENV_VARS) == 14
 
 
 def test_config_subcommand_flag_beats_env(capsys, monkeypatch):
