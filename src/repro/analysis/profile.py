@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import threading
 from typing import Any, Dict, List, Optional, Tuple
@@ -140,18 +141,40 @@ def stable_loop_keys(unit: TranslationUnit) -> Dict[int, str]:
     return keys
 
 
+#: struct code of the raw-bytes array digest, by the one element type
+_ARRAY_CODES = {float: "d", int: "q"}
+
+
+def _array_blob(vals) -> Tuple[str, bytes]:
+    """(type tag, bytes) of one input array: the little-endian values
+    when all are ``float`` or all in-range ``int``, else JSON (mixed,
+    ``bool``, empty or out-of-range values)."""
+    types = set(map(type, vals))
+    code = _ARRAY_CODES.get(types.pop()) if len(types) == 1 else None
+    if code is not None:
+        try:
+            return code, struct.pack(f"<{len(vals)}{code}", *vals)
+        except struct.error:
+            pass
+    return "j", json.dumps(vals).encode("utf-8")
+
+
 def workload_fingerprint(workload) -> Optional[str]:
-    """Deterministic digest of the workload *spec* (not its buffers)."""
+    """Deterministic digest of the workload *spec* (not its buffers).
+
+    Scalars and seed are a JSON header; each array follows as its name,
+    a type tag and its bytes (:func:`_array_blob`), length-delimited.
+    """
     try:
-        spec = {
-            "scalars": sorted(workload.scalars.items()),
-            "arrays": sorted(
-                (name, list(vals))
-                for name, vals in workload._initial_arrays.items()),
-            "seed": workload.seed,
-        }
-        return hashlib.sha256(
-            json.dumps(spec, sort_keys=True).encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(json.dumps(
+            {"scalars": sorted(workload.scalars.items()),
+             "seed": workload.seed}, sort_keys=True).encode("utf-8"))
+        for name, vals in sorted(workload._initial_arrays.items()):
+            code, blob = _array_blob(vals)
+            digest.update(
+                f"{json.dumps(name)}:{code}:{len(blob)}:".encode("utf-8"))
+            digest.update(blob)
+        return digest.hexdigest()
     except (AttributeError, TypeError, ValueError):
         return None
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
+import time
 import urllib.error
 import urllib.request
 from typing import Any, Dict, Iterable, Iterator, List, Optional
@@ -41,6 +43,10 @@ _PEER_FETCH_TOTAL = obs.REGISTRY.counter(
     "peer cache-fetch attempts by outcome",
     ("outcome",))
 
+#: seconds a peer whose fetch timed out is skipped: a stalled peer
+#: costs one timeout, not one per local miss
+PEER_TIMEOUT_COOLDOWN_S = 30.0
+
 
 class PeerFetchCache:
     """Local disk cache with read-through to fleet peers."""
@@ -52,6 +58,9 @@ class PeerFetchCache:
         self.peers: List[str] = [p.rstrip("/") for p in peers]
         self.timeout_s = timeout_s
         self.ring = ring or HashRing(self.peers)
+        # peer -> monotonic time until which it is skipped; unlocked,
+        # since a race costs at most one more timeout
+        self._cooling: Dict[str, float] = {}
 
     # -- CacheBackend surface (delegating writes/identity to local) ----
     @property
@@ -90,6 +99,9 @@ class PeerFetchCache:
     # ------------------------------------------------------------------
     def _fetch_from_peers(self, key: str) -> Optional[Dict[str, Any]]:
         for peer in self.ring.preference(key):
+            if self._cooling.get(peer, 0.0) > time.monotonic():
+                _PEER_FETCH_TOTAL.inc(outcome="skipped")
+                continue
             entry = self._fetch_one(peer, key)
             if entry is not None:
                 return entry
@@ -108,6 +120,10 @@ class PeerFetchCache:
             return None
         except (urllib.error.URLError, OSError, ValueError) as exc:
             _PEER_FETCH_TOTAL.inc(outcome="error")
+            if isinstance(getattr(exc, "reason", exc),
+                          (socket.timeout, TimeoutError)):
+                self._cooling[peer] = (time.monotonic()
+                                       + PEER_TIMEOUT_COOLDOWN_S)
             logger.debug("peer fetch %s from %s failed: %s",
                          key[:12], peer, exc)
             return None

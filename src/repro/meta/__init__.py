@@ -17,7 +17,7 @@ Public entry points:
 """
 
 from repro.meta.ast_api import Ast
-from repro.meta.lexer import Lexer, LexError, Token
+from repro.meta.lexer import LexError, Token, tokenize
 from repro.meta.parser import ParseError, Parser, parse
 from repro.meta.unparse import unparse
 from repro.meta.query import Query, query
@@ -25,9 +25,9 @@ from repro.meta import ast_nodes as nodes
 
 __all__ = [
     "Ast",
-    "Lexer",
     "LexError",
     "Token",
+    "tokenize",
     "Parser",
     "ParseError",
     "parse",

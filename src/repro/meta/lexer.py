@@ -5,11 +5,16 @@ are kept as single PRAGMA tokens (they attach to the following
 statement during parsing), ``#include`` and other preprocessor lines
 become PREPROC tokens preserved verbatim in the translation unit's
 preamble, and ``//`` / ``/* */`` comments are skipped.
+
+One compiled master pattern matches a whole token (or trivia run) per
+step; lines and columns are derived from match offsets.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+import functools
+import re
+from typing import List, Tuple
 
 
 class LexError(Exception):
@@ -50,175 +55,104 @@ PUNCTUATORS = [
     "(", ")", "{", "}", "[", "]", ";", ",", "?", ":", ".",
 ]
 
+# Each match is optional blanks, then one alternative; the alternatives
+# are tried in order, most frequent first.  {A} is a word's first
+# character (str.isalpha() or '_'), {D} a digit (str.isdigit()); word
+# bodies are \w, which is exactly str.isalnum() or '_'.  \Z lets blanks
+# end the input.  The bad_* alternatives match what is left of an
+# unterminated construct, up to where it broke.
+_SPEC = r"""[ \t\r]*(?:
+ (?P<word>{A}\w*)
+|(?P<hex>0[xX][0-9a-fA-F]*[fFlLuU]*)
+|(?P<number>(?:{D}+(?:\.(?!\.){D}*)?|\.{D}+)(?:[eE][+-]?{D}+)?[fFlLuU]*)
+|(?P<skip>//[^\n]*|\Z)
+|(?P<block>/\*[\s\S]*?\*/)
+|(?P<bad_block>/\*[\s\S]*)
+|(?P<punct>{P})
+|(?P<nl>\n[ \t\r\n]*)
+|(?P<directive>\#(?:\\\n|[^\n])*)
+|(?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+|(?P<bad_string>"(?:[^"\\\n]|\\[\s\S]?)*)
+|(?P<char>'(?:[^'\\\n]|\\[\s\S])*')
+|(?P<bad_char>'(?:[^'\\\n]|\\[\s\S]?)*)
+|(?P<bad>[\s\S])
+)"""
 
-class Lexer:
-    """Single-pass tokenizer over a source string."""
+_KIND = {"hex": "INT", "string": "STRING", "char": "CHAR"}
+_FLOAT_MARKS = frozenset(".eEfF")
+_UNTERMINATED = {"bad_block": "block comment", "bad_string": "string literal",
+                 "bad_char": "character literal"}
 
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # -- low-level cursor --------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
+@functools.lru_cache(maxsize=None)
+def _pattern(ascii_only: bool) -> "re.Pattern[str]":
+    """The master pattern, compiled on first use.
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.src):
-                if self.src[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
+    ASCII sources get ASCII classes.  Any other source gets the
+    Unicode classes, narrowed to the ``str`` predicates above by a
+    one-time scan for the numeric characters that are alphanumeric but
+    not letters (some of which are digits but not decimals).
+    """
+    digit_extra = not_alpha = ""
+    if not ascii_only:
+        chars = [c for c in map(chr, range(0x110000))
+                 if c.isalnum() and not c.isalpha() and not c.isdecimal()]
+        digit_extra = re.escape("".join(c for c in chars if c.isdigit()))
+        not_alpha = re.escape("".join(chars))
+    spec = (_SPEC.replace("{A}", rf"[^\W\d{not_alpha}]")
+            .replace("{D}", rf"[\d{digit_extra}]")
+            .replace("{P}", "|".join(map(re.escape, PUNCTUATORS))))
+    return re.compile(spec, re.VERBOSE | (re.ASCII if ascii_only else 0))
 
-    def _error(self, msg: str) -> LexError:
-        return LexError(msg, self.line, self.col)
 
-    # -- token production ---------------------------------------------------
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            tok = self.next_token()
-            yield tok
-            if tok.kind == "EOF":
-                return
-
-    def tokenize(self) -> List[Token]:
-        return list(self.tokens())
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self.line, self.col
-        ch = self._peek()
-
-        if ch == "":
-            return Token("EOF", "", line, col)
-
-        if ch == "#":
-            return self._lex_directive(line, col)
-
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, col)
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, col)
-
-        if ch == '"':
-            return self._lex_string(line, col)
-
-        if ch == "'":
-            return self._lex_char(line, col)
-
-        for punct in PUNCTUATORS:
-            if self.src.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token("PUNCT", punct, line, col)
-
-        raise self._error(f"unexpected character {ch!r}")
-
-    # -- trivia ---------------------------------------------------------------
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch != "" and ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._peek() == "":
-                        raise self._error("unterminated block comment")
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    # -- token classes ---------------------------------------------------------
-    def _lex_directive(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self._peek() not in ("", "\n"):
-            # Support line continuation in pragmas.
-            if self._peek() == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                continue
-            self._advance()
-        text = self.src[start:self.pos].replace("\\\n", " ").strip()
-        body = text[1:].strip()  # drop '#'
-        if body.startswith("pragma"):
-            return Token("PRAGMA", body[len("pragma"):].strip(), line, col)
-        return Token("PREPROC", text, line, col)
-
-    def _lex_word(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.src[start:self.pos]
-        kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-        return Token(kind, text, line, col)
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1) != ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in ("e", "E") and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in ("+", "-") and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in ("+", "-"):
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # suffixes
-        while self._peek() and self._peek() in "fFlLuU":
-            if self._peek() in ("f", "F"):
-                is_float = True
-            self._advance()
-        text = self.src[start:self.pos]
-        return Token("FLOAT" if is_float else "INT", text, line, col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self._peek() != '"':
-            if self._peek() in ("", "\n"):
-                raise self._error("unterminated string literal")
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        self._advance()  # closing quote
-        return Token("STRING", self.src[start:self.pos], line, col)
-
-    def _lex_char(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()
-        while self._peek() != "'":
-            if self._peek() in ("", "\n"):
-                raise self._error("unterminated character literal")
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        self._advance()
-        return Token("CHAR", self.src[start:self.pos], line, col)
+def _position(source: str, offset: int) -> Tuple[int, int]:
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: tokenize ``source`` fully."""
-    return Lexer(source).tokenize()
+    """Tokenize ``source`` fully; the last token is EOF."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _pattern(source.isascii()).finditer(source):
+        kind = m.lastgroup
+        text = m.group(kind)
+        start = m.start(kind)
+        col = start - line_start + 1
+        if kind == "punct":
+            append(Token("PUNCT", text, line, col))
+            continue
+        if kind == "word":
+            append(Token("KEYWORD" if text in KEYWORDS else "IDENT",
+                         text, line, col))
+            continue
+        if kind == "skip":
+            continue
+        if kind == "number":
+            append(Token("INT" if _FLOAT_MARKS.isdisjoint(text) else "FLOAT",
+                         text, line, col))
+            continue
+        if kind == "directive":
+            directive = text.replace("\\\n", " ").strip()
+            body = directive[1:].strip()  # drop '#'
+            if body.startswith("pragma"):
+                append(Token("PRAGMA", body[len("pragma"):].strip(),
+                             line, col))
+            else:
+                append(Token("PREPROC", directive, line, col))
+        elif kind in _KIND:  # hex, string, char
+            append(Token(_KIND[kind], text, line, col))
+        elif kind == "bad":
+            raise LexError(f"unexpected character {text!r}", line, col)
+        elif kind in _UNTERMINATED:
+            raise LexError(f"unterminated {_UNTERMINATED[kind]}",
+                           *_position(source, m.end()))
+        # newlines, block comments, directives, strings and chars may
+        # span lines
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = start + text.rindex("\n") + 1
+    append(Token("EOF", "", line, len(source) - line_start + 1))
+    return tokens

@@ -26,7 +26,7 @@ from repro.meta.ast_nodes import (
     ParamDecl, Pragma, ReturnStmt, SourceSpan, Stmt, StringLit, Ternary,
     TranslationUnit, UnaryOp, VarDecl, WhileStmt, set_parents,
 )
-from repro.meta.lexer import Lexer, Token
+from repro.meta.lexer import LexError, Token, tokenize
 
 
 class ParseError(Exception):
@@ -41,13 +41,15 @@ _SCALARS = ("void", "bool", "int", "long", "float", "double")
 
 class Parser:
     def __init__(self, source: str):
-        self.tokens = Lexer(source).tokenize()
+        self.tokens = tokenize(source)
         self.pos = 0
 
     # -- token stream helpers ------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        # pos never passes the final EOF token (see _advance)
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -56,7 +58,7 @@ class Parser:
         return tok
 
     def _check(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
@@ -292,20 +294,9 @@ class Parser:
 
     # -- expressions -----------------------------------------------------------
     def _parse_expr(self) -> Expr:
-        expr = self._parse_assignment()
-        # comma operator: fold left; rare, used in for-increments
-        while self._check("PUNCT", ",") and self._comma_allowed():
-            self._advance()
-            rhs = self._parse_assignment()
-            expr = BinaryOp(",", expr, rhs)
-        return expr
-
-    def _comma_allowed(self) -> bool:
-        # Commas inside call argument lists are handled by _parse_call;
-        # at expression level, allow comma only in for-increment context,
-        # which callers signal by invoking _parse_expr directly.  We keep
-        # it permissive: the parser is only used on UHL sources.
-        return False
+        # UHL has no comma operator: commas only separate call
+        # arguments, parameters and declarators
+        return self._parse_assignment()
 
     def _parse_assignment(self) -> Expr:
         lhs = self._parse_ternary()
@@ -337,20 +328,23 @@ class Parser:
         ("+", "-"),
         ("*", "/", "%"),
     ]
+    _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS)
+                     for op in ops}
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        lhs = self._parse_binary(level + 1)
+    def _parse_binary(self, min_level: int) -> Expr:
+        # precedence climbing: an operand, then every operator binding at
+        # least as tightly as min_level; the right operand only takes
+        # tighter operators, so equal levels associate to the left
+        lhs = self._parse_unary()
         while True:
             tok = self._peek()
-            if tok.kind == "PUNCT" and tok.text in ops:
-                self._advance()
-                rhs = self._parse_binary(level + 1)
-                lhs = self._span(BinaryOp(tok.text, lhs, rhs), tok)  # type: ignore[assignment]
-            else:
+            level = (self._BINARY_LEVEL.get(tok.text)
+                     if tok.kind == "PUNCT" else None)
+            if level is None or level < min_level:
                 return lhs
+            self._advance()
+            rhs = self._parse_binary(level + 1)
+            lhs = self._span(BinaryOp(tok.text, lhs, rhs), tok)  # type: ignore[assignment]
 
     def _parse_unary(self) -> Expr:
         tok = self._peek()
@@ -391,9 +385,8 @@ class Parser:
         if tok.kind == "INT":
             self._advance()
             text = tok.text.rstrip("uUlL")
-            value = int(text, 0)
             suffix = tok.text[len(text):]
-            return self._span(IntLit(value, suffix), tok)  # type: ignore[return-value]
+            return self._span(IntLit(_int_value(text, tok), suffix), tok)  # type: ignore[return-value]
         if tok.kind == "FLOAT":
             self._advance()
             body = tok.text.rstrip("fFlL")
@@ -427,6 +420,17 @@ class Parser:
                     break
         self._expect("PUNCT", ")")
         return self._span(Call(name_tok.text, args), name_tok)  # type: ignore[return-value]
+
+
+def _int_value(text: str, tok: Token) -> int:
+    """C integer literal value: hex ``0x``, octal ``0``-led, else decimal."""
+    try:
+        if text[:2] in ("0x", "0X"):
+            return int(text[2:], 16)
+        return int(text, 8 if text[0] == "0" else 10)
+    except ValueError:
+        raise LexError(f"invalid integer literal {tok.text!r}",
+                       tok.line, tok.col) from None
 
 
 def parse(source: str) -> TranslationUnit:

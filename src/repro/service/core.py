@@ -290,18 +290,38 @@ class DesignService:
         """
         key = job.key()
         with self._lock:
-            if key in self._memory:
-                return ServiceResult(job, "cache-memory",
-                                     value=self._memory[key])
-            pending = self._pending.get(key)
-            if pending is not None:
-                return ServiceResult(job, "inflight", pending=pending)
-            if self.cache is not None:
-                record = self.cache.get(key)
-                if record is not None:
-                    self._memory[key] = record
-                    return ServiceResult(job, "cache-disk", value=record)
-        return None
+            held = self._held(job, key)
+        if held is not None:
+            return held
+        record = self._read_cache(key)
+        with self._lock:
+            held = self._held(job, key)
+            if held is None and record is not None:
+                self._memory[key] = record
+                held = ServiceResult(job, "cache-disk", value=record)
+        return held
+
+    def _held(self, job: FlowJob, key: str,
+              served: bool = False) -> Optional[ServiceResult]:
+        """The memory hit or in-flight join for ``key`` (lock held);
+        ``served`` counts and announces it as a submission's answer."""
+        if key in self._memory:
+            held = ServiceResult(job, "cache-memory", value=self._memory[key])
+            event = "cache_hit_memory"
+        elif key in self._pending:
+            held = ServiceResult(job, "inflight", pending=self._pending[key])
+            event = "dedup"
+        else:
+            return None
+        if served:
+            self._served(job, held.source, event)
+            self._notify("lookup", job, key, source=held.source)
+        return held
+
+    def _read_cache(self, key: str) -> Optional[Any]:
+        # outside the lock: a cache backend may go to fleet peers, and a
+        # slow peer must not stall lookups of keys this node holds
+        return self.cache.get(key) if self.cache is not None else None
 
     # ------------------------------------------------------------------
     def job_for(self, app: str, mode: str, **kwargs) -> FlowJob:
@@ -315,23 +335,22 @@ class DesignService:
                ) -> ServiceResult:
         key = job.key()
         with self._lock:
-            if key in self._memory:
-                self._served(job, "cache-memory", "cache_hit_memory")
-                self._notify("lookup", job, key, source="cache-memory")
-                return ServiceResult(job, "cache-memory",
-                                     value=self._memory[key])
-            pending = self._pending.get(key)
-            if pending is not None:
-                self._served(job, "inflight", "dedup")
-                self._notify("lookup", job, key, source="inflight")
-                return ServiceResult(job, "inflight", pending=pending)
+            held = self._held(job, key, served=True)
+        if held is not None:
+            return held
+        record = self._read_cache(key)
+        with self._lock:
+            # the cache read ran unlocked: another submit may have
+            # started or finished this key meanwhile
+            held = self._held(job, key, served=True)
+            if held is not None:
+                return held
+            if record is not None:
+                self._served(job, "cache-disk", "cache_hit_disk")
+                self._memory[key] = record
+                self._notify("lookup", job, key, source="cache-disk")
+                return ServiceResult(job, "cache-disk", value=record)
             if self.cache is not None:
-                record = self.cache.get(key)
-                if record is not None:
-                    self._served(job, "cache-disk", "cache_hit_disk")
-                    self._memory[key] = record
-                    self._notify("lookup", job, key, source="cache-disk")
-                    return ServiceResult(job, "cache-disk", value=record)
                 _EVENTS.inc(event="cache_miss")
             if self.dead_letter.contains(key):
                 # quarantined payloads never reach the pool again

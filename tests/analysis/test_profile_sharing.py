@@ -230,3 +230,51 @@ class TestSerialization:
         assert second is not first  # fresh object (cache rehydrates)
         assert second.global_counter.as_dict() \
             == first.global_counter.as_dict()
+
+
+class TestWorkloadFingerprint:
+    def fp(self, arrays, scalars=None, seed=42):
+        return workload_fingerprint(Workload(scalars or {"n": 8}, arrays,
+                                             seed=seed))
+
+    def test_element_type_is_part_of_the_digest(self):
+        digests = {self.fp({"x": vals}) for vals in
+                   ([1], [1.0], [True], [1, 1.0], ["1"])}
+        assert len(digests) == 5
+
+    def test_values_names_scalars_and_seed_all_count(self):
+        base = self.fp({"x": [1.0, 2.0]})
+        assert self.fp({"x": [1.0, 2.0]}) == base
+        assert self.fp({"x": [2.0, 1.0]}) != base
+        assert self.fp({"x": [1.0, 2.0, 0.0]}) != base
+        assert self.fp({"y": [1.0, 2.0]}) != base
+        assert self.fp({"x": [1.0, 2.0]}, scalars={"n": 9}) != base
+        assert self.fp({"x": [1.0, 2.0]}, seed=7) != base
+        assert self.fp({"x": [-0.0]}) != self.fp({"x": [0.0]})
+
+    def test_arrays_are_delimited(self):
+        # the same values split differently across two arrays
+        assert self.fp({"a": [1.0], "b": [2.0, 3.0]}) \
+            != self.fp({"a": [1.0, 2.0], "b": [3.0]})
+        assert self.fp({"a": [1.0, 2.0]}) \
+            != self.fp({"a": [1.0], "b": [2.0]})
+
+    def test_out_of_range_and_mixed_arrays_still_digest(self):
+        assert self.fp({"x": [2 ** 70]}) != self.fp({"x": [2 ** 70 + 1]})
+        assert self.fp({"x": [1, 2.5, True]}) is not None
+        assert self.fp({"x": []}) is not None
+
+    def test_unserializable_workload_is_uncacheable(self):
+        assert self.fp({"x": [object()]}) is None
+        assert workload_fingerprint(object()) is None
+
+    def test_stable_across_processes(self):
+        import subprocess
+        import sys
+        code = ("from repro.apps import get_app; "
+                "from repro.analysis.profile import workload_fingerprint; "
+                "print(workload_fingerprint(get_app('adpredictor')"
+                ".workload()))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout.strip()
+        assert out == workload_fingerprint(get_app("adpredictor").workload())

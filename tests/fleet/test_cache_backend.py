@@ -7,6 +7,9 @@ CRC re-verification on adoption are all exercised end to end.
 
 import json
 import os
+import socket
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -205,3 +208,60 @@ def test_corrupt_peer_payload_is_never_adopted(tmp_path, warm_runner):
         os.makedirs(os.path.dirname(peer_path), exist_ok=True)
         with open(peer_path, "w", encoding="utf-8") as fh:
             json.dump(good, fh)
+
+
+# ----------------------------------------------------------------------
+# A stalled peer
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def stalled_peer():
+    """A peer that accepts connections (in the listen backlog) and never
+    answers, like a SIGSTOPped runner."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(16)
+    yield f"http://127.0.0.1:{sock.getsockname()[1]}"
+    sock.close()
+
+
+def test_timed_out_peer_is_skipped_for_a_cooldown(tmp_path, stalled_peer):
+    tier = PeerFetchCache(ResultCache(str(tmp_path)), [stalled_peer],
+                          timeout_s=0.3)
+    started = time.monotonic()
+    assert tier.get_entry("a" * 64) is None
+    assert time.monotonic() - started >= 0.3
+    started = time.monotonic()
+    assert tier.get_entry("b" * 64) is None
+    assert time.monotonic() - started < 0.2
+
+
+def test_peer_fetch_does_not_block_lookups_of_held_keys(
+        tmp_path, stalled_peer, monkeypatch):
+    from repro.service import DesignService
+
+    local = ResultCache(str(tmp_path))
+    tier = PeerFetchCache(local, [stalled_peer], timeout_s=3.0)
+    with DesignService(cache=tier) as service:
+        held, missing = (service.job_for("kmeans", "informed"),
+                         service.job_for("nbody", "informed"))
+        local.put(held.key(), held.spec(), RESULT)
+
+        fetching = threading.Event()
+        fetch_one = tier._fetch_one
+
+        def announced_fetch(peer, key):
+            fetching.set()
+            return fetch_one(peer, key)
+
+        monkeypatch.setattr(tier, "_fetch_one", announced_fetch)
+        miss = threading.Thread(target=service.lookup, args=(missing,))
+        miss.start()
+        try:
+            assert fetching.wait(5.0)
+            started = time.monotonic()
+            hit = service.lookup(held)
+            assert time.monotonic() - started < 1.0
+            assert hit is not None and hit.source == "cache-disk"
+        finally:
+            miss.join()

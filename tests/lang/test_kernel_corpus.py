@@ -35,7 +35,7 @@ def check_source(source, workload_factory=Workload):
     compare_runs(ra, compile_unit(unit).run(wb), wa, wb)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+@settings(max_examples=350, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(kernels())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.meta.lexer import LexError, Lexer, tokenize
+from repro.meta.lexer import LexError, tokenize
 
 
 def kinds(source):

@@ -7,6 +7,7 @@ from repro.meta.ast_nodes import (
     ExprStmt, FloatLit, ForStmt, FunctionDecl, Ident, IfStmt, Index, IntLit,
     ReturnStmt, Ternary, UnaryOp, WhileStmt,
 )
+from repro.meta.lexer import LexError
 from repro.meta.parser import ParseError, parse, parse_expr, parse_stmt
 from repro.meta.unparse import unparse_expr
 
@@ -105,6 +106,34 @@ class TestExpressions:
     def test_trailing_garbage_raises(self):
         with pytest.raises(ParseError):
             parse_expr("a + b c")
+
+
+class TestIntegerLiterals:
+    @pytest.mark.parametrize("text, value, suffix", [
+        ("0", 0, ""), ("42", 42, ""), ("010", 8, ""), ("0777", 511, ""),
+        ("00", 0, ""), ("0x1F", 31, ""), ("0XffUL", 255, "UL"),
+        ("017u", 15, "u"), ("10L", 10, "L"),
+    ])
+    def test_value_and_suffix(self, text, value, suffix):
+        expr = parse_expr(text)
+        assert isinstance(expr, IntLit)
+        assert (expr.value, expr.suffix) == (value, suffix)
+
+    def test_octal_declaration_initialiser(self):
+        unit = parse("int main() { int a = 010; return a; }")
+        init = unit.function("main").body.stmts[0].decls[0].init
+        assert isinstance(init, IntLit) and init.value == 8
+
+    @pytest.mark.parametrize("source, where", [
+        ("int a = 0x;", "1:9"),
+        ("int a = 08;", "1:9"),
+        ("int main() {\n  return 1 + 0x;\n}", "2:14"),
+        ("int main() {\n  return 0791;\n}", "2:10"),
+    ])
+    def test_malformed_literal_is_a_lex_error(self, source, where):
+        with pytest.raises(LexError) as caught:
+            parse(source)
+        assert str(caught.value).startswith(f"{where}: invalid integer literal")
 
 
 class TestStatements:
