@@ -18,11 +18,10 @@ HTTP:
   shard routing with work stealing, node-loss re-routing that never
   consumes job retries, a fleet admission breaker, aggregated
   ``/healthz`` and router-side ``repro_fleet_*`` metrics;
-- :mod:`repro.fleet.durable` -- :class:`RouterJournal` (the
-  crash-consistent write-ahead journal behind the placement table),
-  :class:`LeaseFile` (monotonic fencing token) and the shared
-  :func:`apply_record` reducer that replay, warm standbys and tests
-  all fold records through.
+- :mod:`repro.fleet.durable` -- the placement table's one reducer
+  :func:`apply_record` (live router, replay, standbys and tests all
+  fold through it) and pure recovery core, :class:`RouterJournal`
+  (its crash-consistent write-ahead journal) and :class:`LeaseFile`.
 
 Start a fleet on localhost, with a durable control plane::
 

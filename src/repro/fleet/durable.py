@@ -1,41 +1,32 @@
-"""Crash-consistent durability for the fleet router.
+"""The router's placement table: its pure core and its durability.
 
-The router's placement table is its only real state -- lose it and
-every in-flight job is stranded.  This module makes that table
-survive crashes with three small, composable pieces:
+The table is the router's only real state -- lose it and every
+in-flight job is stranded.  It is a ``Dict[str, dict]`` of entries
+``{"runner", "payload", "trace", "done", "status"}`` that only ever
+changes by folding a record through :func:`apply_record` -- in the
+live router, crash replay, the warm standby's tail loop and tests
+alike, so every reader converges on the same state by construction.
+:func:`holder`, :func:`inflight_counts`, :func:`orphans` and
+:func:`plan_recovery` derive the rest from it: in-flight counts
+(undone entries plus open forwards), a lost runner's undone keys, and
+what recovery does with each undone entry given one observation.
 
-:class:`RouterJournal`
-    An append-only JSONL **write-ahead journal**: one record per
-    placement event (``place`` / ``reroute`` / ``done``), each with a
-    per-record CRC32 over its canonical JSON.  Appends flush to the OS
-    on every record (a SIGKILL loses nothing) and fsync in batches
-    (``fsync_batch``) when durability against power loss is on.  A
-    **snapshot + compaction** pass keeps the journal bounded: every
-    ``compact_every`` records the folded placement table is written to
-    a snapshot file (atomic temp + replace) and the journal truncates.
+:class:`RouterJournal` is an append-only JSONL **write-ahead journal**,
+one record per mutation (``place`` / ``reroute`` / ``done`` /
+``forget``) with a CRC32 over its canonical JSON.  Appends flush to
+the OS on every record (a SIGKILL loses nothing) and fsync in batches
+(``fsync_batch``) when durability against power loss is on; every
+``compact_every`` records the folded table snapshots atomically and
+the journal truncates.  Replay is **torn-tolerant**: a record that
+fails to parse or its CRC is counted and skipped (a torn *tail* is
+the expected artifact of a crash mid-append).  The ``journal.write``
+fault site tears live appends on purpose, leaving exactly the bytes a
+real crash leaves behind.
 
-:class:`LeaseFile`
-    A shared lease with a **monotonic fencing token**: whoever calls
-    :meth:`LeaseFile.acquire` bumps ``term`` and becomes the writer.
-    Every journal append re-reads the lease (mtime-cached stat) and
-    raises :class:`FencedOut` when a newer term exists, so a stale
-    primary that lost a takeover race can never corrupt the journal.
-
-:func:`apply_record`
-    The single reducer that folds records into a placement table --
-    shared by crash replay, the warm standby's tail loop, and tests,
-    so every reader converges on the same state by construction.
-
-Replay is **torn-tolerant**: a record that fails to parse or fails
-its CRC is counted and skipped.  A torn *tail* is the expected
-artifact of a crash mid-append; a torn record mid-file (disk fault)
-only loses that one record -- recovery reconciliation plus
-content-hash idempotency re-resolve whatever it described.
-
-The ``journal.write`` fault site tears live appends on purpose: the
-record's first half is written (newline-terminated so neighbours stay
-parseable) and the append raises -- exercising on every chaos run the
-exact bytes a real crash leaves behind.
+:class:`LeaseFile` carries a **monotonic fencing token**: whoever
+calls :meth:`LeaseFile.acquire` bumps ``term`` and becomes the writer,
+and every append raises :class:`FencedOut` once a newer term exists,
+so a stale primary can never corrupt the journal.
 """
 
 from __future__ import annotations
@@ -47,7 +38,8 @@ import os
 import tempfile
 import threading
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.resilience import faults
@@ -58,7 +50,7 @@ log = logging.getLogger("repro.fleet.durable")
 JOURNAL_FORMAT = 1
 
 #: record operations the reducer understands
-JOURNAL_OPS = ("place", "reroute", "done")
+JOURNAL_OPS = ("place", "reroute", "done", "forget")
 
 _REC_TOTAL = obs.REGISTRY.counter(
     "repro_journal_records_total",
@@ -89,6 +81,28 @@ def record_crc32(record: Dict[str, Any]) -> int:
     body = {k: v for k, v in record.items() if k != "crc32"}
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF
+
+
+def _write_atomic(path: str, payload: Dict[str, Any],
+                  fsync: bool) -> None:
+    """Replace ``path`` with ``payload`` as JSON (temp file + rename)."""
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+            fh.flush()
+            if fsync:
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    if fsync:
+        _fsync_dir(path)
 
 
 def _fsync_dir(path: str) -> None:
@@ -163,22 +177,7 @@ class LeaseFile:
     def acquire(self, owner: str) -> int:
         """Bump the token and record ``owner``; returns the new term."""
         term = int(self.read().get("term") or 0) + 1
-        payload = {"term": term, "owner": owner}
-        root = os.path.dirname(self.path) or "."
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-lease-", dir=root)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(self.path, {"term": term, "owner": owner}, True)
         self._cache = (None, 0)       # force a re-read next term()
         return term
 
@@ -187,11 +186,14 @@ def apply_record(table: Dict[str, Dict[str, Any]],
                  record: Dict[str, Any]) -> None:
     """Fold one journal record into a placement table.
 
-    The one reducer every reader shares: crash replay, the standby's
-    tail loop, and tests all converge on identical tables because they
-    all run this exact function.  Unknown ops and ``done``/``reroute``
-    for never-placed keys are ignored (their ``place`` record may have
-    been torn away; reconciliation handles the remainder).
+    The one reducer every reader shares: the live router, crash
+    replay, the standby's tail loop and tests all converge on
+    identical tables because they all run this exact function.
+    ``place`` and ``reroute`` (re)point an entry at a runner, ``done``
+    settles it and ``forget`` drops it.  Unknown ops and
+    ``done``/``reroute`` for never-placed keys are ignored (their
+    ``place`` record may have been torn away; reconciliation handles
+    the remainder).
     """
     op = record.get("op")
     key = record.get("key")
@@ -209,13 +211,66 @@ def apply_record(table: Dict[str, Dict[str, Any]],
         if isinstance(record.get("trace"), dict):
             entry["trace"] = record["trace"]
         entry["done"] = bool(record.get("done"))
-        if op == "reroute":
-            entry["done"] = False
     elif op == "done":
         entry = table.get(key)
         if entry is not None:
             entry["done"] = True
             entry["status"] = record.get("status")
+    elif op == "forget":
+        table.pop(key, None)
+
+
+def holder(entry: Optional[Dict[str, Any]]) -> Optional[str]:
+    """The runner an entry holds an in-flight slot on (None once done)."""
+    if entry is None or entry.get("done"):
+        return None
+    return entry.get("runner")
+
+
+def inflight_counts(table: Mapping[str, Dict[str, Any]],
+                    forwards: Optional[Mapping[str, str]] = None
+                    ) -> Counter:
+    """Each runner's in-flight count: an undone entry counts 1 against
+    its runner, an open forward (``key -> target``) 1 against its
+    target."""
+    counts = Counter(holder(entry) for entry in table.values())
+    counts.update((forwards or {}).values())
+    counts.pop(None, None)
+    return counts
+
+
+def orphans(table: Mapping[str, Dict[str, Any]], runner: str) -> List[str]:
+    """The keys a lost ``runner`` still holds undone."""
+    return [key for key, entry in table.items() if holder(entry) == runner]
+
+
+def plan_recovery(table: Mapping[str, Dict[str, Any]],
+                  observations: Mapping[str, Tuple[str, Optional[str]]]
+                  ) -> List[Tuple[str, str, Optional[str]]]:
+    """Decide what recovery does with every undone entry.
+
+    ``observations`` holds what each undone key's runner answered:
+    ``("running", None)``, ``("done", status)`` or ``("lost", None)``
+    (a key without one is lost).  Returns ``(key, action, status)`` in
+    table order: ``adopt`` (the entry stands), ``settle`` (journal
+    ``done``), ``resubmit`` (content-hash idempotency makes that safe)
+    or ``forget`` (lost, with no payload to resubmit).
+    """
+    plan = []
+    for key, entry in table.items():
+        if entry.get("done"):
+            continue
+        state, status = observations.get(key, ("lost", None))
+        if state == "running":
+            action = "adopt"
+        elif state == "done":
+            action = "settle"
+        elif isinstance(entry.get("payload"), dict):
+            action = "resubmit"
+        else:
+            action = "forget"
+        plan.append((key, action, status))
+    return plan
 
 
 class RouterJournal:
@@ -267,8 +322,8 @@ class RouterJournal:
 
         With ``acquire_lease`` (a primary) the fencing token is bumped
         so any previous writer is fenced; a standby opens without it
-        and only mirrors.  Returns a deep copy of the recovered table
-        for the caller's reconciliation pass.
+        and only mirrors.  Returns a deep copy of the recovered table:
+        the router serves (and reconciles) that copy as its live table.
         """
         with self._lock:
             self._replay_locked()
@@ -278,8 +333,8 @@ class RouterJournal:
                 self.term = self.lease.term()
             # compact immediately: recovery must never leave a torn
             # tail sitting mid-file once new records append after it
+            # (compaction also opens the truncated journal for appends)
             self._compact_locked()
-            self._fh = open(self.path, "a", encoding="utf-8")
             return copy.deepcopy(self.table)
 
     def close(self) -> None:
@@ -308,15 +363,10 @@ class RouterJournal:
                 lines = fh.read().split("\n")
         except OSError:
             return
-        parsed: List[Tuple[int, Optional[Dict[str, Any]]]] = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            parsed.append((i, self._decode_record(line)))
-        last = parsed[-1][0] if parsed else -1
-        for i, record in parsed:
+        records = [self._decode_record(ln) for ln in lines if ln.strip()]
+        for i, record in enumerate(records):
             if record is None:
-                if i == last:
+                if i == len(records) - 1:
                     self.torn_tail += 1
                     _TORN.inc(where="tail")
                 else:
@@ -407,15 +457,8 @@ class RouterJournal:
                 self.seq = record["seq"]
                 _WRITE_ERRORS.inc()
                 raise
-            self._fh.write(line + "\n")
-            self._fh.flush()          # -> OS: survives SIGKILL
-            self.seq = record["seq"]
-            self._recent.append(record)
-            apply_record(self.table, record)
+            self._write_locked(record, line)
             _REC_TOTAL.inc(op=op)
-            self._maybe_fsync_locked()
-            if len(self._recent) >= self.compact_every:
-                self._compact_locked()
             return record
 
     def append_mirror(self, record: Dict[str, Any]) -> None:
@@ -428,25 +471,24 @@ class RouterJournal:
         with self._lock:
             if self._fh is None:
                 raise RuntimeError("journal is not open")
-            line = json.dumps(record, separators=(",", ":"))
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            self.seq = max(self.seq, int(record.get("seq") or 0))
-            self._recent.append(record)
-            apply_record(self.table, record)
-            self._maybe_fsync_locked()
-            if len(self._recent) >= self.compact_every:
-                self._compact_locked()
+            self._write_locked(
+                record, json.dumps(record, separators=(",", ":")))
 
-    def _maybe_fsync_locked(self) -> None:
-        if not self.fsync:
-            return
-        self._pending_fsync += 1
-        if self._pending_fsync >= self.fsync_batch:
-            faults.inject("cache.fsync")
-            os.fsync(self._fh.fileno())
-            self._pending_fsync = 0
-            _FSYNCS.inc()
+    def _write_locked(self, record: Dict[str, Any], line: str) -> None:
+        self._fh.write(line + "\n")
+        self._fh.flush()              # -> OS: survives SIGKILL
+        self.seq = max(self.seq, int(record.get("seq") or 0))
+        self._recent.append(record)
+        apply_record(self.table, record)
+        if self.fsync:
+            self._pending_fsync += 1
+            if self._pending_fsync >= self.fsync_batch:
+                faults.inject("cache.fsync")
+                os.fsync(self._fh.fileno())
+                self._pending_fsync = 0
+                _FSYNCS.inc()
+        if len(self._recent) >= self.compact_every:
+            self._compact_locked()
 
     # ------------------------------------------------------------------
     # Snapshot + compaction
@@ -461,22 +503,7 @@ class RouterJournal:
                 "term": self.term,
                 "placements": self.table}
         snap["crc32"] = record_crc32(snap)
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-snap-", dir=self.root)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(snap, fh)
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.snapshot_path)
-            if self.fsync:
-                _fsync_dir(self.snapshot_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(self.snapshot_path, snap, self.fsync)
         # the snapshot holds everything: truncate the journal
         if self._fh is not None:
             self._fh.close()
@@ -495,8 +522,6 @@ class RouterJournal:
             self.table = copy.deepcopy(table)
             self.seq = int(seq)
             self.term = int(term)
-            if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8")
             self._compact_locked()
 
     def promote(self, owner: Optional[str] = None) -> int:
@@ -505,8 +530,6 @@ class RouterJournal:
         term = self.lease.acquire(owner or self.name)
         with self._lock:
             self.term = term
-            if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8")
             self._compact_locked()
         return term
 

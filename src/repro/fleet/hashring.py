@@ -104,3 +104,25 @@ class HashRing:
     def __repr__(self):
         return (f"<HashRing nodes={len(self._nodes)} "
                 f"replicas={self.replicas}>")
+
+
+def pick_target(ring: HashRing, loads: Dict[str, int], key: str,
+                steal_threshold: int
+                ) -> Tuple[Optional[str], Optional[str]]:
+    """Where to place ``key`` among ``loads`` (candidate -> in-flight).
+
+    The shard owner takes it unless its load is at or past
+    ``steal_threshold``; then the least-loaded candidate (first on
+    ties) steals it.  Returns ``(target, owner)``; ``target != owner``
+    is a steal, ``(None, None)`` means no candidate.
+    """
+    if not loads:
+        return None, None
+    owner = ring.owner(key, exclude={n for n in ring.nodes
+                                     if n not in loads})
+    lightest = min(loads, key=loads.get)
+    if owner is None:
+        return lightest, None
+    if loads[owner] >= steal_threshold:
+        return lightest, owner
+    return owner, owner

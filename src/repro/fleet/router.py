@@ -16,13 +16,12 @@ is placed on the least-loaded routable runner instead -- hash affinity
 is a cache optimization, not a correctness constraint, because results
 are content-addressed and the peer-fetch tier heals misplacement.
 
-**Node-loss recovery.**  Every accepted job's payload is kept in the
-router's placement table.  A dead runner (forward error, failed
-probes) or one that lost its memory (restart answering 404) gets its
-in-flight jobs *resubmitted* to survivors -- a fresh submission with
-the job's full retry budget, so node loss never consumes job retries.
-Content-hash idempotency makes resubmission safe: a job that actually
-completed resolves instantly from cache or dedup, never runs twice.
+**Node-loss recovery.**  A dead runner (forward error, failed probes)
+or one that lost its memory (restart answering 404) gets its in-flight
+jobs *resubmitted* to survivors with their full retry budget; content-
+hash idempotency makes that safe (a finished job resolves from cache
+or dedup, never runs twice).  One forward per key runs at a time, so
+the probe loop and a status read never re-route one job twice.
 
 **Admission breaker.**  Zero routable runners strikes the fleet
 breaker and sheds with ``503 unavailable``; once open, the breaker
@@ -33,35 +32,41 @@ The probe loop re-admits recovered runners automatically, and rejects
 runners whose ``/healthz`` ``version`` differs from the router's
 (mixed-version fleets corrupt cache-entry compatibility assumptions).
 
-**Durability.**  With ``journal_dir`` set, every placement mutation is
-journaled through :class:`~repro.fleet.durable.RouterJournal` *before*
-the client hears about it, so a router crash mid-batch is recoverable:
-on restart the journal replays, each live placement is reconciled
-against its runner's ``/v1/jobs/{id}``, and anything lost is
-resubmitted (content-hash idempotency makes the replay safe).  A
-**warm standby** (``standby_of``) tails the primary's journal over
-``GET /v1/journal?since=`` and, after ``takeover_after`` consecutive
-tail failures, takes over behind the lease's monotonic fencing token
--- the stale primary's next journal append raises ``FencedOut`` and it
-demotes itself to shedding 503s (split-brain writes are impossible,
-not just unlikely).  See DESIGN.md §18 for the full protocol.
+**One placement table.**  ``Dict[str, dict]`` in the exact entry
+shape of :func:`~repro.fleet.durable.apply_record`; :meth:`_commit` is
+the only way it changes (with ``journal_dir``, journal the record
+*before* the client hears of it; then fold it), and every runner's
+in-flight count is derived from it: an undone entry counts against its
+runner, an open forward against its target.  A restarted primary serves the table its journal
+replays, reconciled by :func:`~repro.fleet.durable.plan_recovery`; a
+**warm standby** (``standby_of``) folds the primary's journal tail
+into its own table and takes over after ``takeover_after`` missed
+tails, behind the lease's fencing token (the stale primary's next
+append raises ``FencedOut``).  ``role`` moves ``standby -> recovering
+-> primary -> fenced`` and only ``primary`` serves job traffic, so no
+request sees a half-reconciled table.  See DESIGN.md §18.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import signal
 import urllib.error
 import urllib.parse
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import repro
 from repro import obs
-from repro.fleet.durable import FencedOut, RouterJournal, apply_record
-from repro.fleet.hashring import HashRing
+from repro.fleet.durable import (
+    FencedOut, RouterJournal, apply_record, holder, inflight_counts,
+    orphans, plan_recovery,
+)
+from repro.fleet.hashring import HashRing, pick_target
 from repro.fleet.runner import RunnerHandle
 from repro.resilience import CircuitBreaker, faults
 from repro.server import protocol
@@ -74,19 +79,23 @@ log = logging.getLogger("repro.fleet.router")
 _REFUSAL_CODES = ("busy", "overloaded", "unavailable")
 
 
-class _Placement:
-    """Where one accepted job lives and what it would take to redo it."""
+#: why each non-serving role sheds job traffic (a retryable 503: the
+#: client's endpoint rotation lands the request on the serving node)
+_SHED = {
+    "standby": "standby router (tailing {primary}); not serving jobs "
+               "until takeover",
+    "recovering": "router taking over; recovering journaled placements",
+    "fenced": "router fenced out by a newer primary; use the standby "
+              "endpoint",
+}
 
-    __slots__ = ("runner", "payload", "done", "counted", "trace")
 
-    def __init__(self, runner: str, payload: Dict[str, Any]):
-        self.runner = runner
-        self.payload = payload        # the validated POST body
-        self.done = False
-        self.counted = False          # holds an inflight slot on runner
-        #: the job's root span context -- reroutes and resubmissions
-        #: parent onto it so the job keeps ONE trace id for life
-        self.trace: Optional[Dict[str, str]] = None
+def _cursor(since: str) -> int:
+    try:
+        return int(since)
+    except (TypeError, ValueError):
+        raise ServerError(f"bad since cursor {since!r}",
+                          status=400, code="bad_request") from None
 
 
 class FleetRouter(HttpServerBase):
@@ -112,15 +121,10 @@ class FleetRouter(HttpServerBase):
             raise ValueError("a fleet router needs at least one runner")
         self.host = host
         self.port = port
-        #: "primary" serves traffic; "standby" tails the primary's
-        #: journal and sheds until takeover.  ``fenced`` marks a
-        #: primary whose lease moved on (it sheds too).
-        self.role = "standby" if standby_of else "primary"
-        self.fenced = False
-        #: set while a promoted standby reconciles its journal: it
-        #: journals as primary but still sheds job traffic, so no
-        #: request sees a half-recovered placement table
-        self.recovering = False
+        #: standby -> recovering -> primary -> fenced; ``recovering``
+        #: journals as primary while it reconciles the table, and only
+        #: ``primary`` serves job traffic
+        self.role = "standby" if standby_of else "recovering"
         self.node_name = node_name or ("standby" if standby_of
                                        else "primary")
         self.journal = journal
@@ -134,9 +138,6 @@ class FleetRouter(HttpServerBase):
         self._tail_cursor = 0
         self._tail_failures = 0
         self._tail_task: Optional[asyncio.Task] = None
-        #: the standby's mirror of the primary's folded table (also
-        #: kept when it has no journal of its own)
-        self._mirror: Dict[str, Dict[str, Any]] = {}
         self.steal_threshold = steal_threshold
         self.probe_interval_s = probe_interval_s
         self.forward_timeout_s = forward_timeout_s
@@ -160,7 +161,13 @@ class FleetRouter(HttpServerBase):
         self.trace_store = obs.TraceStore()
         self.slo = obs.SLOTracker("router")
         self._own_cursor = 0          # drain cursor into span_buffer
-        self._placements: Dict[str, _Placement] = {}
+        #: the placement table: changed only by :meth:`_commit` /
+        #: :meth:`_fold`, replaced only by :meth:`_reset`
+        self._placements: Dict[str, Dict[str, Any]] = {}
+        #: key -> target of its forward POST on the wire
+        self._open: Dict[str, str] = {}
+        #: key -> future resolved when its current forward ends
+        self._forwarding: Dict[str, asyncio.Future] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._probe_task: Optional[asyncio.Task] = None
@@ -178,20 +185,16 @@ class FleetRouter(HttpServerBase):
             labelnames=("route",))
         self._m_shard = reg.counter(
             "repro_fleet_shard_jobs_total",
-            "jobs placed on a runner by the router",
-            labelnames=("runner",))
+            "jobs placed on a runner by the router", ("runner",))
         self._m_steals = reg.counter(
-            "repro_fleet_steals_total",
-            "jobs placed off-owner because the owner was overloaded",
-            labelnames=("runner",))
+            "repro_fleet_steals_total", "jobs placed off-owner because "
+            "the owner was overloaded", ("runner",))
         self._m_reroutes = reg.counter(
             "repro_fleet_reroutes_total",
-            "jobs moved between runners after placement",
-            labelnames=("reason",))
+            "jobs moved between runners after placement", ("reason",))
         self._m_inflight = reg.gauge(
             "repro_fleet_runner_inflight",
-            "router-tracked jobs in flight per runner",
-            labelnames=("runner",))
+            "router-tracked jobs in flight per runner", ("runner",))
         self._m_healthy = reg.gauge(
             "repro_fleet_runners_healthy", "routable runner count")
         self._m_failovers = reg.counter(
@@ -213,42 +216,35 @@ class FleetRouter(HttpServerBase):
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Recover (journal replay + reconciliation), bind, serve.
+        """Replay the journal, recover (a primary), bind, serve.
 
-        A primary replays its journal *before* binding the socket, so
-        no request ever observes a half-recovered table.  A standby
-        binds immediately (it sheds job traffic anyway) and starts the
-        tail loop instead of the probe loop.
+        A primary reconciles its table *before* binding the socket; a
+        standby binds at once (it sheds job traffic anyway) and runs
+        the tail loop instead of the probe loop.
         """
         self._loop = asyncio.get_running_loop()
         if self.span_buffer is not None:
             obs.add_sink(self.span_buffer)
         self.slo.attach(obs.REGISTRY)
+        if self.journal is not None:
+            # a primary takes the lease; a *restarted* standby replays
+            # its own mirror and resumes tailing where it left off
+            self._reset(await self._in_executor(
+                self.journal.open, self.role != "standby"))
+            self._tail_cursor = self.journal.seq
+            self._m_lease_term.set(self.journal.term)
+        if self.role != "standby":
+            await self._recover()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port)
+        self.port = self._server.sockets[0].getsockname()[1]
         if self.role == "standby":
-            if self.journal is not None:
-                # a *restarted* standby replays its own mirror first
-                self._mirror = await self._in_executor(
-                    self.journal.open, False)
-                self._tail_cursor = self.journal.seq
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port)
-            self.port = self._server.sockets[0].getsockname()[1]
             self._tail_task = self._loop.create_task(self._tail_loop())
             log.info("fleet standby on http://%s:%d tailing %s "
                      "(takeover after %d missed tails)",
                      self.host, self.port, self._primary.url,
                      self.takeover_after)
             return
-        table: Dict[str, Dict[str, Any]] = {}
-        if self.journal is not None:
-            table = await self._in_executor(self.journal.open, True)
-            self._m_lease_term.set(self.journal.term)
-        await self._probe_all()
-        if table:
-            await self._recover(table)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
         self._probe_task = self._loop.create_task(self._probe_loop())
         log.info("fleet router on http://%s:%d over %d runner(s)%s",
                  self.host, self.port, len(self.handles),
@@ -260,10 +256,8 @@ class FleetRouter(HttpServerBase):
         for task in (self._probe_task, self._tail_task):
             if task is not None:
                 task.cancel()
-                try:
+                with contextlib.suppress(asyncio.CancelledError):
                     await task
-                except asyncio.CancelledError:
-                    pass
         self._probe_task = self._tail_task = None
         if self._server is not None:
             self._server.close()
@@ -282,10 +276,8 @@ class FleetRouter(HttpServerBase):
             stop = asyncio.Event()
             loop = asyncio.get_running_loop()
             for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
+                with contextlib.suppress(NotImplementedError, RuntimeError):
                     loop.add_signal_handler(sig, stop.set)
-                except (NotImplementedError, RuntimeError):
-                    pass
             await stop.wait()
             log.info("signal received: shutting down router")
             await self.shutdown()
@@ -298,6 +290,10 @@ class FleetRouter(HttpServerBase):
 
     def routable(self) -> List[RunnerHandle]:
         return [h for h in self.handles.values() if h.routable]
+
+    def _reachable(self) -> List[RunnerHandle]:
+        return [h for h in self.handles.values()
+                if h.state in ("healthy", "draining", "rejected")]
 
     async def _probe_loop(self) -> None:
         while True:
@@ -325,151 +321,159 @@ class FleetRouter(HttpServerBase):
         await self._collect_spans()
 
     async def _collect_spans(self) -> None:
-        """Pull span batches fleet-wide into the trace store.
-
-        Runs after every probe pass and on demand before serving a
-        trace read.  Runner timestamps are shifted by the probe-derived
-        clock offset; the router's own spans ingest at offset 0.
-        Ingestion dedups by span id, so overlapping passes are safe.
-        """
+        """Pull span batches fleet-wide into the trace store (after
+        every probe pass and before a trace read).  Runner timestamps
+        shift by the probe-derived clock offset; ingestion dedups by
+        span id, so overlapping passes are safe."""
         if self.span_buffer is not None:
             spans, self._own_cursor = self.span_buffer.since(
                 self._own_cursor)
             self.trace_store.ingest(spans, 0.0, runner="router")
-        for handle in self.handles.values():
-            if handle.state not in ("healthy", "draining", "rejected"):
-                continue
-            try:
+        for handle in self._reachable():
+            # probes own liveness; a missed pull is fine
+            with contextlib.suppress(urllib.error.URLError, OSError):
                 data = await self._in_executor(handle.fetch_spans)
-            except (urllib.error.URLError, OSError):
-                continue       # probes own liveness; a miss is fine
-            spans = data.get("spans") or ()
-            if spans:
-                self.trace_store.ingest(
-                    spans, handle.clock_offset_s, runner=handle.url)
+                self.trace_store.ingest(data.get("spans") or (),
+                                        handle.clock_offset_s,
+                                        runner=handle.url)
 
     async def _reroute_orphans(self, dead: RunnerHandle,
                                reason: str) -> None:
         """Resubmit a lost runner's in-flight jobs to survivors."""
-        orphans = [(key, p) for key, p in self._placements.items()
-                   if p.runner == dead.url and not p.done]
-        for key, placement in orphans:
-            self._release(placement)
-            if not isinstance(placement.payload, dict):
-                # scatter-adopted (no recorded spec): nothing to
-                # resubmit with -- drop it; the read path 404s and the
-                # submitter's idempotent resubmit recreates it
-                self._placements.pop(key, None)
-                continue
-            target = await self._forward_submit(
-                key, placement.payload, exclude=(dead.url,),
-                reroute_reason=reason, obs_ctx=placement.trace)
-            if target is None:
-                # no survivor took it; the placement stays pointed at
-                # the dead node and the next poll retries the re-route
+        for key in orphans(self._placements, dead.url):
+            await self._reroute(key, dead.url, reason)
+            if holder(self._placements.get(key)) == dead.url:
+                # no survivor took it; the entry stays pointed at the
+                # dead node and the next poll retries the re-route
                 log.warning("no survivor accepted orphan %s from %s",
                             key[:12], dead.url)
+
+    async def _reroute(self, key: str, runner: str, reason: str) -> None:
+        """Move ``key`` off the lost ``runner`` unless already moved;
+        a scatter-adopted entry (no spec to resubmit) is forgotten."""
+        entry = self._placements.get(key)
+        if entry is None or entry["runner"] != runner:
+            return
+        if not isinstance(entry["payload"], dict):
+            self._commit("forget", key)
+            return
+        await self._forward_submit(
+            key, entry["payload"], away_from=runner,
+            reroute_reason=reason, obs_ctx=entry["trace"])
 
     # ------------------------------------------------------------------
     # Durability: journal writes, crash recovery, standby tail/takeover
     # ------------------------------------------------------------------
 
-    def _journal_place(self, key: str, placement: _Placement,
-                       reroute_reason: Optional[str] = None) -> None:
-        """Journal one (re)placement.  Reroutes carry the full payload
-        too, so a torn ``place`` record still replays to a live entry."""
-        fields: Dict[str, Any] = {
-            "runner": placement.runner, "payload": placement.payload,
-            "trace": placement.trace, "done": placement.done}
-        if reroute_reason is not None:
-            fields["reason"] = reroute_reason
-        self._journal_append(
-            "place" if reroute_reason is None else "reroute",
-            key, **fields)
+    def _commit(self, op: str, key: str, **fields: Any) -> None:
+        """The one way the placement table changes: journal, then fold.
 
-    def _journal_append(self, op: str, key: str, **fields: Any) -> None:
-        """Append one record, containing every failure mode.
-
-        A torn write (``journal.write`` fault, disk error) loses only
-        that record -- recovery reconciliation plus content-hash
-        idempotency re-resolve whatever it described, so the router
-        keeps serving.  :class:`FencedOut` is the one exception that
-        changes behavior: a newer term exists, so this node demotes
-        itself to shedding rather than racing the new primary.
+        A torn append (``journal.write`` fault, disk error) loses only
+        the durable copy -- the fold still happens, and reconciliation
+        plus content-hash idempotency re-resolve the rest.
+        :class:`FencedOut` means a newer term owns the journal: this
+        node turns ``fenced`` and sheds rather than race it.
         """
-        if self.journal is None or self.role != "primary" or self.fenced:
-            return
+        record = {"op": op, "key": key, **fields}
+        if self.journal is not None and self.role in ("recovering",
+                                                      "primary"):
+            try:
+                record = self.journal.append(op, key, **fields)
+            except FencedOut as exc:
+                self.role = "fenced"
+                self._m_lease_term.set(exc.lease_term)
+                log.error("router fenced out (term %d -> %d): shedding "
+                          "until restarted", exc.own_term, exc.lease_term)
+                obs.event("fleet.fenced", own_term=exc.own_term,
+                          lease_term=exc.lease_term)
+            except (faults.InjectedFault, OSError) as exc:
+                log.warning("journal append %s/%s failed (contained): "
+                            "%s", op, key[:12], exc)
+                obs.event("fleet.journal_write_failed", op=op,
+                          key=key[:12], error=str(exc))
+        self._fold(record)
+
+    def _fold(self, record: Dict[str, Any]) -> None:
+        """Fold one record; move the in-flight slot its entry holds."""
+        key = record.get("key")
+        before = holder(self._placements.get(key))
+        apply_record(self._placements, record)
+        after = holder(self._placements.get(key))
+        if before != after:
+            self._count(before, -1)
+            self._count(after, 1)
+
+    def _reset(self, table: Dict[str, Dict[str, Any]]) -> None:
+        """Serve ``table`` (a replay or a ``reset`` snapshot) and
+        re-derive every runner's in-flight count from it."""
+        self._placements = table
+        counts = inflight_counts(table, self._open)
+        for handle in self.handles.values():
+            self._count(handle.url, counts[handle.url] - handle.inflight)
+
+    def _count(self, runner: Optional[str], delta: int) -> None:
+        handle = self.handles.get(runner)
+        if handle is not None and delta:
+            handle.inflight += delta
+            self._m_inflight.set(handle.inflight, runner=handle.url)
+
+    async def _observe(self, key: str,
+                       runner: Optional[str]) -> Tuple[str, Optional[str]]:
+        """Ask ``runner`` about ``key``: ``running``, ``done`` (with its
+        status) or ``lost`` (gone, amnesiac, unreachable)."""
+        handle = self.handles.get(runner)
+        if handle is not None and handle.routable:
+            try:
+                status, data, _ = await self._in_executor(
+                    handle.request, "GET", f"/v1/jobs/{key}")
+            except (urllib.error.URLError, OSError) as exc:
+                self._note_forward_failure(handle, exc)
+            else:
+                if status == 200 and isinstance(data, dict):
+                    return (("done", data.get("status"))
+                            if data.get("done") else ("running", None))
+        return "lost", None
+
+    async def _recover(self) -> None:
+        """Probe the fleet, reconcile the table, then turn ``primary``.
+
+        One observation per undone entry feeds the pure
+        :func:`~repro.fleet.durable.plan_recovery`; lost jobs resubmit
+        on their ORIGINAL trace.
+        """
+        table = self._placements
         try:
-            self.journal.append(op, key, **fields)
-        except FencedOut as exc:
-            self.fenced = True
-            self._m_lease_term.set(exc.lease_term)
-            log.error("router fenced out (term %d -> %d): shedding "
-                      "until restarted", exc.own_term, exc.lease_term)
-            obs.event("fleet.fenced", own_term=exc.own_term,
-                      lease_term=exc.lease_term)
-        except (faults.InjectedFault, OSError) as exc:
-            log.warning("journal append %s/%s failed (contained): %s",
-                        op, key[:12], exc)
-            obs.event("fleet.journal_write_failed", op=op,
-                      key=key[:12], error=str(exc))
-
-    async def _recover(self, table: Dict[str, Dict[str, Any]]) -> None:
-        """Reconcile a replayed placement table against the fleet.
-
-        For every undone entry, ask its recorded runner: still
-        running -> re-adopt (inflight accounting restored); finished
-        -> settle; 404/unreachable/unknown -> resubmit to a survivor
-        on the job's ORIGINAL trace.  Content-hash idempotency makes
-        the resubmissions safe -- a job that actually completed
-        resolves from cache or dedup, never runs twice.
-        """
-        with obs.span("journal.recover", records=len(table),
-                      node=self.node_name):
-            adopted = settled = resubmitted = 0
-            for key, entry in table.items():
-                payload = entry.get("payload")
-                if not isinstance(payload, dict):
-                    continue          # torn past recovery; nothing to do
-                placement = _Placement(entry.get("runner") or "",
-                                       payload)
-                placement.trace = entry.get("trace")
-                self._placements[key] = placement
-                if entry.get("done"):
-                    placement.done = True
-                    continue
-                handle = self.handles.get(placement.runner)
-                if handle is not None and handle.routable:
-                    try:
-                        status, data, _ = await self._in_executor(
-                            handle.request, "GET", f"/v1/jobs/{key}")
-                    except (urllib.error.URLError, OSError) as exc:
-                        self._note_forward_failure(handle, exc)
-                    else:
-                        if status == 200 and isinstance(data, dict):
-                            if data.get("done"):
-                                self._settle(key, placement,
-                                             status=data.get("status"))
-                                settled += 1
-                            else:
-                                placement.counted = True
-                                handle.inflight += 1
-                                self._m_inflight.set(
-                                    handle.inflight, runner=handle.url)
-                                adopted += 1
-                            continue
-                # lost: the runner is gone, amnesiac, or was never
-                # recorded -- resubmit anywhere (idempotent)
-                await self._forward_submit(
-                    key, payload, reroute_reason="recovered",
-                    obs_ctx=placement.trace)
-                resubmitted += 1
-            log.info("journal recovery: %d placement(s) -> %d adopted, "
-                     "%d settled, %d resubmitted", len(table), adopted,
-                     settled, resubmitted)
-            obs.event("fleet.recovered", placements=len(table),
-                      adopted=adopted, settled=settled,
-                      resubmitted=resubmitted)
+            await self._probe_all()
+            if not table:
+                return
+            with obs.span("journal.recover", records=len(table),
+                          node=self.node_name):
+                observations = {
+                    key: await self._observe(key, entry["runner"])
+                    for key, entry in list(table.items())
+                    if not entry["done"]}
+                plan = plan_recovery(table, observations)
+                for key, action, status in plan:
+                    if action == "settle":
+                        self._commit("done", key, status=status)
+                    elif action == "forget":
+                        self._commit("forget", key)
+                    elif action == "resubmit":
+                        await self._forward_submit(
+                            key, table[key]["payload"],
+                            reroute_reason="recovered",
+                            obs_ctx=table[key]["trace"])
+                done = Counter(action for _, action, _ in plan)
+                log.info("journal recovery: %d placement(s) -> %d "
+                         "adopted, %d settled, %d resubmitted",
+                         len(table), done["adopt"], done["settle"],
+                         done["resubmit"])
+                obs.event("fleet.recovered", placements=len(table),
+                          adopted=done["adopt"], settled=done["settle"],
+                          resubmitted=done["resubmit"])
+        finally:
+            if self.role == "recovering":
+                self.role = "primary"
 
     async def _tail_loop(self) -> None:
         """Standby: mirror the primary's journal until it goes dark."""
@@ -493,37 +497,29 @@ class FleetRouter(HttpServerBase):
             if status != 200 or not isinstance(data, dict):
                 continue              # primary alive but not serving yet
             self._apply_tail(data)
-            # pull the primary's own spans too, so the fleet.job root
-            # spans survive the primary: a post-failover stitched
-            # trace must still have its root
-            try:
-                spans = await self._in_executor(
-                    self._primary.fetch_spans)
-            except (urllib.error.URLError, OSError):
-                continue
-            batch = spans.get("spans") or ()
-            if batch:
-                self.trace_store.ingest(batch, 0.0, runner="primary")
+            # pull the primary's own spans too: a post-failover
+            # stitched trace must still have its fleet.job root
+            with contextlib.suppress(urllib.error.URLError, OSError):
+                spans = await self._in_executor(self._primary.fetch_spans)
+                self.trace_store.ingest(spans.get("spans") or (), 0.0,
+                                        runner="primary")
 
     def _apply_tail(self, data: Dict[str, Any]) -> None:
-        """Fold one ``/v1/journal`` answer into the mirror."""
+        """Fold one ``/v1/journal`` answer into the table."""
         if data.get("reset"):
             placements = data.get("placements") or {}
-            self._mirror = placements
             if self.journal is not None:
                 self.journal.adopt_snapshot(
                     placements, int(data.get("next") or 0),
                     int(data.get("term") or 0))
+            self._reset(placements)
         else:
             for record in data.get("records") or ():
                 if not isinstance(record, dict):
                     continue
                 if self.journal is not None:
                     self.journal.append_mirror(record)
-                else:
-                    apply_record(self._mirror, record)
-            if self.journal is not None:
-                self._mirror = self.journal.table
+                self._fold(record)
         self._tail_cursor = int(data.get("next") or self._tail_cursor)
 
     async def _takeover(self) -> None:
@@ -533,108 +529,50 @@ class FleetRouter(HttpServerBase):
             term = await self._in_executor(self.journal.promote,
                                            self.node_name)
             self._m_lease_term.set(term)
-        self.recovering = True
-        self.role = "primary"
+        self.role = "recovering"
         self._m_failovers.inc()
         log.warning("standby taking over as primary (term %s) after "
                     "%d missed tails of %s", term,
                     self._tail_failures, self._primary.url)
         obs.event("fleet.takeover", term=term,
                   primary=self._primary.url,
-                  placements=len(self._mirror))
-        table = (self.journal.table if self.journal is not None
-                 else self._mirror)
-        try:
-            await self._probe_all()
-            if table:
-                await self._recover(dict(table))
-        finally:
-            self.recovering = False
+                  placements=len(self._placements))
+        await self._recover()
         self._probe_task = self._loop.create_task(self._probe_loop())
 
     # ------------------------------------------------------------------
-    # Placement helpers
+    # Forwarding core
     # ------------------------------------------------------------------
 
     def _pick_target(self, key: str,
                      exclude: Iterable[str] = ()
                      ) -> Optional[RunnerHandle]:
         """Shard owner, unless overloaded -- then the lightest node."""
-        candidates = [h for h in self.routable()
-                      if h.url not in set(exclude)]
-        if not candidates:
+        loads = {h.url: h.load() for h in self.routable()
+                 if h.url not in exclude}
+        target, owner = pick_target(self.ring, loads, key,
+                                    self.steal_threshold)
+        if target is None:
             return None
-        owner_url = self.ring.owner(
-            key, exclude={h.url for h in self.handles.values()
-                          if h not in candidates})
-        owner = self.handles.get(owner_url) if owner_url else None
-        if owner is None:
-            return min(candidates, key=lambda h: h.load())
-        if owner.load() >= self.steal_threshold:
-            lightest = min(candidates, key=lambda h: h.load())
-            if lightest is not owner:
-                self._m_steals.inc(runner=lightest.url)
-                obs.event("fleet.steal", key=key[:12],
-                          owner=owner.url, target=lightest.url,
-                          owner_load=owner.load())
-                return lightest
-        return owner
+        if owner is not None and target != owner:
+            self._m_steals.inc(runner=target)
+            obs.event("fleet.steal", key=key[:12], owner=owner,
+                      target=target, owner_load=loads[owner])
+        return self.handles[target]
 
-    def _track(self, key: str, payload: Dict[str, Any],
-               handle: RunnerHandle, done: bool,
-               reserved: bool = False,
-               obs_ctx: Optional[Dict[str, str]] = None) -> _Placement:
-        """Record where ``key`` lives.  With ``reserved`` the caller
-        already holds one :meth:`_reserve` slot on ``handle``; an
-        undone placement adopts it, a done one gives it back."""
-        placement = self._placements.get(key)
-        if placement is None:
-            placement = _Placement(handle.url, payload)
-            self._placements[key] = placement
-        else:
-            self._release(placement)
-            placement.runner = handle.url
-        if obs_ctx is not None and placement.trace is None:
-            # first writer wins: the job's root context survives every
-            # later reroute/resubmission, keeping one trace id for life
-            placement.trace = obs_ctx
-        placement.done = done
-        if not done:
-            placement.counted = True
-            if not reserved:
-                handle.inflight += 1
-            self._m_inflight.set(handle.inflight, runner=handle.url)
-        elif reserved:
-            self._unreserve(handle)
-        self._m_shard.inc(runner=handle.url)
-        return placement
-
-    def _reserve(self, handle: RunnerHandle) -> None:
-        """Count a placement-in-progress *before* the forward runs, so
-        concurrent submits see each other's load and work stealing
-        balances a burst instead of reading every queue as empty."""
-        handle.inflight += 1
-        self._m_inflight.set(handle.inflight, runner=handle.url)
-
-    def _unreserve(self, handle: RunnerHandle) -> None:
-        handle.inflight = max(0, handle.inflight - 1)
-        self._m_inflight.set(handle.inflight, runner=handle.url)
-
-    def _release(self, placement: _Placement) -> None:
-        if not placement.counted:
-            return
-        placement.counted = False
-        handle = self.handles.get(placement.runner)
-        if handle is not None:
-            handle.inflight = max(0, handle.inflight - 1)
-            self._m_inflight.set(handle.inflight, runner=handle.url)
-
-    def _settle(self, key: str, placement: _Placement,
-                status: Optional[str] = None) -> None:
-        if not placement.done:
-            placement.done = True
-            self._release(placement)
-            self._journal_append("done", key, status=status)
+    @contextlib.asynccontextmanager
+    async def _one_forward(self, key: str):
+        """One forward per key at a time; a second caller waits for
+        the first, then decides against the table the first left."""
+        while key in self._forwarding:
+            await asyncio.wait((self._forwarding[key],))
+        ended = asyncio.get_running_loop().create_future()
+        self._forwarding[key] = ended
+        try:
+            yield
+        finally:
+            del self._forwarding[key]
+            ended.set_result(None)
 
     def _note_forward_failure(self, handle: RunnerHandle,
                               exc: BaseException) -> None:
@@ -652,24 +590,44 @@ class FleetRouter(HttpServerBase):
         return await asyncio.get_running_loop().run_in_executor(
             self._executor, lambda: fn(*args))
 
-    # ------------------------------------------------------------------
-    # Forwarding core
-    # ------------------------------------------------------------------
-
     async def _forward_submit(self, key: str, payload: Dict[str, Any],
-                              exclude: Iterable[str] = (),
+                              away_from: Optional[str] = None,
                               reroute_reason: Optional[str] = None,
                               obs_ctx: Optional[Dict[str, str]] = None):
         """Place one job; returns ``(handle, status, data)`` or None.
 
-        Tries the sharded target first, then every other routable
-        runner once; wire failures mark the runner unhealthy and move
-        on (node loss is the router's problem, never the job's).
+        A resubmit of a placed key tries its runner first (its dedup
+        makes that free).  ``away_from`` re-routes off a lost runner
+        unless another caller moved the job first; ``reroute_reason``
+        alone resubmits anywhere (recovery)."""
+        async with self._one_forward(key):
+            entry = self._placements.get(key)
+            if away_from is not None and (entry or {}).get(
+                    "runner") != away_from:
+                return None           # another caller moved it first
+            exclude = () if away_from is None else (away_from,)
+            if entry is not None and reroute_reason is None:
+                sticky = self.handles.get(entry["runner"])
+                if sticky is not None and sticky.routable:
+                    outcome = await self._forward(
+                        key, payload, set(self.handles) - {sticky.url},
+                        None, obs_ctx)
+                    if outcome is not None:
+                        return outcome
+                exclude = (entry["runner"],)
+            return await self._forward(key, payload, exclude,
+                                       reroute_reason, obs_ctx)
 
-        ``obs_ctx`` is the job's root span context: the ``fleet.route``
-        span parents onto it, and the context travels to the runner as
-        a ``traceparent`` header -- for reroutes the *original* context
-        is passed back in, so a re-placed job stays on its first trace.
+    async def _forward(self, key: str, payload: Dict[str, Any],
+                       exclude: Iterable[str],
+                       reroute_reason: Optional[str],
+                       obs_ctx: Optional[Dict[str, str]]):
+        """Try the picked target, then every other routable runner once.
+
+        Wire failures mark the runner unhealthy and move on.  The
+        ``fleet.route`` span parents onto ``obs_ctx`` (the job's root,
+        the *original* one for reroutes) and travels as
+        ``traceparent``, so a job keeps one trace id for life.
         """
         tried = set(exclude)
         last_refusal = None
@@ -678,52 +636,60 @@ class FleetRouter(HttpServerBase):
             if target is None:
                 return last_refusal
             tried.add(target.url)
-            self._reserve(target)
             with obs.span("fleet.route", parent=obs_ctx, key=key[:12],
                           runner=target.url,
                           rerouted=reroute_reason or "no"):
                 ctx = obs.current_context() or obs_ctx
-                headers = None
-                if ctx:
-                    traceparent = obs.format_traceparent(ctx)
-                    if traceparent:
-                        headers = {"traceparent": traceparent}
+                traceparent = obs.format_traceparent(ctx) if ctx else None
+                headers = ({"traceparent": traceparent} if traceparent
+                           else None)
+                # the open forward counts against its target: a burst
+                # of submits sees its own load and stealing balances it
+                self._open[key] = target.url
+                self._count(target.url, 1)
                 try:
                     status, data, _ = await self._in_executor(
                         target.request, "POST", "/v1/jobs", payload,
                         headers, self.forward_timeout_s)
                 except (urllib.error.URLError, OSError) as exc:
-                    self._unreserve(target)
                     self._note_forward_failure(target, exc)
                     self._m_reroutes.inc(reason="forward_error")
                     continue
+                finally:
+                    del self._open[key]
+                    self._count(target.url, -1)
             code = ((data.get("error") or {}).get("code")
                     if isinstance(data, dict) else None)
             if status in (200, 201):
+                self._m_shard.inc(runner=target.url)
+                entry = self._placements.get(key)
                 done = bool(data.get("done"))
-                before = self._placements.get(key)
+                # first writer wins: the job's root context survives
+                # every later reroute, keeping one trace id for life
+                trace = ((entry or {}).get("trace") or obs_ctx)
                 # a resubmit that lands where the job already lives
                 # changes nothing the journal does not already hold
-                unchanged = (before is not None
-                             and before.runner == target.url
-                             and before.done == done)
-                placement = self._track(key, payload, target, done=done,
-                                        reserved=True, obs_ctx=obs_ctx)
-                if not unchanged:
-                    self._journal_place(key, placement,
-                                        reroute_reason=reroute_reason)
+                if (entry is None or entry["runner"] != target.url
+                        or entry["done"] != done
+                        or entry["trace"] != trace
+                        or not isinstance(entry["payload"], dict)):
+                    fields = {"runner": target.url, "payload": payload,
+                              "trace": trace, "done": done}
+                    if reroute_reason is not None:
+                        fields["reason"] = reroute_reason
+                    self._commit("place" if reroute_reason is None
+                                 else "reroute", key, **fields)
                 if reroute_reason is not None:
                     self._m_reroutes.inc(reason=reroute_reason)
                 self.breaker.record_success()
-                return target, status, data, placement
-            self._unreserve(target)
+                return target, status, data
             if code in _REFUSAL_CODES:
                 # alive but shedding; remember the refusal (it carries
                 # Retry-After) and offer the job elsewhere
-                last_refusal = (target, status, data, None)
+                last_refusal = (target, status, data)
                 continue
             # anything else (e.g. validation) is a real answer
-            return target, status, data, None
+            return target, status, data
 
     async def _forward_any(self, method: str, path: str):
         """Forward a stateless catalog read to any routable runner."""
@@ -774,10 +740,10 @@ class FleetRouter(HttpServerBase):
             if rest == ["jobs"] and method == "GET":
                 return "jobs", self._h_jobs, ()
             if len(rest) == 2 and rest[0] == "jobs" and method == "GET":
-                return "job", self._h_job, (rest[1],)
+                return "job", self._h_job, (rest[1], "")
             if (len(rest) == 3 and rest[0] == "jobs"
                     and rest[2] == "result" and method == "GET"):
-                return "result", self._h_result, (rest[1],)
+                return "result", self._h_job, (rest[1], "/result")
             if (len(rest) == 3 and rest[0] == "jobs"
                     and rest[2] == "events" and method == "GET"):
                 return "events", self._h_events, (rest[1],)
@@ -785,78 +751,53 @@ class FleetRouter(HttpServerBase):
                           status=404, code="not_found")
 
     def _shed_unless_primary(self) -> None:
-        """Job traffic is a primary-only privilege.
-
-        A standby sheds with a retryable 503 until takeover has
-        recovered its journaled placements; a fenced
-        ex-primary sheds forever (a newer term owns the journal) -- in
-        both cases the client's endpoint rotation lands the request on
-        the node that is actually serving.
-        """
-        if self.role == "standby":
+        """Job traffic is a primary-only privilege (see ``_SHED``)."""
+        reason = _SHED.get(self.role)
+        if reason is not None:
             raise ServerError(
-                f"standby router (tailing {self._primary.url}); "
-                f"not serving jobs until takeover",
+                reason.format(primary=getattr(self._primary, "url", "")),
                 status=503, code="unavailable")
-        if self.recovering:
-            raise ServerError(
-                "router taking over; recovering journaled placements",
-                status=503, code="unavailable")
-        if self.fenced:
-            raise ServerError(
-                "router fenced out by a newer primary; use the "
-                "standby endpoint", status=503, code="unavailable")
 
-    async def _h_healthz(self, writer, body, headers) -> int:
-        healthy = self.routable()
-        ok = (bool(healthy) and not self.draining
-              and self.role == "primary" and not self.fenced)
-        payload = {
-            "status": "ok" if ok else "degraded",
-            "version": repro.__version__,
-            "now": obs.now(),
-            "role": self.role,
-            "fenced": self.fenced,
-            "node": self.node_name,
+    def _status(self) -> Dict[str, Any]:
+        """What ``/healthz`` and ``/v1/obs/summary`` both report; the
+        wire ``role`` is ``standby``/``primary``, ``fenced`` a bool."""
+        handles = list(self.handles.values())
+        return {
+            "role": "standby" if self.role == "standby" else "primary",
+            "fenced": self.role == "fenced", "node": self.node_name,
             "journal": (self.journal.stats()
                         if self.journal is not None else None),
+            "version": repro.__version__, "now": obs.now(),
             "slo": self.slo.snapshot(),
             "fleet": {
-                "healthy": len(healthy),
-                "total": len(self.handles),
+                "healthy": len(self.routable()), "total": len(handles),
                 "steal_threshold": self.steal_threshold,
                 "placements": len(self._placements),
-                "inflight": sum(h.inflight
-                                for h in self.handles.values()),
+                "inflight": sum(h.inflight for h in handles),
                 "breaker": self.breaker.snapshot(),
-                "runners": [h.snapshot()
-                            for h in self.handles.values()],
+                "runners": [h.snapshot() for h in handles],
             },
         }
+
+    async def _h_healthz(self, writer, body, headers) -> int:
+        payload = self._status()
+        ok = (payload["fleet"]["healthy"] > 0 and not self.draining
+              and self.role in ("recovering", "primary"))
+        payload["status"] = "ok" if ok else "degraded"
         return await self._send_json(writer, 200 if ok else 503, payload)
 
     async def _h_metrics(self, writer, body, headers,
                          local: Optional[str]) -> int:
-        """Fleet-federated Prometheus dump (``?local=1`` skips peers).
-
-        Every reachable runner's ``/metrics`` is merged in with a
-        ``runner="<url>"`` label, so one scrape of the router sees the
-        whole fleet; a runner that fails mid-scrape is simply absent
-        from that pass.
-        """
+        """Fleet-federated Prometheus dump (``?local=1`` skips peers):
+        every reachable runner's ``/metrics`` merges in under a
+        ``runner="<url>"`` label; one failing mid-scrape is absent."""
         text = obs.REGISTRY.to_prometheus()
         if not local:
             peers = []
-            for handle in self.handles.values():
-                if handle.state not in ("healthy", "draining",
-                                        "rejected"):
-                    continue
-                try:
-                    peer_text = await self._in_executor(
-                        handle.fetch_text, "/metrics")
-                except (urllib.error.URLError, OSError):
-                    continue
-                peers.append((handle.url, peer_text))
+            for handle in self._reachable():
+                with contextlib.suppress(urllib.error.URLError, OSError):
+                    peers.append((handle.url, await self._in_executor(
+                        handle.fetch_text, "/metrics")))
             if peers:
                 text = obs.federate_metrics(text, peers)
         return await self._send(writer, 200, text.encode("utf-8"),
@@ -866,17 +807,12 @@ class FleetRouter(HttpServerBase):
 
     async def _h_obs_trace(self, writer, body, headers,
                            job_id: str) -> int:
-        """One whole-fleet Perfetto trace for a routed job.
-
-        A standby answers from its journal mirror -- the trace context
-        is journaled with the placement, so stitched traces survive
-        the primary that opened them.
-        """
-        placement = self._placements.get(job_id)
-        trace_ctx = placement.trace if placement is not None else (
-            (self._mirror.get(job_id) or {}).get("trace"))
-        if placement is None and trace_ctx is None:
+        """One whole-fleet Perfetto trace for a routed job (a standby
+        answers too: the trace context is journaled with the entry)."""
+        entry = self._placements.get(job_id)
+        if entry is None:
             raise JobNotFound(f"no job {job_id!r} routed by this fleet")
+        trace_ctx = entry["trace"]
         if trace_ctx is None:
             raise ServerError(
                 f"no trace recorded for job {job_id[:12]} "
@@ -896,36 +832,20 @@ class FleetRouter(HttpServerBase):
         return await self._send_json(writer, 200, trace)
 
     async def _h_obs_summary(self, writer, body, headers) -> int:
+        status = self._status()
+        fleet = status.pop("fleet")
+        buffer = self.span_buffer
         payload = {
-            "role": "router",
-            "fleet_role": self.role,
-            "fenced": self.fenced,
-            "node": self.node_name,
-            "journal": (self.journal.stats()
-                        if self.journal is not None else None),
-            "version": repro.__version__,
-            "now": obs.now(),
-            "slo": self.slo.snapshot(),
-            "traces": {
-                "count": len(self.trace_store),
-                "dropped": self.trace_store.dropped,
-            },
-            "spans": {
-                "enabled": self.span_buffer is not None,
-                "buffered": (len(self.span_buffer)
-                             if self.span_buffer is not None else 0),
-                "dropped": (self.span_buffer.dropped
-                            if self.span_buffer is not None else 0),
-            },
-            "fleet": {
-                "healthy": len(self.routable()),
-                "total": len(self.handles),
-                "placements": len(self._placements),
-                "inflight": sum(h.inflight
-                                for h in self.handles.values()),
-                "breaker": self.breaker.snapshot(),
-            },
-            "runners": [h.snapshot() for h in self.handles.values()],
+            "role": "router", "fleet_role": status.pop("role"), **status,
+            "traces": {"count": len(self.trace_store),
+                       "dropped": self.trace_store.dropped},
+            "spans": {"enabled": buffer is not None,
+                      "buffered": len(buffer) if buffer is not None else 0,
+                      "dropped": buffer.dropped if buffer is not None
+                      else 0},
+            "fleet": {key: fleet[key] for key in (
+                "healthy", "total", "placements", "inflight", "breaker")},
+            "runners": fleet["runners"],
         }
         return await self._send_json(writer, 200, payload)
 
@@ -933,21 +853,14 @@ class FleetRouter(HttpServerBase):
                            since: str) -> int:
         """Drain the ROUTER's own span buffer (standbys tail this so
         the fleet.job root spans survive a primary crash)."""
-        try:
-            cursor = int(since)
-        except (TypeError, ValueError):
-            raise ServerError(f"bad since cursor {since!r}",
-                              status=400, code="bad_request") from None
-        if self.span_buffer is None:
-            payload = {"enabled": False, "spans": [], "next": 0,
-                       "dropped": 0, "now": obs.now()}
-        else:
-            spans, next_seq = self.span_buffer.since(cursor)
-            payload = {"enabled": True, "spans": spans,
-                       "next": next_seq,
-                       "dropped": self.span_buffer.dropped,
-                       "now": obs.now()}
-        return await self._send_json(writer, 200, payload)
+        buffer = self.span_buffer
+        spans, next_seq = (buffer.since(_cursor(since))
+                           if buffer is not None else ([], 0))
+        return await self._send_json(writer, 200, {
+            "enabled": buffer is not None, "spans": spans,
+            "next": next_seq,
+            "dropped": buffer.dropped if buffer is not None else 0,
+            "now": obs.now()})
 
     async def _h_journal(self, writer, body, headers,
                          since: str) -> int:
@@ -956,13 +869,8 @@ class FleetRouter(HttpServerBase):
             raise ServerError(
                 "this router runs without a journal (--journal-dir)",
                 status=404, code="not_found")
-        try:
-            cursor = int(since)
-        except (TypeError, ValueError):
-            raise ServerError(f"bad since cursor {since!r}",
-                              status=400, code="bad_request") from None
-        payload = self.journal.tail(cursor)
-        payload["role"] = self.role
+        payload = self.journal.tail(_cursor(since))
+        payload["role"] = "standby" if self.role == "standby" else "primary"
         payload["node"] = self.node_name
         return await self._send_json(writer, 200, payload)
 
@@ -1006,12 +914,12 @@ class FleetRouter(HttpServerBase):
                 f"fleet admission breaker open after "
                 f"{self.breaker.trips} trip(s)",
                 retry_after_s=self.breaker.cooldown_s))
-        placement = self._placements.get(key)
-        if placement is not None and placement.trace is not None:
+        entry = self._placements.get(key)
+        if entry is not None and entry["trace"] is not None:
             # resubmit-dedup: the job already has a root span; attach
             # this placement attempt to the ORIGINAL trace
             return await self._submit_placed(writer, key, payload,
-                                             placement, placement.trace)
+                                             entry["trace"])
         # a fresh job opens the fleet-wide root span here at the
         # router, parented on the client's traceparent when present
         # (malformed/absent -> a fresh root, never an error)
@@ -1022,32 +930,13 @@ class FleetRouter(HttpServerBase):
             obs_ctx = (root.context() if isinstance(root, obs.Span)
                        else client_ctx)
             return await self._submit_placed(writer, key, payload,
-                                             placement, obs_ctx)
+                                             obs_ctx)
 
     async def _submit_placed(self, writer, key: str,
                              payload: Dict[str, Any],
-                             placement: Optional[_Placement],
                              obs_ctx: Optional[Dict[str, str]]) -> int:
         """Route one admitted submission (sticky dedup, then anywhere)."""
-        # sticky dedup: a key we already placed goes back to its node
-        # (whose content-hash dedup makes the resubmission free)
-        exclude = ()
-        if placement is not None:
-            handle = self.handles.get(placement.runner)
-            if handle is not None and handle.routable:
-                outcome = await self._forward_submit(
-                    key, payload, exclude=[
-                        h.url for h in self.handles.values()
-                        if h.url != placement.runner],
-                    obs_ctx=obs_ctx)
-                if outcome is not None:
-                    _, status, data, _ = outcome
-                    return await self._send_json(writer, status, data)
-            exclude = (placement.runner,)
-        outcome = await self._forward_submit(
-            key, payload,
-            exclude=exclude if placement is not None else (),
-            obs_ctx=obs_ctx)
+        outcome = await self._forward_submit(key, payload, obs_ctx=obs_ctx)
         if outcome is None:
             self.breaker.record_failure()
             return await self._send_json(writer, 503, protocol._body(
@@ -1056,38 +945,23 @@ class FleetRouter(HttpServerBase):
                 f"(fleet breaker at {self.breaker.snapshot()['failures']}"
                 f" strike(s))",
                 retry_after_s=self.probe_interval_s))
-        _, status, data, _ = outcome
+        _, status, data = outcome
         return await self._send_json(writer, status, data)
 
-    # -- per-job reads --------------------------------------------------
-
-    def _placement_of(self, key: str) -> _Placement:
-        placement = self._placements.get(key)
-        if placement is None:
-            raise JobNotFound(f"no job {key!r} routed by this fleet")
-        return placement
-
-    async def _h_job(self, writer, body, headers, key: str) -> int:
-        self._shed_unless_primary()
-        status, data = await self._forward_job_read(key, f"/v1/jobs/{key}")
-        return await self._send_json(writer, status, data)
-
-    async def _h_result(self, writer, body, headers, key: str) -> int:
+    async def _h_job(self, writer, body, headers, key: str,
+                     tail: str) -> int:
         self._shed_unless_primary()
         status, data = await self._forward_job_read(
-            key, f"/v1/jobs/{key}/result")
+            key, f"/v1/jobs/{key}{tail}")
         return await self._send_json(writer, status, data)
 
-    async def _scatter_adopt(self, key: str) -> Optional[_Placement]:
+    async def _scatter_adopt(self, key: str) -> Optional[Dict[str, Any]]:
         """Rebuild a forgotten placement by asking every runner.
 
-        A torn ``place`` record (crash mid-append) loses a placement
-        the fleet still holds; instead of 404ing a job that is alive,
-        scatter the read and re-adopt -- and re-journal -- wherever it
-        answers.  The adopted placement has no payload (the runner's
-        job record carries only app/mode), so it can serve reads but
-        not resubmissions; if its runner later dies too, the read path
-        drops it and the client's idempotent resubmit is the backstop.
+        A torn ``place`` record loses a placement the fleet still
+        holds; re-adopt -- and re-journal -- it wherever it answers.
+        The entry has no payload (a runner's job record carries only
+        app/mode), so it serves reads but cannot be resubmitted.
         """
         for handle in self.routable():
             try:
@@ -1098,40 +972,32 @@ class FleetRouter(HttpServerBase):
                 continue
             if status != 200 or not isinstance(data, dict):
                 continue
-            placement = _Placement(handle.url, None)
-            placement.done = bool(data.get("done"))
-            self._placements[key] = placement
-            if not placement.done:
-                placement.counted = True
-                handle.inflight += 1
-                self._m_inflight.set(handle.inflight, runner=handle.url)
+            done = bool(data.get("done"))
+            self._commit("place", key, runner=handle.url, payload=None,
+                         trace=None, done=done)
             self._m_readopts.inc()
             log.warning("re-adopted unjournaled job %s from %s "
-                        "(done=%s)", key[:12], handle.url,
-                        placement.done)
+                        "(done=%s)", key[:12], handle.url, done)
             obs.event("fleet.readopted", key=key[:12],
-                      runner=handle.url, done=placement.done)
-            self._journal_place(key, placement)
-            return placement
+                      runner=handle.url, done=done)
+            return self._placements[key]
         return None
 
     async def _forward_job_read(self, key: str, path: str):
         """Read job state from its runner, healing lost placements.
 
-        A wire error or a runner that forgot the job (it restarted)
-        triggers a resubmission to a survivor and answers ``202
-        pending`` -- the polling client never observes the failover.
-        The read is bounded by the handle's own ``timeout_s``, not
-        ``forward_timeout_s``: a state read never waits on a flow, so
-        a runner that stalls it is partitioned, and the router must
-        answer before the client's own read timeout fires.
+        A wire error or a runner that forgot the job re-routes it and
+        answers ``202 pending``.  The read is bounded by the handle's
+        own ``timeout_s``: a state read never waits on a flow, so a
+        runner that stalls it is partitioned.
         """
-        placement = self._placements.get(key)
-        if placement is None:
-            placement = await self._scatter_adopt(key)
-        if placement is None:
+        entry = self._placements.get(key)
+        if entry is None:
+            entry = await self._scatter_adopt(key)
+        if entry is None:
             raise JobNotFound(f"no job {key!r} routed by this fleet")
-        handle = self.handles.get(placement.runner)
+        runner = entry["runner"]
+        handle = self.handles.get(runner)
         reason = None
         if handle is None or handle.state == "unhealthy":
             reason = "node_loss"
@@ -1145,7 +1011,7 @@ class FleetRouter(HttpServerBase):
             else:
                 code = ((data.get("error") or {}).get("code")
                         if isinstance(data, dict) else None)
-                if code == "not_found" and not placement.done:
+                if code == "not_found" and not entry["done"]:
                     # the runner restarted and lost its job table
                     reason = "lost_state"
                 else:
@@ -1153,46 +1019,41 @@ class FleetRouter(HttpServerBase):
                                 if isinstance(data, dict) else False)
                     if status == 200 and path.endswith("/result"):
                         done_now = True    # a ready result is terminal
-                    if done_now or code not in (None, "pending"):
-                        self._settle(key, placement,
+                    if ((done_now or code not in (None, "pending"))
+                            and not entry["done"]):
+                        self._commit("done", key,
                                      status=(data.get("status")
                                              if isinstance(data, dict)
                                              else None))
                     return status, data
-        self._release(placement)
-        if not isinstance(placement.payload, dict):
-            # a scatter-adopted placement has no spec to resubmit;
-            # forget it so the caller's idempotent resubmit can land
-            self._placements.pop(key, None)
+        await self._reroute(key, runner, reason)
+        if key not in self._placements:
             raise JobNotFound(
                 f"job {key!r} lost with its runner and no recorded "
                 f"payload to resubmit; resubmit it (idempotent)")
-        await self._forward_submit(
-            key, placement.payload, exclude=(placement.runner,),
-            reroute_reason=reason, obs_ctx=placement.trace)
         return 202, protocol._body(
             "pending", f"job {key[:12]} re-routed after {reason}",
             key=key, status="queued", attempts=0, retry_after_s=1.0)
 
     async def _h_events(self, writer, body, headers, key: str) -> int:
-        """Byte-pipe the runner's SSE stream through to the client."""
+        """Byte-pipe the runner's SSE stream through to the client; a
+        reconnecting client's ``Last-Event-ID`` rides through."""
         self._shed_unless_primary()
-        placement = self._placement_of(key)
-        parsed = urllib.parse.urlsplit(placement.runner)
+        entry = self._placements.get(key)
+        if entry is None:
+            raise JobNotFound(f"no job {key!r} routed by this fleet")
+        runner = entry["runner"]
+        parsed = urllib.parse.urlsplit(runner)
         try:
             upstream_r, upstream_w = await asyncio.open_connection(
                 parsed.hostname, parsed.port or 80)
         except OSError:
             raise ServerError(
-                f"runner {placement.runner} unreachable for event "
+                f"runner {runner} unreachable for event "
                 f"stream", status=502, code="unavailable") from None
         try:
-            # a reconnecting client's resume cursor rides through to
-            # the runner, which replays only the missed events
-            resume = ""
             last_id = headers.get("last-event-id")
-            if last_id:
-                resume = f"Last-Event-ID: {last_id}\r\n"
+            resume = f"Last-Event-ID: {last_id}\r\n" if last_id else ""
             request = (f"GET /v1/jobs/{key}/events HTTP/1.1\r\n"
                        f"Host: {parsed.netloc}\r\n"
                        f"Accept: text/event-stream\r\n"
@@ -1209,9 +1070,7 @@ class FleetRouter(HttpServerBase):
         except ConnectionError:
             pass
         finally:
-            try:
+            with contextlib.suppress(Exception):
                 upstream_w.close()
                 await upstream_w.wait_closed()
-            except Exception:           # noqa: BLE001
-                pass
         return 200

@@ -240,19 +240,22 @@ class RunnerProcess:
                  workers: int = 1, port: Optional[int] = None,
                  env: Optional[Dict[str, str]] = None,
                  extra_args: Optional[List[str]] = None):
-        self.port = port or free_port()
-        self.url = f"http://127.0.0.1:{self.port}"
         self.cache_dir = cache_dir
-        argv = [sys.executable, "-m", "repro", "serve",
-                "--host", "127.0.0.1", "--port", str(self.port),
-                "--workers", str(workers)]
+        argv = ["--workers", str(workers)]
         if cache_dir:
             argv += ["--cache-dir", cache_dir]
-        argv += list(extra_args or [])
+        self._spawn("serve", port, argv + list(extra_args or []), env)
+
+    def _spawn(self, command: str, port: Optional[int], argv: List[str],
+               env: Optional[Dict[str, str]]) -> None:
+        self.port = port or free_port()
+        self.url = f"http://127.0.0.1:{self.port}"
         child_env = dict(os.environ)
         child_env.update(env or {})
         self.proc = subprocess.Popen(
-            argv, env=child_env,
+            [sys.executable, "-m", "repro", command, "--host",
+             "127.0.0.1", "--port", str(self.port), *argv],
+            env=child_env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
     # ------------------------------------------------------------------
@@ -333,22 +336,12 @@ class RouterProcess(RunnerProcess):
                  probe_interval_s: float = 1.0,
                  env: Optional[Dict[str, str]] = None,
                  extra_args: Optional[List[str]] = None):
-        self.port = port or free_port()
-        self.url = f"http://127.0.0.1:{self.port}"
         self.cache_dir = None
-        argv = [sys.executable, "-m", "repro", "router",
-                "--host", "127.0.0.1", "--port", str(self.port),
-                "--runners", ",".join(runners),
+        argv = ["--runners", ",".join(runners),
                 "--probe-interval", str(probe_interval_s)]
-        if journal_dir:
-            argv += ["--journal-dir", journal_dir]
-        if node_name:
-            argv += ["--node-name", node_name]
-        if standby_of:
-            argv += ["--standby-of", standby_of]
-        argv += list(extra_args or [])
-        child_env = dict(os.environ)
-        child_env.update(env or {})
-        self.proc = subprocess.Popen(
-            argv, env=child_env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        for flag, value in (("--journal-dir", journal_dir),
+                            ("--node-name", node_name),
+                            ("--standby-of", standby_of)):
+            if value:
+                argv += [flag, value]
+        self._spawn("router", port, argv + list(extra_args or []), env)

@@ -122,7 +122,7 @@ def test_restarted_router_serves_journaled_jobs(
     # replay + reconciliation restored the placement: the read
     # forwards straight to the runner that still holds the result
     assert finished(client2, key, 60)["status"] == "succeeded"
-    assert reborn.router._placements[key].runner in (a.url, b.url)
+    assert reborn.router._placements[key]["runner"] in (a.url, b.url)
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +138,8 @@ def test_standby_mirrors_and_sheds_until_takeover(
     key = client.submit("kmeans", "informed", scale=1.09)["id"]
     finished(client, key)
     mirror = wait_until(
-        lambda: (standby.router._mirror.get(key) or {}).get("done")
-        and standby.router._mirror[key])
+        lambda: (standby.router._placements.get(key) or {}).get("done")
+        and standby.router._placements[key])
     assert mirror["status"] == "succeeded"
     # job traffic sheds with a retryable 503 while tailing
     shed = ReproClient(standby.url, max_retries=0)
@@ -173,8 +173,8 @@ def test_standby_takes_over_and_serves_journaled_jobs(
 
 def test_takeover_sheds_until_journaled_jobs_are_recovered(
         durable_fleet, live_router_factory):
-    # the promoted standby flips to primary before it has probed the
-    # runners and replayed its journal; a slow probe pass widens that
+    # the promoted standby leaves `standby` before it has probed the
+    # runners and reconciled its table; a slow probe pass widens that
     # window, and a status request inside it must be shed (retryable),
     # not answered JobNotFound
     a, b, router, client, journal_dir = durable_fleet
@@ -195,11 +195,14 @@ def test_takeover_sheds_until_journaled_jobs_are_recovered(
 
     standby.router._probe_all = slow_probe_all
     router.stop()
-    wait_until(lambda: standby.router.role == "primary")
+    wait_until(lambda: standby.router.role == "recovering")
+    shed = ReproClient(standby.url, max_retries=0)
+    status, data, _ = shed._request_once("GET", f"/v1/jobs/{key}")
+    assert status == 503 and "taking over" in data["error"]["message"]
     client2 = ReproClient(standby.url, backoff_s=0.05,
                           poll_interval_s=0.05)
     assert client2.status(key)["status"] == "succeeded"
-    assert not standby.router.recovering
+    assert standby.router.role == "primary"
 
 
 def test_client_endpoint_list_fails_over_to_the_serving_node(
@@ -232,7 +235,7 @@ def test_fenced_primary_sheds_job_traffic(durable_fleet):
     LeaseFile(os.path.join(journal_dir, "lease.json")).acquire("usurper")
     # the next journaled mutation trips FencedOut and latches `fenced`
     client.submit("kmeans", "informed", scale=1.17)
-    wait_until(lambda: router.router.fenced)
+    wait_until(lambda: router.router.role == "fenced")
     shed = ReproClient(router.url, max_retries=0)
     status, data, _ = shed._request_once("POST", "/v1/jobs",
                                          {"app": "kmeans"})
@@ -259,7 +262,7 @@ def test_scatter_adopt_heals_a_forgotten_placement(durable_fleet):
     assert record["done"] and record["status"] == "succeeded"
     assert router.router._m_readopts.get() == before + 1
     adopted = router.router._placements[key]
-    assert adopted.runner == a.url and adopted.payload is None
+    assert adopted["runner"] == a.url and adopted["payload"] is None
     # payload-less placements cannot be resubmitted when their runner
     # dies -- they surface as a 404 telling the client to resubmit
     a.stop(drain=False)

@@ -1,0 +1,311 @@
+"""The router's placement core as a Hypothesis state machine.
+
+No sockets: three in-memory runners answer the router's requests, and
+the rules drive the same code paths a live fleet does -- the one
+mutation path (``_commit`` through :func:`apply_record`), orphan
+re-routing (:func:`orphans`), target picking (:func:`pick_target`),
+crash recovery (:func:`plan_recovery`) and the standby's tail fold --
+against a real :class:`RouterJournal` and lease in a temp directory.
+
+Rules: submit, complete, runner loss, amnesiac restart, crash after
+any journal record (a restart replays exactly the record prefix on
+disk), takeover by a standby, and a stale primary whose next append
+raises :class:`FencedOut`.  After every step: every accepted key has
+an entry, a settled key stays settled, no key runs twice at once, and
+every runner's ``inflight`` equals its undone entries plus open
+forwards.
+"""
+
+import asyncio
+import shutil
+import tempfile
+import urllib.error
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, invariant, precondition, rule,
+)
+
+from repro.fleet.durable import RouterJournal, inflight_counts, orphans
+from repro.fleet.router import FleetRouter
+
+RUNNERS = [f"http://10.7.7.{i}:7000" for i in range(1, 4)]
+KEYS = [f"{i:02d}" * 32 for i in range(6)]
+
+
+class Crash(BaseException):
+    """The router process dies right after a journal append."""
+
+
+class Fleet:
+    """Three runners' memory: alive or not, and each key's state."""
+
+    def __init__(self):
+        self.alive = {url: True for url in RUNNERS}
+        self.jobs = {url: {} for url in RUNNERS}    # key -> running|done
+        #: results every runner can reach (disk cache + peer fetch)
+        self.results = {}
+
+    def request(self, url, method, path, payload=None, headers=None,
+                timeout_s=None):
+        if not self.alive[url]:
+            raise urllib.error.URLError("connection refused")
+        jobs = self.jobs[url]
+        if method == "POST":
+            key = payload["key"]
+            fresh = key not in jobs
+            if key in self.results:
+                jobs[key] = "done"    # a cache hit, recorded as a job
+            jobs.setdefault(key, "running")
+            return (201 if fresh else 200), {
+                "id": key, "done": jobs[key] == "done"}, {}
+        if path == "/healthz":
+            return 200, {"status": "ok", "version": None}, {}
+        if path.startswith("/v1/obs/spans"):
+            return 200, {"spans": [], "next": 0}, {}
+        key = path.split("/")[3]
+        if key not in jobs:
+            return 404, {"error": {"code": "not_found"}}, {}
+        done = jobs[key] == "done"
+        return 200, {"id": key, "done": done,
+                     "status": "succeeded" if done else "running"}, {}
+
+    def running(self, key):
+        return [url for url in RUNNERS
+                if self.alive[url] and self.jobs[url].get(key) == "running"]
+
+
+async def _direct(fn, *args):
+    return fn(*args)
+
+
+class PlacementMachine(RuleBasedStateMachine):
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="placement-")
+        self.fleet = Fleet()
+        self.nodes = 0
+        self.crash_after = None
+        self.accepted = set()
+        self.settled = {}             # key -> status when first settled
+        self.stale = None
+        self.standby = self._standby()
+        self._boot_primary(self._name())
+
+    def teardown(self):
+        for router in (self.primary, self.standby, self.stale):
+            if router is not None:
+                router.journal.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    # -- plumbing -------------------------------------------------------
+
+    def _name(self):
+        self.nodes += 1
+        return f"node{self.nodes}"
+
+    def _router(self, name, standby=False):
+        """A router over the in-memory fleet whose journal appends can
+        be armed to crash the process right after a record lands."""
+        router = FleetRouter(
+            RUNNERS, steal_threshold=2, expected_version="", obs_buffer=0,
+            journal=RouterJournal(self.root, name=name, compact_every=5),
+            node_name=name,
+            standby_of="http://10.7.7.9:7000" if standby else None)
+        router._executor.shutdown(wait=False)
+        router._in_executor = _direct
+        for url, handle in router.handles.items():
+            handle.request = (lambda url: lambda *a, **kw:
+                              self.fleet.request(url, *a, **kw))(url)
+        append = router.journal.append
+
+        def crashing_append(*args, **kwargs):
+            record = append(*args, **kwargs)
+            if self.crash_after is not None:
+                self.crash_after -= 1
+                if self.crash_after == 0:
+                    self.crash_after = None
+                    raise Crash
+            return record
+
+        router.journal.append = crashing_append
+        return router
+
+    def _standby(self):
+        router = self._router(self._name(), standby=True)
+        router._reset(router.journal.open(False))
+        router._tail_cursor = router.journal.seq
+        return router
+
+    def _boot_primary(self, name):
+        """What ``start()`` does before binding: replay, probe, recover."""
+        router = self._router(name)
+        router._reset(router.journal.open(True))
+        self.primary = router
+        self._run(router, router._recover())
+        self._assert_placed()
+
+    def _assert_placed(self):
+        """Every undone entry runs on its live runner -- unless no
+        runner is left to take it."""
+        router = self.primary
+        if not router.routable():
+            return
+        for key, entry in router._placements.items():
+            if not entry["done"]:
+                assert entry["runner"] in self.fleet.running(key), key
+
+    def _restart(self):
+        """The primary crashed: boot a new process on its journal."""
+        self.primary.journal.close()
+        self._boot_primary(self.primary.node_name)
+
+    def _run(self, router, coro):
+        async def main():
+            router._loop = asyncio.get_running_loop()
+            return await coro
+
+        try:
+            return asyncio.run(main())
+        except Crash:
+            self._restart()
+            return None
+
+    def _tail(self):
+        journal = self.primary.journal
+        self.standby._apply_tail(journal.tail(self.standby._tail_cursor))
+
+    def _probe(self, times=1):
+        for _ in range(times):
+            self._run(self.primary, self.primary._probe_all())
+
+    # -- rules ----------------------------------------------------------
+
+    @rule(key=st.sampled_from(KEYS))
+    def submit(self, key):
+        outcome = self._run(self.primary, self.primary._forward_submit(
+            key, {"app": "kmeans", "key": key}))
+        if outcome is not None and outcome[1] in (200, 201):
+            self.accepted.add(key)
+
+    @rule(runner=st.sampled_from(RUNNERS))
+    def complete(self, runner):
+        for key, state in self.fleet.jobs[runner].items():
+            if state == "running" and self.fleet.alive[runner]:
+                self.fleet.jobs[runner][key] = "done"
+                self.fleet.results[key] = "succeeded"
+
+    @rule(key=st.sampled_from(KEYS))
+    def read(self, key):
+        if key in self.accepted:
+            self._run(self.primary, self.primary._forward_job_read(
+                key, f"/v1/jobs/{key}"))
+
+    @rule(runner=st.sampled_from(RUNNERS))
+    def runner_loss(self, runner):
+        detected = self.primary.handles[runner].state != "unhealthy"
+        self.fleet.alive[runner] = False
+        self.fleet.jobs[runner] = {}
+        self._probe(times=2)          # two missed probes evict
+        if detected and self.primary.routable():
+            # the probe that saw it die re-routed its jobs
+            assert not orphans(self.primary._placements, runner)
+
+    @rule(runner=st.sampled_from(RUNNERS))
+    def amnesiac_restart(self, runner):
+        self.fleet.alive[runner] = True
+        self.fleet.jobs[runner] = {}
+        self._probe()
+
+    @rule(records=st.integers(1, 3))
+    def arm_crash(self, records):
+        self.crash_after = records
+
+    @rule()
+    def crash_now(self):
+        self.crash_after = None
+        self._restart()
+
+    @rule()
+    def takeover(self):
+        self._tail()
+        if self.stale is not None:
+            self.stale.journal.close()
+        # the old primary lives on, stale; a new standby tails the new
+        self.stale, self.primary = self.primary, self.standby
+        self._run(self.primary, self.primary._takeover())
+        assert self.primary.role == "primary"
+        self.standby = self._standby()
+
+    @precondition(lambda self: self.stale is not None
+                  and self.stale.role != "fenced")
+    @rule(key=st.sampled_from(KEYS))
+    def stale_primary_writes(self, key):
+        seq = self.stale.journal.seq
+        self.stale._commit("done", key, status="succeeded")
+        assert self.stale.role == "fenced"
+        assert self.stale.journal.seq == seq
+        with pytest.raises(Exception, match="fenced out"):
+            self.stale._shed_unless_primary()
+
+    @rule()
+    def drain(self):
+        """Heal the fleet and poll every job until it settles."""
+        for url in RUNNERS:
+            if not self.fleet.alive[url]:
+                self.fleet.alive[url] = True
+                self.fleet.jobs[url] = {}
+        self.crash_after = None
+        self._probe()
+        for _ in range(3):
+            for url in RUNNERS:
+                self.complete(url)
+            for key in sorted(self.accepted):
+                self.read(key)
+        for key in self.accepted:
+            assert self.primary._placements[key]["done"], key
+
+    # -- invariants -----------------------------------------------------
+
+    @invariant()
+    def every_reader_folds_the_same_table(self):
+        self._tail()
+        assert self.primary._placements == self.primary.journal.table
+        assert self.standby._placements == self.primary.journal.table
+
+    @invariant()
+    def no_accepted_key_is_lost(self):
+        for key in self.accepted:
+            assert key in self.primary._placements, key
+
+    @invariant()
+    def settled_keys_stay_settled(self):
+        for key, entry in self.primary._placements.items():
+            if key in self.settled:
+                assert entry["done"], key
+                assert entry["status"] in (None, self.settled[key])
+            elif entry["done"]:
+                self.settled[key] = entry["status"]
+
+    @invariant()
+    def no_key_runs_twice(self):
+        for key in KEYS:
+            assert len(self.fleet.running(key)) <= 1, key
+
+    @invariant()
+    def inflight_is_derived(self):
+        for router in (self.primary, self.standby):
+            assert not router._open and not router._forwarding
+            derived = inflight_counts(router._placements, router._open)
+            for url, handle in router.handles.items():
+                assert handle.inflight == derived[url], url
+
+
+PlacementMachine.TestCase.settings = settings(
+    max_examples=80, stateful_step_count=25, deadline=None,
+    derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow])
+test_placement_machine = PlacementMachine.TestCase

@@ -4,7 +4,9 @@ Placement policy is tested on a bare router (no sockets); everything
 wire-shaped runs against real runners through a live router.
 """
 
+import asyncio
 import threading
+import urllib.error
 
 import pytest
 
@@ -13,7 +15,8 @@ import repro.service.core as service_core
 from repro import api
 from repro.client import ReproClient
 from repro.config import ReproConfig
-from repro.fleet.router import FleetRouter, _Placement
+from repro.fleet.durable import inflight_counts
+from repro.fleet.router import FleetRouter
 from repro.fleet.runner import RunnerHandle, free_port
 from repro.server import protocol
 
@@ -79,6 +82,50 @@ def test_pick_target_ignores_unroutable_states():
     assert router._pick_target(KEY) is None
     next(iter(router.handles.values())).state = "healthy"
     assert router._pick_target(KEY) is not None
+
+
+@pytest.mark.parametrize("steal_threshold", [1, 4])
+def test_probe_and_read_reroute_a_lost_job_once(steal_threshold):
+    # the probe loop's node-loss re-route and a client's status read
+    # both find the job's runner dead; exactly one may resubmit it
+    router = bare_router(steal_threshold=steal_threshold)
+    all_healthy(router)
+    posts = []
+
+    def fake_request(url):
+        def request(method, path, payload=None, headers=None,
+                    timeout_s=None):
+            if method != "POST":
+                raise urllib.error.URLError("connection refused")
+            posts.append(url)
+            return 201, {"id": KEY, "done": False}, {}
+        return request
+
+    for url, handle in router.handles.items():
+        handle.request = fake_request(url)
+
+    async def on_the_wire(fn, *args):
+        await asyncio.sleep(0.01)      # a forward takes a while
+        return fn(*args)
+
+    router._in_executor = on_the_wire
+    dead = router.handles[router.ring.owner(KEY)]
+    router._commit("place", KEY, runner=dead.url,
+                   payload={"app": "kmeans"}, trace=None, done=False)
+    dead.state = "unhealthy"
+
+    async def race():
+        await asyncio.gather(
+            router._reroute_orphans(dead, reason="node_loss"),
+            router._forward_job_read(KEY, f"/v1/jobs/{KEY}"))
+
+    asyncio.run(race())
+    assert len(posts) == 1
+    assert router._placements[KEY]["runner"] == posts[0] != dead.url
+    derived = inflight_counts(router._placements, router._open)
+    assert {u: h.inflight for u, h in router.handles.items()} == \
+        {u: derived[u] for u in URLS}
+    assert router.handles[posts[0]].inflight == 1
 
 
 def test_router_requires_at_least_one_runner():
@@ -148,11 +195,11 @@ def test_submit_is_sticky_and_jobs_merge(fleet):
     first_status, first, _ = client._request_once(
         "POST", "/v1/jobs", payload)
     assert first_status == 201
-    placed_on = router.router._placements[first["id"]].runner
+    placed_on = router.router._placements[first["id"]]["runner"]
     again_status, again, _ = client._request_once(
         "POST", "/v1/jobs", payload)
     assert again_status == 200 and again["id"] == first["id"]
-    assert router.router._placements[first["id"]].runner == placed_on
+    assert router.router._placements[first["id"]]["runner"] == placed_on
     assert any(j["id"] == first["id"] for j in client.jobs())
 
 
@@ -207,14 +254,14 @@ def test_node_loss_reroutes_in_flight_jobs(fleet, blocked_execution):
     key = client.submit("kmeans", scale=1.31)["id"]
     assert started.wait(30), "job never reached a worker"
     victim, survivor = ((a, b)
-                        if router.router._placements[key].runner == a.url
+                        if router.router._placements[key]["runner"] == a.url
                         else (b, a))
     release.set()
     victim.stop(drain=False)           # the node dies mid-flight
     status, data, _ = client._request_once("GET", f"/v1/jobs/{key}")
     assert status == 202
     assert "re-routed" in data["error"]["message"]
-    assert router.router._placements[key].runner == survivor.url
+    assert router.router._placements[key]["runner"] == survivor.url
     assert router.router.handles[victim.url].state == "unhealthy"
     # resubmission got the job's *full* retry budget on the survivor
     record = client.run_flow("kmeans", scale=1.31, timeout=120)
@@ -227,12 +274,13 @@ def test_restarted_runner_losing_state_triggers_resubmission(fleet):
     payload = {"app": "kmeans", "mode": "informed", "scale": 1.07}
     key = protocol.job_from_payload(payload).key()
     # as if routed before runner `a` restarted and forgot everything
-    router.router._placements[key] = _Placement(a.url, payload)
+    router.router._commit("place", key, runner=a.url, payload=payload,
+                          done=False)
     before = router.router._m_reroutes.get(reason="lost_state")
     status, data, _ = client._request_once("GET", f"/v1/jobs/{key}")
     assert status == 202
     assert "lost_state" in data["error"]["message"]
-    assert router.router._placements[key].runner == b.url
+    assert router.router._placements[key]["runner"] == b.url
     assert router.router._m_reroutes.get(reason="lost_state") == before + 1
     deadline_polls = 600
     while deadline_polls:

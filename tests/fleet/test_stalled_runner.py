@@ -41,7 +41,7 @@ def test_result_read_through_router_answers_despite_stalled_runner(
     a, b, router, stall = stalled_fleet
     client = ReproClient(router.url, backoff_s=0.05, poll_interval_s=0.05)
     key = client.submit("kmeans", scale=1.37)["id"]
-    placed = router.router._placements[key].runner
+    placed = router.router._placements[key]["runner"]
     victim, survivor = (a, b) if placed == a.url else (b, a)
     stall(victim)
 
@@ -58,7 +58,7 @@ def test_result_read_through_router_answers_despite_stalled_runner(
         assert elapsed < READ_BOUND_S, f"result read took {elapsed:.1f}s"
         time.sleep(0.05)
     assert record.app_name == "kmeans"
-    assert router.router._placements[key].runner == survivor.url
+    assert router.router._placements[key]["runner"] == survivor.url
     assert router.router.handles[victim.url].state == "unhealthy"
 
 

@@ -78,7 +78,7 @@ def test_routed_job_yields_one_stitched_trace(tmp_path,
             runner.stop()
 
     placement = router.router._placements[job_id]
-    assert trace["traceId"] == placement.trace["trace_id"]
+    assert trace["traceId"] == placement["trace"]["trace_id"]
     assert trace["jobId"] == job_id
     events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     names = {e["name"] for e in events}
@@ -128,7 +128,7 @@ def test_client_traceparent_becomes_the_fleet_root_parent(
         obs.remove_sink(sink)
     placement = router.router._placements[job_id]
     # the router's root joined the CALLER's trace instead of minting
-    assert placement.trace["trace_id"] == caller.trace_id
+    assert placement["trace"]["trace_id"] == caller.trace_id
 
 
 def test_malformed_traceparent_falls_back_to_a_fresh_root(fleet):
@@ -138,8 +138,8 @@ def test_malformed_traceparent_falls_back_to_a_fresh_root(fleet):
         headers={"traceparent": "00-not hex at all-??-zz"})
     assert status == 201
     placement = router.router._placements[data["id"]]
-    assert placement.trace is not None
-    assert len(placement.trace["trace_id"]) == 16   # a minted root
+    assert placement["trace"] is not None
+    assert len(placement["trace"]["trace_id"]) == 16   # a minted root
 
 
 def test_resubmit_dedup_attaches_to_the_original_trace(fleet):
@@ -147,14 +147,14 @@ def test_resubmit_dedup_attaches_to_the_original_trace(fleet):
     payload = {"app": "kmeans", "scale": 1.64}
     first_status, first = submit_raw(router.url, payload)
     assert first_status == 201
-    original = dict(router.router._placements[first["id"]].trace)
+    original = dict(router.router._placements[first["id"]]["trace"])
     # a second submitter with its OWN live trace joins the job's
     # existing trace instead of splitting it
     again_status, again = submit_raw(
         router.url, payload,
         headers={"traceparent": f"00-{'cd' * 8}-9.9-01"})
     assert again_status == 200 and again["id"] == first["id"]
-    assert router.router._placements[first["id"]].trace == original
+    assert router.router._placements[first["id"]]["trace"] == original
 
 
 def test_node_loss_reroute_keeps_the_original_trace_id(fleet):
@@ -176,8 +176,8 @@ def test_node_loss_reroute_keeps_the_original_trace_id(fleet):
     try:
         job_id = client.submit("kmeans", scale=1.65)["id"]
         assert started.wait(30), "job never reached a worker"
-        original = dict(router.router._placements[job_id].trace)
-        victim = a if router.router._placements[job_id].runner == a.url \
+        original = dict(router.router._placements[job_id]["trace"])
+        victim = a if router.router._placements[job_id]["runner"] == a.url \
             else b
         release.set()
         victim.stop(drain=False)       # node dies mid-flight
@@ -185,7 +185,7 @@ def test_node_loss_reroute_keeps_the_original_trace_id(fleet):
             "GET", f"/v1/jobs/{job_id}")
         assert status == 202 and "re-routed" in data["error"]["message"]
         # the resubmission rides the ORIGINAL trace: one job, one trace
-        assert router.router._placements[job_id].trace == original
+        assert router.router._placements[job_id]["trace"] == original
         record = client.run_flow("kmeans", scale=1.65, timeout=120)
         assert record.app_name == "kmeans"
     finally:
