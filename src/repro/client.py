@@ -215,10 +215,11 @@ class ReproClient:
             try:
                 status, data, headers = self._request_once(
                     method, path, payload)
-            except (urllib.error.URLError, TimeoutError):
-                # a read timeout is treated like a connect error: the
-                # endpoint is stalled.  Resending is safe -- submits
-                # are content-hash idempotent
+            except (urllib.error.URLError, ConnectionError, TimeoutError):
+                # a read timeout or a connection dropped before the
+                # answer (a SIGKILLed router) is treated like a connect
+                # error.  Resending is safe -- submits are content-hash
+                # idempotent
                 if not retry or attempt >= self.max_retries:
                     raise
                 self._rotate()

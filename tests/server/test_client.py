@@ -1,5 +1,6 @@
 """ReproClient retry/backoff behavior, no sockets involved."""
 
+import http.client
 import random
 import urllib.error
 
@@ -83,6 +84,18 @@ def test_connection_errors_are_retried():
     ], backoff_s=0.05)
     assert client.apps() == []
     assert client.sleeps == [0.05]
+
+
+def test_dropped_connection_is_retried_on_the_next_endpoint():
+    # the server died between accepting the request and answering it
+    client = ScriptedClient([
+        http.client.RemoteDisconnected("closed without response"),
+        (201, {"id": "abc"}, {}),
+    ], backoff_s=0.05)
+    client.endpoints = ["http://primary.invalid", "http://standby.invalid"]
+    assert client.submit("kmeans")["id"] == "abc"
+    assert client.sleeps == [0.05]
+    assert client.base_url == "http://standby.invalid"
 
 
 def test_run_flow_polls_through_pending():
