@@ -18,9 +18,12 @@ fault plan, and then checks the invariants it names:
                         distinct jobs submitted (no double execution)
 ``failover_happened``   the standby is the unfenced primary now (lease
                         term >= 2, failover + journal series exported)
-``stitched_trace``      ``repro obs trace`` fetches a job's whole-fleet
-                        trace; it passes the stitched validator and
-                        holds ``fleet.job``/``fleet.route``/``service.job``
+``stitched_trace``      ``repro obs trace`` fetches every job's
+                        whole-fleet trace; each holds ``fleet.job``/
+                        ``fleet.route``/``service.job`` and passes the
+                        stitched validator -- a job re-routed off a
+                        SIGKILLed runner once that runner's orphaned
+                        spans are set aside, and no other way
 ``one_trace_per_job``   every job's stitched trace has one trace id
 ``rerouted``            the router rerouted work off the hurt runner
 ``torn_seen``           replay skipped >= 1 torn journal record
@@ -250,6 +253,8 @@ class Run:
         self.extra_keys: set = set()
         #: (what, in-flight count) per process a step hurt
         self.victims: list = []
+        #: pids of the runners a step SIGKILLed
+        self.lost_pids: set = set()
         self.fig5 = None
         self.fig5_alive_at_kill = None
 
@@ -313,6 +318,7 @@ def step_restart_primary(run: Run) -> None:
 def step_kill_busiest(run: Run) -> None:
     victim, inflight = _busiest_runner(run)
     _hurt(run, f"SIGKILL runner {victim.url}", inflight)
+    run.lost_pids.add(victim.proc.pid)
     victim.kill()
 
 
@@ -482,25 +488,76 @@ def check_failover_happened(run: Run) -> str:
     return f"standby promoted to primary (lease term {term})"
 
 
+def _without_lost_runner(run: Run, path: str):
+    """``path`` with the SIGKILLed runners' orphaned spans set aside,
+    or None when the trace is not a job re-routed off a lost runner.
+
+    A runner that dies mid-job took the parents of the spans it had
+    already shipped (a parent span ends, and ships, after its
+    children).  Only its own spans may go, and only those whose parent
+    is missing, repeated until none is; the rest of the trace must
+    then stitch clean.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    spans = [e for e in data["traceEvents"] if e.get("ph") == "X"]
+    if not any(e["name"] == "fleet.route"
+               and e["args"].get("rerouted") == "node_loss"
+               for e in spans):
+        return None
+    dropped = set()
+    while True:
+        ids = {e["args"]["span_id"] for e in spans}
+        orphans = [e for e in spans if e["pid"] in run.lost_pids
+                   and e["args"].get("parent_id") is not None
+                   and e["args"]["parent_id"] not in ids]
+        if not orphans:
+            break
+        dropped.update(e["args"]["span_id"] for e in orphans)
+        spans = [e for e in spans if e not in orphans]
+    if not dropped:
+        return None
+    data["traceEvents"] = [
+        e for e in data["traceEvents"]
+        if e.get("args", {}).get("span_id") not in dropped]
+    pruned = path[:-len(".json")] + "-truncated.json"
+    with open(pruned, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return pruned
+
+
 def check_stitched_trace(run: Run) -> str:
     url = run.fleet.serving_url()
-    last_error = "no job produced a stitched trace"
+    clean = truncated = 0
     for key in run.keys:
         path = run.path(f"trace-{key[:12]}.json")
         fetched = _repro("obs", "trace", key, "--server", url,
                          "--out", path, "--timeline")
         if fetched.returncode != 0:
-            last_error = f"job {key[:12]}: {fetched.stderr.strip()}"
-            continue
+            raise InvariantViolation(
+                f"job {key[:12]}: {fetched.stderr.strip()}")
         try:
             _validated(validate_trace.validate_trace, path, 3,
                        require_spans=STITCHED_SPANS)
             _validated(validate_trace.validate_stitched, path)
-        except InvariantViolation as exc:
-            last_error = f"job {key[:12]}: {exc}"
+            clean += 1
             continue
-        return f"job {key[:12]} stitched trace intact"
-    raise InvariantViolation(last_error)
+        except InvariantViolation as exc:
+            pruned = _without_lost_runner(run, path)
+            if pruned is None:
+                raise InvariantViolation(f"job {key[:12]}: {exc}") \
+                    from None
+        try:
+            _validated(validate_trace.validate_trace, pruned, 3,
+                       require_spans=STITCHED_SPANS)
+            _validated(validate_trace.validate_stitched, pruned)
+        except InvariantViolation as exc:
+            raise InvariantViolation(
+                f"job {key[:12]} (lost runner's spans set aside): "
+                f"{exc}") from None
+        truncated += 1
+    return (f"{len(run.keys)} job trace(s): {clean} stitched clean, "
+            f"{truncated} truncated by a SIGKILLed runner")
 
 
 def check_one_trace_per_job(run: Run) -> str:

@@ -28,7 +28,7 @@ from typing import (
 from repro import obs
 from repro.flow.serialize import FlowResultRecord, result_from_dict
 from repro.resilience import faults
-from repro.server.protocol import error_from_payload
+from repro.server.protocol import JobNotFound, error_from_payload
 from repro.service.scheduler import JobResultPending, JobTimeout
 
 #: error codes worth retrying: transient refusals, not terminal job
@@ -319,16 +319,29 @@ class ReproClient:
                  timeout: Optional[float] = None,
                  **job_kwargs: Any) -> FlowResultRecord:
         """Submit and block until the result is ready (the remote
-        equivalent of :func:`repro.api.run_flow`)."""
+        equivalent of :func:`repro.api.run_flow`).
+
+        A read that answers :class:`JobNotFound` for the job submitted
+        here resubmits the same spec, up to ``max_retries`` times: the
+        fleet can forget an accepted job (a standby that took over
+        before tailing its ``place`` record, with the job's runner
+        restarted too), and submits are content-hash idempotent.
+        """
         job_id = self.submit(app, mode, **job_kwargs)["id"]
         deadline = None if timeout is None else time.monotonic() + timeout
         # with no explicit timeout the client-wide budget still bounds
         # the poll loop -- but as a JobTimeout, not a pending status
         budget = self._deadline() if timeout is None else None
         last: Optional[JobResultPending] = None
+        resubmits = 0
         while True:
             try:
                 return self.result(job_id)
+            except JobNotFound:
+                if resubmits >= self.max_retries:
+                    raise
+                resubmits += 1
+                job_id = self.submit(app, mode, **job_kwargs)["id"]
             except JobResultPending as pending:
                 last = pending
                 if deadline is not None and time.monotonic() >= deadline:

@@ -26,6 +26,13 @@ from repro.meta.ast_nodes import CType
 from repro.meta.unparse import count_loc
 
 
+def delta_pct(loc: int, reference_loc: int) -> float:
+    """Table I's added lines of code, as a percentage of the reference."""
+    if reference_loc <= 0:
+        return 0.0
+    return 100.0 * (loc - reference_loc) / reference_loc
+
+
 @dataclass
 class Design:
     app_name: str
@@ -81,9 +88,7 @@ class Design:
 
     @property
     def loc_delta_pct(self) -> float:
-        if self.reference_loc <= 0:
-            return 0.0
-        return 100.0 * self.loc_delta / self.reference_loc
+        return delta_pct(self.loc, self.reference_loc)
 
     def clone(self) -> "Design":
         """Independent copy for device-specific specialisation (B/C)."""

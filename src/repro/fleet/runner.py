@@ -34,7 +34,8 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.collect import clock_offset
@@ -43,6 +44,9 @@ from repro.resilience import faults
 #: consecutive probe failures before a runner is declared unhealthy
 #: (one lost probe is a blip; two is a dead node)
 PROBE_FAILURES_TO_EVICT = 2
+
+#: how long a probe's clock sample stays a candidate for the offset
+CLOCK_WINDOW_S = 60.0
 
 
 class RunnerHandle:
@@ -62,6 +66,8 @@ class RunnerHandle:
         #: seconds to ADD to this runner's timestamps to land on the
         #: local clock (probe round-trip midpoint vs. reported ``now``)
         self.clock_offset_s = 0.0
+        #: recent probes' ``(taken, round trip, offset)`` clock samples
+        self._clock_samples: Deque[Tuple[float, float, float]] = deque()
         #: drain cursor into the runner's ``/v1/obs/spans`` buffer
         self.spans_cursor = 0
 
@@ -163,8 +169,7 @@ class RunnerHandle:
         # span timestamps stitch monotonically across nodes
         remote_now = health.get("now")
         if isinstance(remote_now, (int, float)):
-            self.clock_offset_s = clock_offset(
-                t_sent, obs.now(), float(remote_now))
+            self._sample_clock(t_sent, obs.now(), float(remote_now))
         if expected_version is not None and self.version != expected_version:
             self.state = "rejected"
             self.last_error = (f"version {self.version!r} != router "
@@ -175,6 +180,24 @@ class RunnerHandle:
             self.state = "draining"
             self.last_error = f"status={status} health={health.get('status')}"
         return health
+
+    def _sample_clock(self, t_sent: float, t_received: float,
+                      remote_now: float) -> None:
+        """Offset from the shortest round trip of the last
+        ``CLOCK_WINDOW_S`` (NTP's clock filter).
+
+        The midpoint estimate is off by up to half the round trip, and
+        a busy runner answers a probe late: taking each probe's own
+        estimate moved the offset by tens of milliseconds between span
+        pulls, so a child pulled early could land before a parent
+        pulled later from the same process.
+        """
+        samples = self._clock_samples
+        samples.append((t_received, t_received - t_sent,
+                        clock_offset(t_sent, t_received, remote_now)))
+        while samples[0][0] < t_received - CLOCK_WINDOW_S:
+            samples.popleft()
+        self.clock_offset_s = min(samples, key=lambda s: s[1])[2]
 
     def fetch_spans(self, since: Optional[int] = None,
                     timeout_s: float = 10.0) -> Dict[str, Any]:

@@ -18,6 +18,7 @@ from repro.analysis.dependence import analyze_loop_dependences
 from repro.analysis.intensity import analyze_intensity
 from repro.analysis.trip_count import static_trip_count
 from repro.apps.base import AppSpec
+from repro.flow.task import FlowError
 from repro.lang.interpreter import Workload
 from repro.lang.profiler import ExecReport
 from repro.meta.ast_api import Ast
@@ -134,8 +135,8 @@ class FlowContext:
         outer = self._outer_loop(self.ast)
         loop_prof = report.loop_profiles.get(outer.node_id)
         if loop_prof is None:
-            raise KeyError("kernel outer loop never executed under the "
-                           "profiling run")
+            raise FlowError("kernel outer loop never executed under the "
+                            "profiling run")
         counts = loop_prof.inclusive
 
         # dependence structure

@@ -8,7 +8,9 @@ reconstructs read-side equivalents (:class:`FlowResultRecord`,
 :class:`DesignRecord`) from that data.
 
 Only data flows out -- sources are included as text, HLS reports as
-dictionaries; nothing here is needed to re-run a flow.  The records
+dictionaries; nothing here is needed to re-run a flow.  Each design is
+rendered once per serialization: its ``loc``, ``loc_delta_pct`` and
+(with sources) ``source`` all come from that one text.  The records
 returned by :func:`result_from_dict` expose the same *read* API the
 evaluation harness uses (``design()``, ``auto_selected``,
 ``selected_target``, ``speedup``, ``loc_delta_pct``, ...), so a result
@@ -21,9 +23,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.codegen.design import Design
+from repro.codegen.design import Design, delta_pct
 from repro.flow.engine import FlowResult
 from repro.flow.psa import PSADecision
+from repro.meta.unparse import count_loc
 from repro.toolchains.reports import HLSReport
 
 
@@ -52,6 +55,10 @@ def design_to_dict(design: "DesignLike", include_source: bool = False
                    ) -> Dict[str, Any]:
     if isinstance(design, DesignRecord):
         return design.to_dict(include_source)
+    # one render serves the LOC figures and the source; the ``loc`` and
+    # ``loc_delta_pct`` properties would each render the design again
+    text = design.render()
+    loc = count_loc(text)
     out: Dict[str, Any] = {
         "label": design.label,
         "app": design.app_name,
@@ -62,16 +69,16 @@ def design_to_dict(design: "DesignLike", include_source: bool = False
         "failure_reason": design.failure_reason,
         "predicted_time_s": design.predicted_time_s,
         "speedup": design.speedup,
-        "loc": design.loc,
+        "loc": loc,
         "reference_loc": design.reference_loc,
-        "loc_delta_pct": design.loc_delta_pct,
+        "loc_delta_pct": delta_pct(loc, design.reference_loc),
         "metadata": _jsonable(design.metadata),
         "buffers": [
             {"name": b.name, "nbytes": b.nbytes, "direction": b.direction}
             for b in design.buffers],
     }
     if include_source:
-        out["source"] = design.render()
+        out["source"] = text
     return out
 
 

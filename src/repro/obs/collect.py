@@ -15,9 +15,9 @@ fleet yields ONE stitched trace:
   sequence number; ``GET /v1/obs/spans?since=N`` drains increments, so
   a central collector can tail a runner without resetting it.
 - :class:`TraceStore` -- the router-side aggregate: span batches pulled
-  from runners land here keyed by trace id, with the runner's clock
-  offset applied (:func:`clock_offset`) and a ``runner`` attribute
-  stamped on, so ``GET /v1/obs/traces/{job_id}`` can serve one
+  from runners land here keyed by trace id; reads apply each runner's
+  latest clock offset (:func:`clock_offset`) and stamp a ``runner``
+  attribute on, so ``GET /v1/obs/traces/{job_id}`` can serve one
   Perfetto-loadable file whose timestamps order correctly across nodes.
 - :func:`clock_offset` -- round-trip midpoint offset: the router reads
   the runner's ``now`` next to its own send/receive times and maps
@@ -140,10 +140,13 @@ class TraceStore:
     """Per-trace-id span aggregate with LRU eviction (thread-safe).
 
     The router ingests every span batch it pulls -- its own buffer and
-    each runner's -- and serves whole traces back out.  Bounded two
-    ways: at most ``max_traces`` distinct trace ids (least recently
-    *updated* evicted first) and ``max_spans_per_trace`` spans each
-    (further spans of a runaway trace are counted, not kept).
+    each runner's -- and serves whole traces back out.  Spans are kept
+    on their node's clock and shifted by that node's latest offset when
+    read, so the spans of one process keep their order however the
+    offset estimate moved between pulls.  Bounded two ways: at most
+    ``max_traces`` distinct trace ids (least recently *updated* evicted
+    first) and ``max_spans_per_trace`` spans each (further spans of a
+    runaway trace are counted, not kept).
     """
 
     def __init__(self, max_traces: int = 512,
@@ -154,19 +157,23 @@ class TraceStore:
         self._traces: "OrderedDict[str, List[Dict[str, Any]]]" = \
             OrderedDict()
         self._seen: Dict[str, set] = {}       # trace_id -> span ids
+        self._offsets: Dict[Optional[str], float] = {}   # runner -> s
         self.dropped = 0
 
     def ingest(self, dicts: Iterable[Dict[str, Any]],
                offset_s: float = 0.0,
                runner: Optional[str] = None) -> int:
-        """Align and store a span batch; returns how many were added.
+        """Store a span batch; returns how many were added.
 
-        Re-ingesting the same span id for a trace is a no-op, so the
-        on-demand pull a trace read performs never duplicates what the
-        background pull loop already collected.
+        ``offset_s`` becomes ``runner``'s offset for every span of it
+        read from now on.  Re-ingesting the same span id for a trace is
+        a no-op, so the on-demand pull a trace read performs never
+        duplicates what the background pull loop already collected.
         """
         added = 0
-        for span in align_spans(dicts, offset_s, runner):
+        with self._lock:
+            self._offsets[runner] = offset_s
+        for span in dicts:
             trace_id = span.get("trace_id")
             span_id = span.get("span_id")
             if not trace_id or not span_id:
@@ -187,13 +194,15 @@ class TraceStore:
                     self.dropped += 1
                     continue
                 self._seen[trace_id].add(span_id)
-                bucket.append(span)
+                bucket.append((runner, span))
                 added += 1
         return added
 
     def spans(self, trace_id: str) -> List[Dict[str, Any]]:
+        """The trace's spans on the collector's clock."""
         with self._lock:
-            return [dict(s) for s in self._traces.get(trace_id, ())]
+            return [align_spans([span], self._offsets[runner], runner)[0]
+                    for runner, span in self._traces.get(trace_id, ())]
 
     def trace_ids(self) -> List[str]:
         with self._lock:

@@ -15,6 +15,11 @@ All cross-thread traffic goes through ``loop.call_soon_threadsafe``
 into :meth:`_publish`, so job state only ever mutates on the loop and
 SSE ordering is the publish order.
 
+A finished job's ``/result`` body is encoded once, by the first read
+after the loop has published its ``done``, and kept on the job's
+state: every later read writes those bytes, with no executor hop and
+no re-serialization.
+
 Backpressure is enforced end-to-end: the service's admission breaker
 surfaces as ``429 overloaded``, and on top of it the server keeps a
 **bounded accept queue** -- at most ``max_queue`` uncached jobs in
@@ -46,7 +51,7 @@ from repro.flow.serialize import result_to_dict
 from repro.flow.task import FlowObserver
 from repro.server import protocol
 from repro.server.http import (
-    HttpServerBase, MAX_BODY_BYTES, parse_trace_parent,
+    HttpServerBase, JSON_TYPE, MAX_BODY_BYTES, parse_trace_parent,
 )
 from repro.server.protocol import JobNotFound, ServerError
 from repro.service import DesignService
@@ -105,7 +110,8 @@ class _JobState:
     """Everything the server remembers about one submitted job."""
 
     __slots__ = ("job", "submission", "status", "source", "history",
-                 "subscribers", "created_s", "finished_s", "counted")
+                 "subscribers", "created_s", "finished_s", "counted",
+                 "body")
 
     def __init__(self, job: FlowJob):
         self.job = job
@@ -117,6 +123,8 @@ class _JobState:
         self.subscribers: List[asyncio.Queue] = []
         self.created_s = time.time()
         self.finished_s: Optional[float] = None
+        #: the encoded 200 ``/result`` body, kept once the job is done
+        self.body: Optional[bytes] = None
 
     @property
     def done(self) -> bool:
@@ -131,6 +139,18 @@ class _JobState:
         if self.finished_s is not None:
             data["wall_s"] = round(self.finished_s - self.created_s, 6)
         return data
+
+
+def _encode_result(key: str, submission, source: str) -> bytes:
+    """The ``/result`` body of a finished job (off the event loop).
+
+    ``.result()`` re-raises the job's terminal error, which the
+    connection loop maps through ``error_to_payload``.
+    """
+    record = result_to_dict(submission.result(0.0))
+    record["id"] = key
+    record["source"] = source
+    return json.dumps(record).encode("utf-8")
 
 
 class ReproServer(HttpServerBase):
@@ -555,18 +575,23 @@ class ReproServer(HttpServerBase):
 
     async def _h_result(self, writer, body, headers, key: str) -> int:
         state = self._state_of(key)
+        if state.body is not None:
+            return await self._send(writer, 200, state.body, JSON_TYPE)
         submission = state.submission
         if submission is None or not submission.done():
             # taxonomy satellite: same error the in-process caller gets
             raise protocol.JobResultPending(
                 key, state.status, 0, 0.0, label=state.job.label)
-        # .result() re-raises the job's terminal error -> error_to_payload
-        value = await asyncio.get_running_loop().run_in_executor(
-            None, submission.result, 0.0)
-        record = result_to_dict(value)
-        record["id"] = key
-        record["source"] = state.source or submission.source
-        return await self._send_json(writer, 200, record)
+        # a done state's source is final, and so is its body; a read
+        # that beats the loop's ``done`` publish encodes without
+        # keeping it, so a stale source is never frozen
+        final = state.done
+        encoded = await asyncio.get_running_loop().run_in_executor(
+            None, _encode_result, key, submission,
+            state.source or submission.source)
+        if final:
+            state.body = encoded
+        return await self._send(writer, 200, encoded, JSON_TYPE)
 
     async def _h_events(self, writer, body, headers, key: str) -> int:
         state = self._state_of(key)

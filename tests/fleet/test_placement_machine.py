@@ -9,16 +9,23 @@ against a real :class:`RouterJournal` and lease in a temp directory.
 
 Rules: submit, complete, runner loss, amnesiac restart, crash after
 any journal record (a restart replays exactly the record prefix on
-disk), takeover by a standby, and a stale primary whose next append
+disk), takeover by a standby, takeover before the standby tailed a
+caller's fresh ``place`` record, and a stale primary whose next append
 raises :class:`FencedOut`.  After every step: every accepted key has
-an entry, a settled key stays settled, no key runs twice at once, and
-every runner's ``inflight`` equals its undone entries plus open
-forwards.
+an entry, no caller's job is lost, a settled key stays settled, no key
+runs twice at once, and every runner's ``inflight`` equals its undone
+entries plus open forwards.
+
+Callers are real :class:`ReproClient` objects whose ``run_flow`` runs
+in a thread of its own and parks at every poll, so a job can be lost
+between a caller's submit and its next read -- and only the client's
+own rule (resubmit on ``JobNotFound``) keeps it.
 """
 
 import asyncio
 import shutil
 import tempfile
+import threading
 import urllib.error
 
 import pytest
@@ -28,8 +35,12 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, invariant, precondition, rule,
 )
 
+from repro.client import ReproClient
 from repro.fleet.durable import RouterJournal, inflight_counts, orphans
 from repro.fleet.router import FleetRouter
+from repro.flow.serialize import FlowResultRecord
+from repro.server import protocol
+from repro.server.protocol import JobNotFound
 
 RUNNERS = [f"http://10.7.7.{i}:7000" for i in range(1, 4)]
 KEYS = [f"{i:02d}" * 32 for i in range(6)]
@@ -37,6 +48,10 @@ KEYS = [f"{i:02d}" * 32 for i in range(6)]
 
 class Crash(BaseException):
     """The router process dies right after a journal append."""
+
+
+class Stopped(BaseException):
+    """The example ended with this caller still waiting."""
 
 
 class Fleet:
@@ -81,6 +96,88 @@ async def _direct(fn, *args):
     return fn(*args)
 
 
+class Caller:
+    """One ``ReproClient.run_flow`` for one key against whichever
+    router is primary, parked at every sleep (a poll or a retry) until
+    the machine lets it make its next request."""
+
+    def __init__(self, machine, key):
+        self.machine = machine
+        self.key = key
+        self.outcome = None           # the record, or what it raised
+        self.done = False
+        self._stopped = False
+        self._turn = threading.Semaphore(0)
+        self._parked = threading.Semaphore(0)
+        client = ReproClient("http://router.invalid", max_retries=50,
+                             jitter=0.0)
+        client._request_once = self._request
+        client._sleep = self._park
+        self._thread = threading.Thread(target=self._main,
+                                        args=(client,), daemon=True)
+        self._thread.start()
+        self._wait()                  # submit, first read, then park
+
+    def _main(self, client):
+        try:
+            self.outcome = client.run_flow("kmeans", key=self.key)
+        except Stopped:
+            pass
+        except Exception as exc:      # noqa: BLE001 -- an invariant
+            self.outcome = exc        # fails on it
+        finally:
+            self.done = True
+            self._parked.release()
+
+    def _park(self, delay):
+        self._parked.release()
+        self._turn.acquire()
+        if self._stopped:
+            raise Stopped
+
+    def _wait(self):
+        assert self._parked.acquire(timeout=30), f"caller {self.key} hung"
+
+    def poll(self):
+        """Let the caller make its next request(s), then park again."""
+        if not self.done:
+            self._turn.release()
+            self._wait()
+
+    def stop(self):
+        if not self.done:
+            self._stopped = True
+            self._turn.release()
+            self._thread.join(30)
+            assert not self._thread.is_alive(), f"caller {self.key} hung"
+
+    def _request(self, method, path, payload=None):
+        """The router's HTTP surface, minus the sockets."""
+        machine, router, key = self.machine, self.machine.primary, self.key
+        if method == "POST":
+            outcome = machine._run(router, router._forward_submit(
+                key, payload))
+            if outcome is None:       # no routable runner, or a crash
+                return 503, protocol._body(
+                    "unavailable", "no routable runner"), {}
+            return outcome[1], outcome[2], {}
+        try:
+            outcome = machine._run(router, router._forward_job_read(
+                key, f"/v1/jobs/{key}"))
+        except JobNotFound as exc:
+            return (*protocol.error_to_payload(exc), {})
+        if outcome is None:
+            return 503, protocol._body("unavailable", "router crashed"), {}
+        status, data = outcome
+        if status == 200 and data.get("done"):
+            return 200, {"app": "kmeans", "mode": "informed",
+                         "reference_time_s": 1.0}, {}
+        if status == 200:
+            return 202, protocol._body("pending", "running", key=key,
+                                       status="running"), {}
+        return status, data, {}
+
+
 class PlacementMachine(RuleBasedStateMachine):
 
     def __init__(self):
@@ -92,10 +189,13 @@ class PlacementMachine(RuleBasedStateMachine):
         self.accepted = set()
         self.settled = {}             # key -> status when first settled
         self.stale = None
+        self.callers = {}             # key -> its latest Caller
         self.standby = self._standby()
         self._boot_primary(self._name())
 
     def teardown(self):
+        for caller in self.callers.values():
+            caller.stop()
         for router in (self.primary, self.standby, self.stale):
             if router is not None:
                 router.journal.close()
@@ -229,9 +329,7 @@ class PlacementMachine(RuleBasedStateMachine):
         self.crash_after = None
         self._restart()
 
-    @rule()
-    def takeover(self):
-        self._tail()
+    def _promote(self):
         if self.stale is not None:
             self.stale.journal.close()
         # the old primary lives on, stale; a new standby tails the new
@@ -239,6 +337,29 @@ class PlacementMachine(RuleBasedStateMachine):
         self._run(self.primary, self.primary._takeover())
         assert self.primary.role == "primary"
         self.standby = self._standby()
+
+    @rule()
+    def takeover(self):
+        self._tail()
+        self._promote()
+
+    @rule(key=st.sampled_from(KEYS))
+    def takeover_without_final_tail(self, key):
+        """A caller's submit is accepted; the primary dies before the
+        standby tails its ``place`` record, and the job's runner
+        restarts too: no router and no runner knows the job."""
+        if key in self.callers:
+            self.callers[key].stop()
+        self.callers[key] = Caller(self, key)
+        runner = (self.primary._placements.get(key) or {}).get("runner")
+        self._promote()
+        if runner is not None:
+            self.amnesiac_restart(runner)
+
+    @rule()
+    def callers_poll(self):
+        for caller in self.callers.values():
+            caller.poll()
 
     @precondition(lambda self: self.stale is not None
                   and self.stale.role != "fenced")
@@ -267,6 +388,12 @@ class PlacementMachine(RuleBasedStateMachine):
                 self.read(key)
         for key in self.accepted:
             assert self.primary._placements[key]["done"], key
+        for _ in range(4):
+            for url in RUNNERS:
+                self.complete(url)
+            self.callers_poll()
+        for key, caller in self.callers.items():
+            assert isinstance(caller.outcome, FlowResultRecord), key
 
     # -- invariants -----------------------------------------------------
 
@@ -280,6 +407,14 @@ class PlacementMachine(RuleBasedStateMachine):
     def no_accepted_key_is_lost(self):
         for key in self.accepted:
             assert key in self.primary._placements, key
+
+    @invariant()
+    def no_caller_loses_its_job(self):
+        """No accepted key lost, from the caller's view: its
+        ``run_flow`` never raises (``JobNotFound`` is the loss)."""
+        for key, caller in self.callers.items():
+            assert not isinstance(caller.outcome, BaseException), (
+                key, caller.outcome)
 
     @invariant()
     def settled_keys_stay_settled(self):

@@ -222,6 +222,18 @@ def test_probe_measures_a_skewed_runner_clock():
         -skew, abs=0.05)
 
 
+def test_a_late_probe_answer_does_not_move_the_clock_offset():
+    handle = RunnerHandle("http://fake:1")
+    handle._sample_clock(100.0, 100.002, 100.001)    # 2 ms round trip
+    assert handle.clock_offset_s == pytest.approx(0.0)
+    # a busy runner sampled its clock 35 ms past the midpoint
+    handle._sample_clock(101.0, 101.080, 101.075)
+    assert handle.clock_offset_s == pytest.approx(0.0)
+    # both samples age out of the window; the newest one stands
+    handle._sample_clock(170.0, 170.050, 170.020)
+    assert handle.clock_offset_s == pytest.approx(0.005)
+
+
 def test_skewed_spans_stitch_monotonically_after_alignment(tmp_path):
     """Regression: without the offset, a child on a fast clock starts
     'before' its parent and the stitched validator rejects the file."""

@@ -6,8 +6,11 @@ the structural properties the paper reports.
 
 import pytest
 
+from repro.apps.base import AppSpec
 from repro.flow.engine import FlowEngine, build_default_flow
 from repro.flow.psa import InformedTargetSelection, SelectAll
+from repro.flow.task import FlowError
+from tests.lang.kernelgen import generate
 
 ALL_LABELS = ("omp", "hip-1080ti", "hip-2080ti", "oneapi-a10", "oneapi-s10")
 
@@ -148,3 +151,19 @@ class TestEngineConfig:
                          "Multi-Thread Parallel Loops",
                          "OMP Num. Threads DSE"):
             assert expected in text, expected
+
+
+@pytest.mark.parametrize("mode", ["informed", "uninformed"])
+def test_outer_loop_the_profiling_run_skips_is_a_flow_error(mode):
+    """Generated kernel 153's only loop sits in a branch its workload
+    never takes, so the profile holds no count for it: a flow
+    precondition, reported like the others rather than as a raw
+    ``KeyError``."""
+    kernel = generate(153)
+    app = AppSpec(name="kernelgen153", display_name="kernelgen 153",
+                  source=kernel.source,
+                  workload_factory=lambda scale: kernel.workload(),
+                  oracle=lambda workload: {},
+                  output_buffers=tuple(kernel.arrays))
+    with pytest.raises(FlowError, match="never executed"):
+        FlowEngine().run(app, mode)

@@ -10,11 +10,17 @@ import json
 
 import pytest
 
+from repro.apps.registry import get_app
+from repro.codegen.design import Design
+from repro.flow.engine import FlowEngine
 from repro.flow.psa import PSADecision
 from repro.flow.serialize import (
-    DesignRecord, FlowResultRecord, design_from_dict, design_to_dict,
-    dump_result, load_result, result_from_dict, result_to_dict,
+    DesignRecord, FlowResultRecord, _jsonable, design_from_dict,
+    design_to_dict, dump_result, load_result, result_from_dict,
+    result_to_dict,
 )
+
+APPS = ("rush_larsen", "nbody", "bezier", "adpredictor", "kmeans")
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +123,66 @@ class TestFileRoundTrip:
         assert record.selected_target == kmeans_informed.selected_target
         assert record.auto_selected.speedup \
             == kmeans_informed.auto_selected.speedup
+
+
+@pytest.fixture(scope="module")
+def small_flows():
+    """Every app in both modes at a small scale (~1 s in all)."""
+    engine = FlowEngine()
+    return {(app, mode): engine.run(get_app(app), mode, scale=0.25)
+            for app in APPS for mode in ("informed", "uninformed")}
+
+
+def _per_property(design, include_source):
+    """The design dict read property by property: ``loc``,
+    ``loc_delta_pct`` and the source each render the design."""
+    out = {
+        "label": design.label,
+        "app": design.app_name,
+        "kind": design.kind,
+        "device": design.device,
+        "kernel": design.kernel_name,
+        "synthesizable": design.synthesizable,
+        "failure_reason": design.failure_reason,
+        "predicted_time_s": design.predicted_time_s,
+        "speedup": design.speedup,
+        "loc": design.loc,
+        "reference_loc": design.reference_loc,
+        "loc_delta_pct": design.loc_delta_pct,
+        "metadata": _jsonable(design.metadata),
+        "buffers": [{"name": b.name, "nbytes": b.nbytes,
+                     "direction": b.direction} for b in design.buffers],
+    }
+    if include_source:
+        out["source"] = design.render()
+    return out
+
+
+class TestOneRenderPerDesign:
+    @pytest.mark.parametrize("include_sources", [False, True])
+    def test_each_design_renders_once(self, monkeypatch, small_flows,
+                                      include_sources):
+        rendered = []
+        real = Design.render
+
+        def counting(design):
+            rendered.append(design.label)
+            return real(design)
+
+        monkeypatch.setattr(Design, "render", counting)
+        for result in small_flows.values():
+            rendered.clear()
+            result_to_dict(result, include_sources=include_sources)
+            assert sorted(rendered) == sorted(
+                d.label for d in result.designs)
+
+    @pytest.mark.parametrize("include_sources", [False, True])
+    def test_same_dict_as_reading_each_property(self, small_flows,
+                                                include_sources):
+        for (app, mode), result in small_flows.items():
+            designs = result_to_dict(result, include_sources)["designs"]
+            expected = [_per_property(d, include_sources)
+                        for d in result.designs]
+            assert designs == expected, (app, mode)
+            # key for key, in the same order (the JSON text depends on it)
+            assert json.dumps(designs) == json.dumps(expected), (app, mode)

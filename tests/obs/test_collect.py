@@ -164,6 +164,20 @@ def test_trace_store_applies_clock_offset_and_runner():
     assert stored["attrs"]["runner"] == "http://n2"
 
 
+def test_trace_store_reads_one_runner_with_one_offset():
+    # the child finished (and was pulled) first; the estimate moved
+    # 60 ms before the parent's pull, and must not reorder the two
+    store = TraceStore()
+    parent = finished_span("flow", t0=10.0, dur=2.0)
+    child = finished_span("parse", trace_id=parent.trace_id, t0=10.01,
+                          dur=0.01, parent_id=parent.span_id)
+    store.ingest([child.to_dict()], offset_s=-0.06, runner="http://n3")
+    store.ingest([parent.to_dict()], offset_s=0.0, runner="http://n3")
+    by_name = {s["name"]: s for s in store.spans(parent.trace_id)}
+    assert by_name["flow"]["t0"] == pytest.approx(10.0)
+    assert by_name["parse"]["t0"] == pytest.approx(10.01)
+
+
 def test_trace_store_evicts_least_recently_updated_trace():
     store = TraceStore(max_traces=2)
     first, second, third = (finished_span(str(i)) for i in range(3))

@@ -7,6 +7,7 @@ import urllib.error
 import pytest
 
 from repro.client import ReproClient
+from repro.server.protocol import JobNotFound
 from repro.service.core import ServiceOverloaded
 from repro.service.scheduler import (JobQuarantined, JobResultPending,
                                      JobTimeout)
@@ -112,6 +113,47 @@ def test_run_flow_polls_through_pending():
     record = client.run_flow("kmeans")
     assert record.app_name == "kmeans"
     assert client.sleeps == [0.125, 0.125]
+
+
+def _not_found():
+    return (404, {"error": {"code": "not_found",
+                            "message": "no job 'k' routed by this fleet"}},
+            {})
+
+
+def test_run_flow_resubmits_a_job_the_fleet_forgot():
+    done = (200, {"app": "kmeans", "mode": "informed",
+                  "reference_time_s": 1.0, "designs": []}, {})
+    client = ScriptedClient([
+        (201, {"id": "k"}, {}),             # submit: accepted
+        _not_found(),                       # ... then forgotten
+        (201, {"id": "k"}, {}),             # the same spec again
+        done,
+    ])
+    record = client.run_flow("kmeans", scale=2.0)
+    assert record.app_name == "kmeans"
+    payload = {"app": "kmeans", "mode": "informed", "scale": 2.0}
+    assert client.requests == [
+        ("POST", "/v1/jobs", payload), ("GET", "/v1/jobs/k/result", None),
+        ("POST", "/v1/jobs", payload), ("GET", "/v1/jobs/k/result", None)]
+
+
+def test_run_flow_resubmits_count_against_max_retries():
+    client = ScriptedClient([(201, {"id": "k"}, {}), _not_found(),
+                             (201, {"id": "k"}, {}), _not_found(),
+                             (201, {"id": "k"}, {}), _not_found()],
+                            max_retries=2)
+    with pytest.raises(JobNotFound):
+        client.run_flow("kmeans")
+    assert [m for m, _, _ in client.requests].count("POST") == 3
+    assert client.responses == []
+
+
+def test_result_alone_does_not_resubmit():
+    client = ScriptedClient([_not_found()])
+    with pytest.raises(JobNotFound):
+        client.result("k")
+    assert len(client.requests) == 1
 
 
 def test_run_flow_timeout_reraises_pending():

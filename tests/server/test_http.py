@@ -5,10 +5,14 @@ backpressure / drain tests each get their own (they monkeypatch the
 execution path and mutate server state).
 """
 
+import json
 import threading
+import time
+import urllib.request
 
 import pytest
 
+import repro.server.core as server_core
 import repro.service.core as service_core
 from repro.client import ReproClient
 from repro.config import ReproConfig
@@ -115,6 +119,77 @@ def test_unknown_job_is_404(client):
     status, data, _ = client._request_once(
         "GET", f"/v1/jobs/{'f' * 64}/result")
     assert status == 404
+
+
+def _result_bytes(base_url, job_id):
+    with urllib.request.urlopen(
+            f"{base_url}/v1/jobs/{job_id}/result", timeout=30) as resp:
+        assert resp.status == 200
+        return resp.read()
+
+
+def _counting_result_to_dict(monkeypatch):
+    calls = []
+    real = server_core.result_to_dict
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_core, "result_to_dict", counting)
+    return calls
+
+
+def test_finished_result_is_encoded_once(shared_server, client,
+                                         monkeypatch):
+    job_id = client.submit("kmeans", "informed", scale=1.5)["id"]
+    for event, _ in client.events(job_id):
+        pass
+    assert client.status(job_id)["done"]
+    calls = _counting_result_to_dict(monkeypatch)
+    first = _result_bytes(shared_server.url, job_id)
+    assert len(calls) == 1
+    second = _result_bytes(shared_server.url, job_id)
+    assert second == first
+    assert len(calls) == 1             # served from the kept bytes
+    assert json.loads(first)["id"] == job_id
+
+
+def test_read_before_done_publish_keeps_no_stale_body(live_server_factory,
+                                                      monkeypatch):
+    live = live_server_factory(config=ReproConfig(workers=1))
+    server = live.server
+    held = []
+    publish = server._publish_threadsafe
+
+    def hold_done(key, event, data):
+        if event == "done":
+            held.append((key, event, data))
+        else:
+            publish(key, event, data)
+
+    monkeypatch.setattr(server, "_publish_threadsafe", hold_done)
+    client = ReproClient(live.url, backoff_s=0.01)
+    job_id = client.submit("kmeans", "uninformed", scale=0.5)["id"]
+    deadline = time.monotonic() + 60
+    while not held:                    # the job finished; loop not told
+        assert time.monotonic() < deadline, "job never finished"
+        time.sleep(0.02)
+    state = server._jobs[job_id]
+    assert not state.done
+    calls = _counting_result_to_dict(monkeypatch)
+    early = json.loads(_result_bytes(live.url, job_id))
+    assert early["source"] == "run"
+    assert state.body is None          # not final yet: nothing kept
+    live.loop.call_soon_threadsafe(server._publish, *held[0])
+    while not client.status(job_id)["done"]:
+        assert time.monotonic() < deadline, "done never published"
+        time.sleep(0.02)
+    late = _result_bytes(live.url, job_id)
+    assert json.loads(late) == early
+    assert state.body == late
+    assert _result_bytes(live.url, job_id) == late
+    assert len(calls) == 2             # the early read and the first final
 
 
 def test_sse_events_are_ordered(client):
