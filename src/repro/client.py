@@ -1,6 +1,8 @@
 """repro.client -- the synchronous HTTP client for ``repro serve``.
 
-Stdlib only (``urllib``).  :class:`ReproClient` speaks the ``/v1``
+Stdlib only: requests go over kept-alive ``http.client`` connections
+(:class:`~repro.server.http.ConnectionPool`), event streams over
+``urllib``.  :class:`ReproClient` speaks the ``/v1``
 wire schema from :mod:`repro.server.protocol`, so every error body
 comes back as the **same exception type** the in-process
 :meth:`JobHandle.result` path raises -- remote and local callers share
@@ -27,7 +29,9 @@ from typing import (
 
 from repro import obs
 from repro.flow.serialize import FlowResultRecord, result_from_dict
-from repro.resilience import faults
+from repro.server.http import (
+    ConnectionPool, decode_reply, fetch_text, wire_exchange,
+)
 from repro.server.protocol import JobNotFound, error_from_payload
 from repro.service.scheduler import JobResultPending, JobTimeout
 
@@ -52,6 +56,10 @@ class ReproClient:
     ``max_wait_s`` caps the *total* wall time one logical request may
     spend across retries (and :meth:`run_flow` polling); past it the
     client raises :class:`JobTimeout` instead of retrying forever.
+
+    Connections are kept alive between requests.  :meth:`close` (or a
+    ``with`` block) closes them; a reused connection the server has
+    since closed is retried once, invisibly, on a fresh one.
     """
 
     def __init__(self, base_url: Union[str, Sequence[str]],
@@ -79,6 +87,7 @@ class ReproClient:
         self.max_wait_s = max_wait_s
         self._rng = rng or random.Random()
         self._sleep = time.sleep       # monkeypatch point for tests
+        self._pool = ConnectionPool()
 
     # ------------------------------------------------------------------
     # Transport
@@ -104,53 +113,25 @@ class ReproClient:
     def _request_once(self, method: str, path: str,
                       payload: Optional[Dict[str, Any]] = None
                       ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        mode = faults.inject_wire("net.request")
-        if mode == "drop":
-            raise urllib.error.URLError(
-                f"injected fault: request dropped before send "
-                f"({method} {path})")
-        if mode == "http_500":
-            return 503, {"error": {
-                "code": "unavailable",
-                "message": f"injected fault: synthetic upstream 5xx "
-                           f"({method} {path})",
-                "retry_after_s": 0.1}}, {}
-        if mode == "delay":
-            time.sleep(0.05)
-        body = None
-        headers = {"Accept": "application/json"}
         # wire-level trace propagation: when the caller runs inside a
         # span, its context rides along so the server (or the fleet
         # router) parents the job's remote spans onto this trace
         traceparent = obs.format_traceparent(obs.current_context())
-        if traceparent is not None:
-            headers["traceparent"] = traceparent
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=body, headers=headers,
-            method=method)
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout_s) as resp:
-                data = json.loads(resp.read().decode("utf-8") or "{}")
-                result = resp.status, data, dict(resp.headers)
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", "replace")
-            try:
-                data = json.loads(raw or "{}")
-            except json.JSONDecodeError:
-                data = {"error": {"code": "internal", "message": raw}}
-            result = exc.code, data, dict(exc.headers or {})
-        if mode == "truncated":
-            # the exchange happened; the response is lost -- the same
-            # ambiguity a torn TCP stream leaves, which content-hash
-            # idempotent resubmission absorbs
-            raise urllib.error.URLError(
-                f"injected fault: response truncated after exchange "
-                f"({method} {path})")
-        return result
+        headers = ({"traceparent": traceparent}
+                   if traceparent is not None else None)
+        return decode_reply(*wire_exchange(
+            self._pool, self.base_url, method, path, payload, headers,
+            self.timeout_s))
+
+    def close(self) -> None:
+        """Close the kept-alive connections (the client stays usable)."""
+        self._pool.close()
+
+    def __enter__(self) -> "ReproClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _jittered(self, delay: float) -> float:
         """``delay`` spread by the configured jitter factor."""
@@ -261,10 +242,8 @@ class ReproClient:
 
     def metrics(self) -> str:
         """Raw Prometheus exposition text from ``/metrics``."""
-        request = urllib.request.Request(self.base_url + "/metrics")
-        with urllib.request.urlopen(request,
-                                    timeout=self.timeout_s) as resp:
-            return resp.read().decode("utf-8")
+        return fetch_text(self._pool, self.base_url, "/metrics",
+                          self.timeout_s)
 
     # ------------------------------------------------------------------
     # Fleet observability
@@ -285,11 +264,8 @@ class ReproClient:
 
     def obs_profile(self) -> str:
         """Folded-stack profiler dump, or raises 404 when it's off."""
-        request = urllib.request.Request(
-            self.base_url + "/v1/obs/profile")
-        with urllib.request.urlopen(request,
-                                    timeout=self.timeout_s) as resp:
-            return resp.read().decode("utf-8")
+        return fetch_text(self._pool, self.base_url, "/v1/obs/profile",
+                          self.timeout_s)
 
     # ------------------------------------------------------------------
     # Jobs

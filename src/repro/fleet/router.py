@@ -70,7 +70,9 @@ from repro.fleet.hashring import HashRing, pick_target
 from repro.fleet.runner import RunnerHandle
 from repro.resilience import CircuitBreaker, faults
 from repro.server import protocol
-from repro.server.http import HttpServerBase, parse_trace_parent
+from repro.server.http import (
+    JSON_TYPE, HttpServerBase, decode_reply, parse_trace_parent,
+)
 from repro.server.protocol import JobNotFound, ServerError
 
 log = logging.getLogger("repro.fleet.router")
@@ -116,6 +118,7 @@ class FleetRouter(HttpServerBase):
                  standby_of: Optional[str] = None,
                  takeover_after: int = 3,
                  tail_interval_s: float = 0.5):
+        super().__init__()
         urls = [u.rstrip("/") for u in runners]
         if not urls:
             raise ValueError("a fleet router needs at least one runner")
@@ -169,9 +172,8 @@ class FleetRouter(HttpServerBase):
         #: key -> future resolved when its current forward ends
         self._forwarding: Dict[str, asyncio.Future] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
         self._probe_task: Optional[asyncio.Task] = None
-        # blocking urllib forwards run here, never on the loop; sized
+        # blocking forwards run here, never on the loop; sized
         # past the runner count so probes can't starve forwards
         self._executor = ThreadPoolExecutor(
             max_workers=max(8, 2 * len(urls) + 2),
@@ -259,15 +261,16 @@ class FleetRouter(HttpServerBase):
                 with contextlib.suppress(asyncio.CancelledError):
                     await task
         self._probe_task = self._tail_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._finish_connections()
         if self.journal is not None:
             self.journal.close()
         if self.span_buffer is not None:
             obs.remove_sink(self.span_buffer)
         self.slo.detach()
         self._executor.shutdown(wait=False)
+        for handle in (*self.handles.values(), self._primary):
+            if handle is not None:
+                handle.close()
 
     def run(self) -> None:
         """Serve until SIGINT/SIGTERM (blocking)."""
@@ -953,6 +956,8 @@ class FleetRouter(HttpServerBase):
         self._shed_unless_primary()
         status, data = await self._forward_job_read(
             key, f"/v1/jobs/{key}{tail}")
+        if isinstance(data, bytes):
+            return await self._send(writer, status, data, JSON_TYPE)
         return await self._send_json(writer, status, data)
 
     async def _scatter_adopt(self, key: str) -> Optional[Dict[str, Any]]:
@@ -990,6 +995,9 @@ class FleetRouter(HttpServerBase):
         answers ``202 pending``.  The read is bounded by the handle's
         own ``timeout_s``: a state read never waits on a flow, so a
         runner that stalls it is partitioned.
+
+        A finished job's ready result comes back as the runner's bytes,
+        relayed without decoding: nothing in it changes the table.
         """
         entry = self._placements.get(key)
         if entry is None:
@@ -1002,9 +1010,17 @@ class FleetRouter(HttpServerBase):
         if handle is None or handle.state == "unhealthy":
             reason = "node_loss"
         else:
+            relay = entry["done"] and path.endswith("/result")
             try:
-                status, data, _ = await self._in_executor(
-                    handle.request, "GET", path)
+                if relay:
+                    status, raw, replied = await self._in_executor(
+                        handle.exchange, "GET", path)
+                    if status == 200:
+                        return status, raw
+                    status, data, _ = decode_reply(status, raw, replied)
+                else:
+                    status, data, _ = await self._in_executor(
+                        handle.request, "GET", path)
             except (urllib.error.URLError, OSError) as exc:
                 self._note_forward_failure(handle, exc)
                 reason = "node_loss"
@@ -1054,6 +1070,7 @@ class FleetRouter(HttpServerBase):
         try:
             last_id = headers.get("last-event-id")
             resume = f"Last-Event-ID: {last_id}\r\n" if last_id else ""
+            self._take_over(writer)
             request = (f"GET /v1/jobs/{key}/events HTTP/1.1\r\n"
                        f"Host: {parsed.netloc}\r\n"
                        f"Accept: text/event-stream\r\n"

@@ -1,8 +1,8 @@
 """The router's view of one runner node, plus a local supervisor.
 
-:class:`RunnerHandle` is pure state + blocking HTTP: the router calls
-:meth:`probe` from its probe loop and :meth:`request` from a thread
-pool when forwarding.  The handle never owns the remote process -- a
+:class:`RunnerHandle` is pure state + blocking HTTP over kept-alive
+connections: the router calls :meth:`probe` from its probe loop and
+:meth:`request` from a thread pool when forwarding.  The handle never owns the remote process -- a
 runner is whatever answers ``/healthz`` at its URL.
 
 State machine (``state``)::
@@ -25,7 +25,6 @@ child on localhost -- the fleet tests, the served benchmark and
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -39,7 +38,9 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.collect import clock_offset
-from repro.resilience import faults
+from repro.server.http import (
+    ConnectionPool, decode_reply, fetch_text, wire_exchange,
+)
 
 #: consecutive probe failures before a runner is declared unhealthy
 #: (one lost probe is a blip; two is a dead node)
@@ -70,6 +71,7 @@ class RunnerHandle:
         self._clock_samples: Deque[Tuple[float, float, float]] = deque()
         #: drain cursor into the runner's ``/v1/obs/spans`` buffer
         self.spans_cursor = 0
+        self._pool = ConnectionPool()
 
     # ------------------------------------------------------------------
     @property
@@ -80,63 +82,34 @@ class RunnerHandle:
         return self.inflight
 
     # ------------------------------------------------------------------
+    def exchange(self, method: str, path: str,
+                 payload: Optional[Dict[str, Any]] = None,
+                 headers: Optional[Dict[str, str]] = None,
+                 timeout_s: Optional[float] = None
+                 ) -> Tuple[int, bytes, Dict[str, str]]:
+        """One blocking HTTP exchange with this runner, body undecoded.
+
+        Raises ``urllib.error.URLError`` when the node is unreachable
+        -- the router maps that to node loss, never to a job failure.
+        The ``net.request`` wire-fault site fires here (see
+        :func:`repro.server.http.wire_exchange`).  The connection is
+        kept open for the next exchange.
+        """
+        return wire_exchange(self._pool, self.url, method, path, payload,
+                             headers, timeout_s or self.timeout_s)
+
     def request(self, method: str, path: str,
                 payload: Optional[Dict[str, Any]] = None,
                 headers: Optional[Dict[str, str]] = None,
                 timeout_s: Optional[float] = None
                 ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """One blocking HTTP exchange with this runner.
+        """:meth:`exchange`, returning ``(status, json_body, headers)``."""
+        return decode_reply(*self.exchange(method, path, payload, headers,
+                                           timeout_s))
 
-        Returns ``(status, json_body, headers)``; raises
-        ``urllib.error.URLError`` (or ``OSError``) when the node is
-        unreachable -- the router maps that to node loss, never to a
-        job failure.
-
-        The ``net.request`` wire-fault site fires here: a *drop*
-        raises before the request is sent, a *truncation* raises after
-        the exchange completed (so the runner may have acted -- the
-        exact ambiguity a torn TCP stream has), *http_500* answers a
-        synthetic retryable refusal, and *delay* stalls then proceeds.
-        """
-        mode = faults.inject_wire("net.request")
-        if mode == "drop":
-            raise urllib.error.URLError(
-                f"injected fault: request dropped before send "
-                f"({method} {path})")
-        if mode == "http_500":
-            return 503, {"error": {
-                "code": "unavailable",
-                "message": f"injected fault: synthetic upstream 5xx "
-                           f"({method} {path})",
-                "retry_after_s": 0.1}}, {}
-        if mode == "delay":
-            time.sleep(0.05)
-        body = None
-        send_headers = {"Accept": "application/json"}
-        send_headers.update(headers or {})
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            send_headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.url + path, data=body, headers=send_headers,
-            method=method)
-        try:
-            with urllib.request.urlopen(
-                    request, timeout=timeout_s or self.timeout_s) as resp:
-                data = json.loads(resp.read().decode("utf-8") or "{}")
-                result = resp.status, data, dict(resp.headers)
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", "replace")
-            try:
-                data = json.loads(raw or "{}")
-            except json.JSONDecodeError:
-                data = {"error": {"code": "internal", "message": raw}}
-            result = exc.code, data, dict(exc.headers or {})
-        if mode == "truncated":
-            raise urllib.error.URLError(
-                f"injected fault: response truncated after exchange "
-                f"({method} {path})")
-        return result
+    def close(self) -> None:
+        """Close the idle connections to this runner."""
+        self._pool.close()
 
     # ------------------------------------------------------------------
     def probe(self, expected_version: Optional[str] = None,
@@ -216,11 +189,8 @@ class RunnerHandle:
     def fetch_text(self, path: str,
                    timeout_s: Optional[float] = None) -> str:
         """GET a non-JSON resource (e.g. ``/metrics``) from the runner."""
-        request = urllib.request.Request(self.url + path,
-                                         method="GET")
-        with urllib.request.urlopen(
-                request, timeout=timeout_s or self.timeout_s) as resp:
-            return resp.read().decode("utf-8")
+        return fetch_text(self._pool, self.url, path,
+                          timeout_s or self.timeout_s)
 
     def snapshot(self) -> Dict[str, Any]:
         return {

@@ -164,6 +164,7 @@ class ReproServer(HttpServerBase):
                  host: str = "127.0.0.1", port: int = 8000,
                  max_queue: int = 8, drain_timeout_s: float = 30.0,
                  config: Optional[ReproConfig] = None):
+        super().__init__()
         self._own_service = service is None
         self.service = service or api.open_service(config)
         self.config = config if config is not None \
@@ -187,7 +188,6 @@ class ReproServer(HttpServerBase):
         self._inflight = 0                # uncached jobs not yet done
         self._seq = 0                     # global SSE event id
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
         self._idle = asyncio.Event()
         reg = obs.REGISTRY
         self._m_requests = reg.counter(
@@ -230,9 +230,7 @@ class ReproServer(HttpServerBase):
     async def shutdown(self, drain: bool = True) -> None:
         """Stop accepting work, optionally drain in-flight jobs, close."""
         self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self._stop_serving()
         if drain and self._inflight:
             try:
                 await asyncio.wait_for(self._idle.wait(),
@@ -243,6 +241,7 @@ class ReproServer(HttpServerBase):
         # wake every SSE stream so connections close promptly
         for state in self._jobs.values():
             self._fanout(state, "shutdown", {"draining": True})
+        await self._finish_connections()
         self.service.remove_listener(self._on_service_event)
         self.service.set_tracer_factory(None)
         if self.span_buffer is not None:
@@ -611,6 +610,7 @@ class ReproServer(HttpServerBase):
                 "Content-Type: text/event-stream",
                 "Cache-Control: no-cache",
                 "Connection: close"]
+        self._take_over(writer)
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
         queue: asyncio.Queue = asyncio.Queue()
         replay = [record for record in state.history

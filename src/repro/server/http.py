@@ -1,33 +1,59 @@
-"""Shared asyncio HTTP/1.1 plumbing for repro's stdlib servers.
+"""Shared HTTP/1.1 plumbing for repro's stdlib servers and callers.
 
 :class:`ReproServer` (the single-node job API) and the fleet router
 (:mod:`repro.fleet.router`) both speak the same tiny HTTP dialect:
-one request per connection, ``Content-Length`` framing, JSON bodies,
-``Connection: close``.  :class:`HttpServerBase` owns that dialect --
-head/body parsing with bounded bodies, response encoding, the
-connection loop with taxonomy error mapping -- so each server only
+persistent (keep-alive) connections, ``Content-Length`` framing, JSON
+bodies.  :class:`HttpServerBase` owns that dialect -- head/body
+parsing with bounded bodies, response encoding, the per-connection
+request loop with taxonomy error mapping -- so each server only
 implements :meth:`_route` and its handlers.
+
+A connection serves requests until the peer sends ``Connection:
+close`` or hangs up, a framing error leaves the stream out of sync, a
+streaming handler takes the socket over (:meth:`_take_over`), the
+connection sits idle for :data:`KEEPALIVE_IDLE_S`, or the server shuts
+down.  Each response's ``Connection`` header says which.
 
 Handlers are coroutines ``handler(writer, body, headers, *args)``
 returning the HTTP status they sent (0 suppresses accounting, e.g. a
 stream the peer closed).  ``headers`` is a lower-cased name -> value
 dict, which is how request metadata like the router's
 ``X-Repro-Parent`` trace context reaches a handler.
+
+The calling side is :class:`ConnectionPool` (idle keep-alive
+``http.client`` connections per host), :func:`wire_exchange` and
+:func:`decode_reply`, which :class:`~repro.client.ReproClient` and the
+router's :class:`~repro.fleet.runner.RunnerHandle` share.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import threading
 import time
+import urllib.error
 import urllib.parse
-from typing import Any, Dict, Optional, Tuple
+import weakref
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.resilience import faults
 from repro.server import protocol
 from repro.server.protocol import ServerError
 
 #: request bodies past this are refused (jobs are tiny)
 MAX_BODY_BYTES = 64 * 1024
+
+#: a server closes a keep-alive connection idle this long
+KEEPALIVE_IDLE_S = 30.0
+
+#: at shutdown, handlers still busy this long after the listener
+#: closed (a proxied event stream) are cancelled
+SHUTDOWN_GRACE_S = 5.0
+
+#: idle connections a :class:`ConnectionPool` keeps per host
+POOL_MAX_IDLE = 8
 
 JSON_TYPE = "application/json"
 
@@ -39,11 +65,24 @@ REASONS = {200: "OK", 201: "Created", 202: "Accepted", 204: "No Content",
            504: "Gateway Timeout"}
 
 
+class FramingError(ServerError):
+    """A request whose framing cannot be trusted: the bytes after it
+    are not known to start a request, so the connection closes."""
+
+
 class HttpServerBase:
-    """One-request-per-connection HTTP server core (stdlib asyncio)."""
+    """Keep-alive HTTP/1.1 server core (stdlib asyncio)."""
 
     host: str = "127.0.0.1"
     port: int = 0
+
+    def __init__(self) -> None:
+        #: open connections: None while idle between requests, else
+        #: whether the current response may keep the connection open
+        self._conns: Dict[asyncio.StreamWriter, Optional[bool]] = {}
+        self._conn_tasks: Set[asyncio.Task] = set()
+        self._closing = False
+        self._server: Optional[asyncio.base_events.Server] = None
 
     # ------------------------------------------------------------------
     # Connection loop
@@ -51,31 +90,94 @@ class HttpServerBase:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        route = "unparsed"
-        t0 = time.monotonic()
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        loop = asyncio.get_running_loop()
         try:
-            method, target, headers = await self._read_head(reader)
-            body = await self._read_body(reader, headers)
-            path, _, raw_query = target.partition("?")
-            query = dict(urllib.parse.parse_qsl(raw_query))
-            route, handler, args = self._route(method, path, query)
-            status = await handler(writer, body, headers, *args)
-        except ConnectionError:
-            status = 0
-        except Exception as exc:                # noqa: BLE001
-            status, payload = protocol.error_to_payload(exc)
-            try:
-                await self._send_json(writer, status, payload)
-            except ConnectionError:
-                pass
+            while not self._closing:
+                self._conns[writer] = None
+                idle = loop.call_later(KEEPALIVE_IDLE_S, writer.close)
+                try:
+                    line = await reader.readline()
+                except (ConnectionError, ValueError):
+                    break
+                finally:
+                    idle.cancel()
+                if not line or self._closing:
+                    break
+                if not await self._serve_one(line, reader, writer):
+                    break
         finally:
+            self._conns.pop(writer, None)
+            self._conn_tasks.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
             except Exception:                   # noqa: BLE001
                 pass
+
+    async def _serve_one(self, line: bytes, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> bool:
+        """Answer the request whose first line is ``line``; True when
+        the connection stays open for the next one.
+
+        The request clock starts at the first line, so the time a
+        connection sat idle before it never counts as request time.
+        """
+        route = "unparsed"
+        t0 = time.monotonic()
+        self._conns[writer] = False
+        try:
+            method, target, keep, headers = await self._read_head(
+                reader, line)
+            self._conns[writer] = keep
+            body = await self._read_body(reader, headers)
+            path, _, raw_query = target.partition("?")
+            query = dict(urllib.parse.parse_qsl(raw_query))
+            route, handler, args = self._route(method, path, query)
+            status = await handler(writer, body, headers, *args)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            status = 0
+            self._conns[writer] = False
+        except Exception as exc:                # noqa: BLE001
+            if isinstance(exc, FramingError):
+                self._conns[writer] = False
+            status, payload = protocol.error_to_payload(exc)
+            try:
+                await self._send_json(writer, status, payload)
+            except ConnectionError:
+                self._conns[writer] = False
         if status:
             self._observe_request(route, status, time.monotonic() - t0)
+        return bool(self._conns.get(writer)) and not self._closing
+
+    def _take_over(self, writer: asyncio.StreamWriter) -> None:
+        """A streaming handler owns the socket until it closes it."""
+        self._conns[writer] = False
+
+    def _stop_serving(self) -> None:
+        """Stop accepting and close every idle keep-alive connection;
+        a request in progress is answered with ``Connection: close``."""
+        self._closing = True
+        if self._server is not None:
+            self._server.close()
+        for writer, keep in list(self._conns.items()):
+            if keep is None:
+                writer.close()
+
+    async def _finish_connections(self) -> None:
+        """Wait for every connection handler to end, cancelling those
+        still busy after :data:`SHUTDOWN_GRACE_S`, so no handler task
+        outlives the server."""
+        self._stop_serving()
+        if self._conn_tasks:
+            _, busy = await asyncio.wait(set(self._conn_tasks),
+                                         timeout=SHUTDOWN_GRACE_S)
+            for task in busy:
+                task.cancel()
+            await asyncio.gather(*busy, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     def _route(self, method: str, path: str, query: Dict[str, str]):
         """Return ``(route_name, handler, args)`` or raise ServerError.
@@ -94,28 +196,45 @@ class HttpServerBase:
     # Request parsing
     # ------------------------------------------------------------------
 
-    async def _read_head(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+    async def _read_head(self, reader: asyncio.StreamReader, line: bytes):
+        """``(method, target, keep_alive, headers)`` of one request."""
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            raise ServerError("malformed request line", status=400,
-                              code="bad_request")
-        method, target = parts[0].upper(), parts[1]
+            raise FramingError("malformed request line", status=400,
+                               code="bad_request")
+        method, target, version = parts[0].upper(), parts[1], parts[2]
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            try:
+                raw = await reader.readline()
+            except ValueError:
+                raise FramingError("request header line too long",
+                                   status=400,
+                                   code="bad_request") from None
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        return method, target, headers
+        connection = headers.get("connection", "").lower()
+        keep = "close" not in connection and (
+            version != "HTTP/1.0" or "keep-alive" in connection)
+        return method, target, keep, headers
 
     async def _read_body(self, reader: asyncio.StreamReader,
                          headers: Dict[str, str]) -> bytes:
-        length = int(headers.get("content-length") or 0)
+        if "transfer-encoding" in headers:
+            # an unread chunked body would be parsed as the next request
+            raise FramingError("Transfer-Encoding is not supported; "
+                               "send a Content-Length", status=400,
+                               code="bad_request")
+        raw = headers.get("content-length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise FramingError(f"bad Content-Length {raw!r}", status=400,
+                               code="bad_request")
+        length = int(raw)
         if length > MAX_BODY_BYTES:
-            raise ServerError(f"body of {length} bytes refused",
-                              status=413, code="too_large")
+            raise FramingError(f"body of {length} bytes refused",
+                               status=413, code="too_large")
         return await reader.readexactly(length) if length else b""
 
     # ------------------------------------------------------------------
@@ -125,14 +244,15 @@ class HttpServerBase:
     async def _send(self, writer: asyncio.StreamWriter, status: int,
                     body: bytes, content_type: str,
                     extra: Optional[Dict[str, str]] = None) -> int:
+        keep = bool(self._conns.get(writer)) and not self._closing
         head = [f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
                 f"Content-Type: {content_type}",
                 f"Content-Length: {len(body)}",
-                "Connection: close"]
+                "Connection: keep-alive" if keep else "Connection: close"]
         for name, value in (extra or {}).items():
             head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        writer.write(body)
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+                     + body)
         await writer.drain()
         return status
 
@@ -145,6 +265,158 @@ class HttpServerBase:
         if retry is not None:
             headers.setdefault("Retry-After", str(max(1, round(retry))))
         return await self._send(writer, status, body, JSON_TYPE, headers)
+
+
+# ----------------------------------------------------------------------
+# The calling side: pooled keep-alive connections
+# ----------------------------------------------------------------------
+
+#: what a reused connection the peer has since closed fails with
+#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``)
+_STALE = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+
+
+def _close_all(idle: Dict[str, List[http.client.HTTPConnection]]) -> None:
+    for conns in idle.values():
+        for conn in conns:
+            conn.close()
+    idle.clear()
+
+
+class ConnectionPool:
+    """Idle keep-alive ``http.client`` connections, keyed by host.
+
+    Thread-safe: a caller takes a connection for one exchange and puts
+    it back only after reading the whole response, so a pooled
+    connection never holds a half-read response.  At most
+    :data:`POOL_MAX_IDLE` idle connections stay open per host; a pool
+    dropped without :meth:`close` still closes its sockets.
+    """
+
+    def __init__(self) -> None:
+        self._idle: Dict[str, List[http.client.HTTPConnection]] = {}
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def exchange(self, base_url: str, method: str, path: str,
+                 body: Optional[bytes] = None,
+                 headers: Optional[Dict[str, str]] = None,
+                 timeout_s: float = 60.0
+                 ) -> Tuple[int, bytes, Dict[str, str]]:
+        """One request; ``(status, body, headers)`` of any answer.
+
+        Raises ``urllib.error.URLError`` when the peer is unreachable
+        or the exchange breaks.  A reused connection the peer closed
+        in the meantime (its idle timeout, a restart) is retried once
+        on a fresh connection.
+        """
+        parts = urllib.parse.urlsplit(base_url)
+        host, target = parts.netloc, parts.path + path
+        with self._lock:
+            idle = self._idle.get(host)
+            conn = idle.pop() if idle else None
+        while True:
+            reused = conn is not None
+            if conn is None:
+                conn = http.client.HTTPConnection(host, timeout=timeout_s)
+            else:
+                conn.timeout = timeout_s
+                conn.sock.settimeout(timeout_s)
+            try:
+                conn.request(method, target, body=body,
+                             headers=headers or {})
+                response = conn.getresponse()
+                data = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and isinstance(exc, _STALE):
+                    conn = None
+                    continue
+                raise urllib.error.URLError(exc) from exc
+            if response.will_close:
+                conn.close()
+            else:
+                with self._lock:
+                    idle = self._idle.setdefault(host, [])
+                    if len(idle) < POOL_MAX_IDLE:
+                        idle.append(conn)
+                        conn = None
+                if conn is not None:
+                    conn.close()
+            return response.status, data, dict(response.headers)
+
+    def close(self) -> None:
+        """Close the idle connections (the pool stays usable)."""
+        with self._lock:
+            _close_all(self._idle)
+
+
+def wire_exchange(pool: ConnectionPool, base_url: str, method: str,
+                  path: str, payload: Optional[Dict[str, Any]] = None,
+                  headers: Optional[Dict[str, str]] = None,
+                  timeout_s: float = 60.0
+                  ) -> Tuple[int, bytes, Dict[str, str]]:
+    """One JSON-API exchange, body undecoded, through the
+    ``net.request`` wire-fault site.
+
+    A *drop* raises before the request is sent; a *truncation* raises
+    after the exchange completed, so the peer may have acted (the
+    ambiguity a torn TCP stream leaves, which content-hash idempotent
+    resubmission absorbs); *http_500* answers a synthetic retryable
+    refusal; *delay* stalls, then proceeds.
+    """
+    mode = faults.inject_wire("net.request")
+    if mode == "drop":
+        raise urllib.error.URLError(
+            f"injected fault: request dropped before send "
+            f"({method} {path})")
+    if mode == "http_500":
+        return 503, json.dumps({"error": {
+            "code": "unavailable",
+            "message": f"injected fault: synthetic upstream 5xx "
+                       f"({method} {path})",
+            "retry_after_s": 0.1}}).encode("utf-8"), {}
+    if mode == "delay":
+        time.sleep(0.05)
+    send = {"Accept": JSON_TYPE}
+    send.update(headers or {})
+    body = None
+    if payload is not None:
+        body = json.dumps(payload).encode("utf-8")
+        send["Content-Type"] = JSON_TYPE
+    result = pool.exchange(base_url, method, path, body, send, timeout_s)
+    if mode == "truncated":
+        raise urllib.error.URLError(
+            f"injected fault: response truncated after exchange "
+            f"({method} {path})")
+    return result
+
+
+def decode_reply(status: int, raw: bytes, headers: Dict[str, str]
+                 ) -> Tuple[int, Any, Dict[str, str]]:
+    """A JSON answer decoded; an error body that is not JSON becomes
+    an ``internal`` error payload."""
+    if status < 400:
+        return status, json.loads(raw.decode("utf-8") or "{}"), headers
+    text = raw.decode("utf-8", "replace")
+    try:
+        data = json.loads(text or "{}")
+    except json.JSONDecodeError:
+        data = {"error": {"code": "internal", "message": text}}
+    return status, data, headers
+
+
+def fetch_text(pool: ConnectionPool, base_url: str, path: str,
+               timeout_s: float = 60.0) -> str:
+    """GET a non-JSON resource (``/metrics``); an error status raises
+    ``urllib.error.HTTPError``."""
+    status, raw, headers = pool.exchange(base_url, "GET", path,
+                                         timeout_s=timeout_s)
+    if status >= 400:
+        raise urllib.error.HTTPError(base_url + path, status,
+                                     REASONS.get(status, "Error"),
+                                     headers, None)
+    return raw.decode("utf-8")
 
 
 def parse_trace_parent(headers: Dict[str, str]

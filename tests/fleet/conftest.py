@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.fleet.router import FleetRouter
-from tests.server.conftest import LiveServer
+from tests.server.conftest import LiveServer, accepted  # noqa: F401
 
 
 class LiveRouter:

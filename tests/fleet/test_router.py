@@ -7,6 +7,7 @@ wire-shaped runs against real runners through a live router.
 import asyncio
 import threading
 import urllib.error
+import urllib.request
 
 import pytest
 
@@ -316,3 +317,39 @@ def test_version_skew_fences_runners_until_they_match(
     router.probe_now()
     assert handle.state == "healthy"
     assert client.health()["http_status"] == 200
+
+
+# ----------------------------------------------------------------------
+# Kept-alive forwards and the relayed result
+# ----------------------------------------------------------------------
+
+def test_forwards_reach_a_runner_over_one_connection(
+        live_server_factory, live_router_factory, accepted):
+    runner = live_server_factory(config=ReproConfig(workers=1))
+    router = live_router_factory([runner.url])
+    client = ReproClient(router.url)
+    for _ in range(5):
+        assert client.apps() == api.list_apps()
+    record = client.run_flow("kmeans", "informed", scale=1.35,
+                             timeout=120)
+    assert record.app_name == "kmeans"
+    # the router's boot probe opened it; every forward rode it
+    assert accepted.count(runner.server.port) == 1
+    client.close()
+
+
+def test_a_finished_result_is_relayed_byte_for_byte(fleet):
+    a, b, router, client = fleet
+    job_id = client.submit("kmeans", "informed", scale=1.37)["id"]
+    client.run_flow("kmeans", "informed", scale=1.37, timeout=120)
+    assert router.router._placements[job_id]["done"]
+    runner = {a.url: a, b.url: b}[
+        router.router._placements[job_id]["runner"]]
+    # spacing no re-encoding would keep
+    odd = b'{"id": "%s",   "app": "kmeans"}' % job_id.encode()
+    runner.server._jobs[job_id].body = odd
+    with urllib.request.urlopen(
+            f"{router.url}/v1/jobs/{job_id}/result", timeout=30) as resp:
+        assert resp.status == 200
+        assert resp.headers["Content-Type"] == "application/json"
+        assert resp.read() == odd

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import repro.server.core as server_core
 from repro.server import ReproServer
 
 
@@ -60,3 +61,19 @@ def shared_server():
     server = LiveServer(port=0)
     yield server
     server.stop()
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """The port of the server behind every connection accepted by a
+    server started after this fixture (one entry per connection)."""
+    ports = []
+    real = server_core.ReproServer._handle_connection
+
+    async def counting(self, reader, writer):
+        ports.append(self.port)
+        await real(self, reader, writer)
+
+    monkeypatch.setattr(server_core.ReproServer, "_handle_connection",
+                        counting)
+    return ports

@@ -1,16 +1,23 @@
-"""ReproClient retry/backoff behavior, no sockets involved."""
+"""ReproClient retry/backoff behavior (scripted, no sockets), and its
+kept-alive connections against a live server."""
 
 import http.client
 import random
+import time
 import urllib.error
 
 import pytest
 
+import repro.server.http as server_http
+from repro import api
 from repro.client import ReproClient
+from repro.config import ReproConfig
+from repro.resilience.faults import active_plan
 from repro.server.protocol import JobNotFound
 from repro.service.core import ServiceOverloaded
 from repro.service.scheduler import (JobQuarantined, JobResultPending,
                                      JobTimeout)
+from tests.resilience.test_wire_faults import forced
 
 
 class ScriptedClient(ReproClient):
@@ -240,3 +247,36 @@ def test_budget_timeout_reports_where_the_job_was():
     assert excinfo.value.status == "running"
     assert excinfo.value.attempts == 3
     assert "last observed status=running" in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# Kept-alive connections against a live server
+# ----------------------------------------------------------------------
+
+def test_a_connection_the_server_closed_is_reopened_without_a_retry(
+        live_server_factory, accepted, monkeypatch):
+    monkeypatch.setattr(server_http, "KEEPALIVE_IDLE_S", 0.2)
+    server = live_server_factory(config=ReproConfig(workers=1))
+    sleeps = []
+    with ReproClient([server.url, "http://standby.invalid"]) as client:
+        client._sleep = sleeps.append
+        assert client.modes()
+        time.sleep(0.6)                # the server closes it idle
+        assert client.modes()
+        assert client.submit("kmeans", scale=1.33)["id"]
+        assert client.base_url == server.url
+    assert sleeps == []
+    assert len(accepted) == 2
+
+
+def test_truncation_leaves_no_half_read_response_in_the_pool(
+        live_server_factory, accepted):
+    server = live_server_factory(config=ReproConfig(workers=1))
+    with ReproClient(server.url, max_retries=0) as client:
+        with active_plan(forced("truncated")):
+            with pytest.raises(urllib.error.URLError, match="truncated"):
+                client._request_once("GET", "/v1/apps")
+        # the next answer on the kept connection is its own, whole
+        assert client.modes() == api.list_modes()
+        assert client.apps() == api.list_apps()
+    assert len(accepted) == 1

@@ -5,7 +5,10 @@ backpressure / drain tests each get their own (they monkeypatch the
 execution path and mutate server state).
 """
 
+import asyncio
 import json
+import re
+import socket
 import threading
 import time
 import urllib.request
@@ -362,3 +365,128 @@ def test_client_events_resume_from_cursor(client):
     names = [name for name, _ in client.events(
         job_id, last_event_id=full[0][0])]
     assert names == [event for _, event in full[1:]]
+
+
+# ----------------------------------------------------------------------
+# Keep-alive connections and request framing
+# ----------------------------------------------------------------------
+
+def _raw_exchange(url, request, timeout=10.0):
+    """Send raw request bytes; return ``(head, body, closed)``: the
+    response head as text, its body, and whether the server closed
+    the connection after it."""
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout) as sock:
+        sock.sendall(request)
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, f"closed before a response head: {data!r}"
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"(?i)content-length: *(\d+)",
+                               head).group(1))
+        while len(body) < length:
+            body += sock.recv(65536)
+        sock.settimeout(1.0)
+        try:
+            closed = sock.recv(1) == b""
+        except socket.timeout:
+            closed = False
+        return head.decode("latin-1"), body, closed
+
+
+def test_one_client_reuses_one_connection(live_server_factory, accepted):
+    server = live_server_factory(config=ReproConfig(workers=1))
+    client = ReproClient(server.url)
+    for _ in range(5):
+        client.apps()
+    client.health()
+    client.metrics()
+    client.submit("kmeans", "informed", scale=1.31)
+    assert len(accepted) == 1
+    client.close()
+
+
+@pytest.mark.parametrize("length", ["-5", "abc"])
+def test_bad_content_length_is_400_and_closes(shared_server, length):
+    head, body, closed = _raw_exchange(
+        shared_server.url,
+        f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {length}"
+        f"\r\n\r\n{{}}".encode())
+    assert head.startswith("HTTP/1.1 400 ")
+    assert json.loads(body)["error"]["code"] == "bad_request"
+    assert "Connection: close" in head and closed
+
+
+def test_transfer_encoding_is_refused_and_closes(shared_server):
+    head, body, closed = _raw_exchange(
+        shared_server.url,
+        b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\nGET /v1/apps HTTP/1.1\r\n\r\n")
+    assert head.startswith("HTTP/1.1 400 ")
+    assert json.loads(body)["error"]["code"] == "bad_request"
+    assert "Connection: close" in head and closed
+
+
+def test_connection_close_is_honoured(shared_server):
+    head, _, closed = _raw_exchange(
+        shared_server.url,
+        b"GET /v1/modes HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+    assert head.startswith("HTTP/1.1 200 ")
+    assert "Connection: close" in head and closed
+    head, _, closed = _raw_exchange(
+        shared_server.url, b"GET /v1/modes HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert "Connection: keep-alive" in head and not closed
+
+
+def test_sse_stream_closes_after_done(client):
+    job_id = client.submit("kmeans", "informed")["id"]
+    client.run_flow("kmeans", "informed", timeout=120)
+    host, port = client.base_url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), 10) as sock:
+        # HTTP/1.1 with no Connection header asks for keep-alive
+        sock.sendall(f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
+                     f"Host: x\r\n\r\n".encode())
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    assert b"Connection: close" in data
+    assert data.rstrip().split(b"\n\n")[-1].split(b"\n")[1] == \
+        b"event: done"
+
+
+def test_idle_time_is_not_request_time(live_server_factory, accepted):
+    live = live_server_factory(config=ReproConfig(workers=1))
+    latency = live.server._m_latency
+    before = (latency.count(route="modes"), latency.sum(route="modes"))
+    with ReproClient(live.url) as client:
+        client.modes()
+        time.sleep(0.5)
+        client.modes()
+    assert len(accepted) == 1          # both rode one connection
+    deadline = time.monotonic() + 10   # observed just after the answer
+    while latency.count(route="modes") - before[0] < 2:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert latency.sum(route="modes") - before[1] < 0.25
+
+
+def test_shutdown_closes_idle_connections_and_leaves_no_task(
+        live_server_factory):
+    live = live_server_factory(config=ReproConfig(workers=1))
+    with ReproClient(live.url) as client:
+        client.apps()                  # one idle kept-alive connection
+        assert len(live.server._conn_tasks) == 1
+
+        async def shut_down():
+            await live.server.shutdown()
+            return [t for t in asyncio.all_tasks()
+                    if t is not asyncio.current_task()]
+
+        assert live.call(shut_down()) == []
+        assert not live.server._conn_tasks
