@@ -1,202 +1,94 @@
-"""Bench: batched DSE lowering vs compiled point-at-a-time loops.
+"""Bench: the unroll DSE's affine fit vs one partial compile per factor.
 
-A fig6-style dense design space -- the three Fig. 6 apps, a dense
-unroll-factor axis on the Stratix 10, a dense blocksize axis on the
-2080 Ti and the OMP thread axis -- evaluated twice:
+A fig6-style dense unroll axis -- ``main`` of the three Fig. 6 apps
+(where each hotspot loop nest sits before outlining), every integer
+factor 2...257 on the Stratix 10 -- swept twice with Fig. 2's stopping
+rule:
 
-* **point**: the original candidate-at-a-time loop (clone the kernel,
-  set the pragma, run a partial compile / score the model, repeat), and
-* **batched**: one :class:`repro.lang.batch.BatchPlan` tensor
-  evaluation per axis (two probe walks fit the exact FPGA resource
-  polynomial; the GPU/CPU rooflines ride vectorized numpy).
+* **point**: ``dse.unroll_points``, the reference path (clone the
+  kernel, set the pragma, run a partial compile, repeat), and
+* **fit**: ``dse.unroll_fit``, the path every flow runs (two walks fit
+  the exact affine resource model, then a few float operations per
+  factor).
 
-The two must agree element-wise (asserted here, and differentially in
-``tests/flow/test_dse_batch.py``); the point of this file is the wall
-time.  The snapshot lands in ``BENCH_dse.json`` at the repo root with a
-headline ``speedup_batched_vs_point``; the CI gate is deliberately
-below the >= 10x the tentpole targets (and comfortably exceeds on an
-idle machine) because shared runners are noisy.
+The two must agree point for point (asserted here, and differentially
+in ``tests/flow/test_dse_batch.py``); the point of this file is the
+wall time.  Only the unroll axis is timed: blocksizes and thread counts
+have a single scalar path.  The snapshot lands in ``BENCH_dse.json`` at
+the repo root with a headline ``speedup_fit_vs_point``, gated at >= 5x.
 """
 
 import json
 import time
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 from repro.apps import get_app
-from repro.flow import sweep
-from repro.lang.batch import BatchPlan, ParamGrid
-from repro.platforms.gpu import GPUDesignPoint
-from repro.platforms.profile import KernelProfile
-from repro.platforms.registry import get_platform
+from repro.flow import dse
 from repro.toolchains.dpcpp import DpcppToolchain
-from repro.transforms.unroll import set_unroll_pragma
 
 from conftest import run_once
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_dse.json"
 
-#: CI bar (the tentpole target is 10x; idle machines measure far more)
+#: CI bar
 MIN_SWEEP_SPEEDUP = 5.0
 
-#: the Fig. 6 apps: the space is swept for each of them
+#: the Fig. 6 apps: the axis is swept for each of them
 FIG6_APPS = ("adpredictor", "bezier", "kmeans")
 
 #: dense factor axis -- every integer, not just the Fig. 2 doublings
 UNROLL_FACTORS = tuple(range(2, 258))
 
-#: dense blocksize axis (the Fig. 4 DSE samples 8 of these)
-BLOCKSIZES = tuple(range(64, 1025, 8))
-
-THREADS = tuple(range(1, 33))
+DEVICE = "stratix10"
 
 
-def _gpu_profile() -> KernelProfile:
-    """A representative hotspot profile for the roofline axes."""
-    return KernelProfile(
-        kernel_name="bench", flops=6.4e8, builtin_flops=3.2e7,
-        int_ops=1.6e8, mem_bytes=2.56e8, outer_iterations=1 << 20,
-        bytes_in=6.4e7, bytes_out=1.6e7, working_set_bytes=8.0e7)
+def _best_wall(sweep, *args, reps=3):
+    """Best-of-``reps`` wall time of one sweep, and its outcome."""
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        outcome = sweep(*args)
+        best = min(best, time.perf_counter() - start)
+    return best, outcome
 
 
-# ---------------------------------------------------------------------
-# point-at-a-time baselines
-# ---------------------------------------------------------------------
-
-def _point_unroll(toolchain, ast, kernel, device):
-    out = []
-    for factor in UNROLL_FACTORS:
-        candidate = ast.clone_function(kernel)
-        for loop in candidate.function(kernel).outermost_loops():
-            set_unroll_pragma(loop, factor)
-        report = toolchain.partial_compile(candidate, kernel, device)
-        out.append((report.alm_utilization, report.dsp_utilization))
-    return out
-
-
-def _batched_unroll(toolchain, ast, kernel, device):
-    spec = toolchain.DEVICES[device]
-    coeffs = toolchain.sweep_coefficients(ast, kernel)
-    grid = ParamGrid(factor=UNROLL_FACTORS)
-    plan = BatchPlan(grid)
-    plan.affine("alms", coeffs.alm_const, factor=coeffs.alm_slope)
-    plan.affine("dsps", coeffs.dsp_const, factor=coeffs.dsp_slope)
-    result = plan.evaluate()
-    infra = spec.alms * spec.infra_alm_fraction
-    alm_util = (infra + result.tensor("alms")) / spec.alms
-    dsp_util = result.tensor("dsps") / spec.dsps
-    return alm_util, dsp_util
-
-
-def _point_blocksize(model, profile, point):
-    out = []
-    for blocksize in BLOCKSIZES:
-        point.blocksize = blocksize
-        t = model.design_time(profile, point)
-        occ = model.occupancy(blocksize, point.registers_per_thread,
-                              point.shared_mem_per_block)
-        out.append((t, occ.occupancy))
-    return out
-
-
-def _point_omp(model, profile):
-    return [model.omp_time(profile, t) for t in THREADS]
-
-
-# ---------------------------------------------------------------------
-# the snapshot benchmark
-# ---------------------------------------------------------------------
-
-def test_dense_sweep_snapshot(benchmark):
+def test_dense_unroll_snapshot(benchmark):
     toolchain = DpcppToolchain()
-    gpu = get_platform("rtx2080ti")
-    from repro.platforms.cpu import CPUModel
-    cpu = CPUModel()
-    profile = _gpu_profile()
-    design_point = GPUDesignPoint(registers_per_thread=64,
-                                  shared_mem_per_block=4096)
-
-    axes = {}
-
-    # dense unroll axis, per Fig. 6 app, on the Stratix 10
-    point_wall = batched_wall = 0.0
-    points = 0
+    apps = {}
     for app_name in FIG6_APPS:
         ast = get_app(app_name).ast()
-        kernel = ast.functions()[0].name
+        args = (toolchain, ast, "main", DEVICE, UNROLL_FACTORS)
+        point_wall, ref = _best_wall(dse.unroll_points, *args)
+        fit_wall, fit = _best_wall(dse.unroll_fit, *args)
+        # the fit's claim: the same decision from bit-identical points
+        assert fit == ref
+        apps[app_name] = {
+            "points": len(fit.points), "stop": fit.stop,
+            "best_factor": fit.best_factor,
+            "point_wall_s": round(point_wall, 5),
+            "fit_wall_s": round(fit_wall, 5),
+        }
 
-        t0 = time.perf_counter()
-        scalar = _point_unroll(toolchain, ast, kernel, "stratix10")
-        point_wall += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        alm_util, dsp_util = _batched_unroll(toolchain, ast, kernel,
-                                             "stratix10")
-        batched_wall += time.perf_counter() - t0
-        points += len(UNROLL_FACTORS)
-
-        # the lowering claim: element-wise bit-identical utilisations
-        assert [a for a, _ in scalar] == list(alm_util)
-        assert [d for _, d in scalar] == list(dsp_util)
-    axes["unroll_stratix10"] = {
-        "apps": list(FIG6_APPS), "points": points,
-        "point_wall_s": round(point_wall, 4),
-        "batched_wall_s": round(batched_wall, 4),
-    }
-
-    # dense blocksize axis on the 2080 Ti roofline
-    t0 = time.perf_counter()
-    scalar_bs = _point_blocksize(gpu, profile, design_point)
-    bs_point = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    triples, limiters = sweep.blocksize_sweep(gpu, profile, design_point,
-                                              BLOCKSIZES)
-    bs_batched = time.perf_counter() - t0
-    assert [(t, o) for t, _, o in triples] == scalar_bs
-    assert len(limiters) == len(BLOCKSIZES)
-    axes["blocksize_2080ti"] = {
-        "points": len(BLOCKSIZES),
-        "point_wall_s": round(bs_point, 4),
-        "batched_wall_s": round(bs_batched, 4),
-    }
-
-    # OMP thread axis on the CPU roofline
-    t0 = time.perf_counter()
-    scalar_omp = _point_omp(cpu, profile)
-    omp_point = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    batched_omp = sweep.omp_sweep(cpu, profile, THREADS)
-    omp_batched = time.perf_counter() - t0
-    assert batched_omp == scalar_omp
-    axes["omp_threads"] = {
-        "points": len(THREADS),
-        "point_wall_s": round(omp_point, 4),
-        "batched_wall_s": round(omp_batched, 4),
-    }
-
-    # headline: whole space, both lowerings; benchmark table gets the
-    # batched side (re-run, so its wall is independently visible)
+    # the benchmark table gets the fit side (re-run, so its wall is
+    # independently visible)
     run_once(benchmark, lambda: [
-        _batched_unroll(toolchain, get_app(a).ast(),
-                        get_app(a).ast().functions()[0].name, "stratix10")
+        dse.unroll_fit(toolchain, get_app(a).ast(), "main", DEVICE,
+                       UNROLL_FACTORS)
         for a in FIG6_APPS])
 
-    total_point = sum(a["point_wall_s"] for a in axes.values())
-    total_batched = sum(a["batched_wall_s"] for a in axes.values())
-    speedup = total_point / total_batched
+    total_point = sum(a["point_wall_s"] for a in apps.values())
+    total_fit = sum(a["fit_wall_s"] for a in apps.values())
+    speedup = total_point / total_fit
     snapshot = {
-        "benchmark": "fig6-style dense design-space sweep "
-                     "(unroll x blocksize x threads)",
-        "axes": axes,
-        "points_total": sum(a["points"] for a in axes.values()),
+        "benchmark": "fig6-style dense unroll axis (factors 2..257, "
+                     "Stratix 10), fit vs one partial compile per factor",
+        "apps": apps,
+        "points_total": sum(a["points"] for a in apps.values()),
         "point_wall_s": round(total_point, 4),
-        "batched_wall_s": round(total_batched, 4),
-        "speedup_batched_vs_point": round(speedup, 1),
+        "fit_wall_s": round(total_fit, 4),
+        "speedup_fit_vs_point": round(speedup, 1),
         "ci_gate": MIN_SWEEP_SPEEDUP,
-        "target": 10.0,
     }
     SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
     print()

@@ -180,18 +180,12 @@ def workload_fingerprint(workload) -> Optional[str]:
 
 
 def profile_key(source: str, wfp: str, entry: str, mode: str,
-                max_steps: Optional[int] = None,
-                space: Optional[str] = None) -> str:
+                max_steps: Optional[int] = None) -> str:
     parts = [source, wfp, entry, mode]
     if max_steps is not None:
         # a step-limited run is not interchangeable with a full run: a
         # cached full report would silently un-enforce the limit
         parts.append(f"max_steps={max_steps}")
-    if space is not None:
-        # batched DSE extends the identity with the *design space*: a
-        # sweep-shared profile is keyed once for the whole ParamGrid
-        # (repro.lang.batch.ParamGrid.space_hash), not per candidate
-        parts.append(f"space={space}")
     blob = "\x00".join(parts)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -354,18 +348,13 @@ def _disk_put(key: str, data: Dict[str, Any]) -> None:
 # The funnel.
 # -------------------------------------------------------------------------
 def collect_profile(ast, workload, entry: str = "main",
-                    max_steps: Optional[int] = None,
-                    space: Optional[str] = None) -> ExecReport:
+                    max_steps: Optional[int] = None) -> ExecReport:
     """The shared ``exec(ast)`` of every dynamic analysis.
 
     Executes ``entry`` against a fresh copy of ``workload`` -- at most
     once per (source, workload spec, entry, engine) process-wide -- and
     returns the resulting report.  Cache hits return a *new*
     :class:`ExecReport` object each call, rebound to ``ast``'s unit.
-
-    ``space`` (a ``ParamGrid.space_hash``) scopes the entry to one
-    batched design-space sweep: candidates of the same space share the
-    profile, while sweeps over different spaces never collide.
     """
     from repro.lang.engine import execute_unit, execution_mode
 
@@ -390,7 +379,7 @@ def collect_profile(ast, workload, entry: str = "main",
             return execute_unit(unit, workload=workload.fresh(),
                                 entry=entry, max_steps=max_steps)
         key = profile_key(unparse(unit), wfp, entry, execution_mode(),
-                          max_steps, space)
+                          max_steps)
         with _lock:
             _stats.lookups += 1
             data = _memory.get(key)

@@ -59,8 +59,8 @@ The reference paths are not knobs.  A reference *process* (reference
 digests, the interpreter CI tier, the perf baseline) selects them with
 ``REPRO_EXEC=interp`` and ``REPRO_PROFILE_CACHE=0``, each read at its
 one point of use (:func:`repro.lang.engine.execution_mode`,
-:func:`repro.analysis.profile.collect_profile`); tests reach the point
-DSE loops by patching ``repro.flow.sweep.LOWERING``.
+:func:`repro.analysis.profile.collect_profile`); tests reach the
+per-factor unroll DSE loop by patching ``repro.flow.dse.LOWERING``.
 """
 
 from __future__ import annotations

@@ -12,23 +12,25 @@
   ("selects the maximum number of threads available automatically" for
   embarrassingly parallel benchmarks, §IV-B.i).
 
-Each task submits its whole candidate axis as one batched tensor
-evaluation (:mod:`repro.flow.sweep` over :mod:`repro.lang.batch`).
-The original candidate-at-a-time loops stay as the reference the
-differential suite reaches by setting ``sweep.LOWERING = "point"``.
-The two lowerings are element-wise identical -- same chosen design
-point, same costs, same reports, same ``dse.point`` telemetry -- which
-the differential suite pins for every app and device.  Either way the
-sweep runs under one ``dse.sweep`` parent span with per-axis
-``dse.point`` child events.
+Blocksizes (8 candidates) and thread counts (at most 7) are scored one
+candidate at a time on the scalar models.  The unroll axis (at most 12
+doublings) has two paths, chosen by :data:`LOWERING`: ``"fit"`` fits
+the exact affine resource model with two walks
+(``DpcppToolchain.sweep_coefficients``) and evaluates it per factor;
+``"point"`` -- one cloned kernel and partial compile per factor -- is
+the reference, reached only by tests.  Both feed one stopping rule
+(:func:`_unroll_until_overmap`), and they agree point for point on
+every app and on generated kernels (``tests/flow/test_dse_batch.py``).
+Every sweep runs under one ``dse.sweep`` span with per-point
+``dse.point`` events.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 from repro import obs
-from repro.flow import sweep
 from repro.flow.task import FlowError, Task, TaskKind
 from repro.platforms.cpu import CPUModel
 from repro.platforms.gpu import GPUDesignPoint, GPUModel
@@ -37,6 +39,128 @@ from repro.toolchains.dpcpp import DpcppToolchain
 from repro.toolchains.hipcc import HipccToolchain
 from repro.transforms.openmp import set_num_threads
 from repro.transforms.unroll import set_unroll_pragma
+
+#: per-point evaluations by path (``fit`` | ``point``) and DSE family
+POINTS_TOTAL = obs.REGISTRY.counter(
+    "repro_dse_points_total",
+    "design points evaluated by DSE sweeps, by lowering mode",
+    ("mode", "dse"))
+
+#: the unroll DSE's path: ``fit`` evaluates the two-walk affine fit.
+#: ``point`` -- one partial compile per factor, the reference -- is
+#: reached only by tests patching this constant.
+LOWERING = "fit"
+
+
+def record_sweep(span, mode: str, dse: str, points: int) -> None:
+    """Count a finished sweep in the metrics registry and its span."""
+    if points > 0:
+        POINTS_TOTAL.inc(points, mode=mode, dse=dse)
+    span.set(points=points)
+
+
+def select_blocksize(candidates: Sequence[Tuple[float, int, float]]
+                     ) -> Tuple[float, int, float]:
+    """Pick from ``(time, blocksize, occupancy)`` triples.
+
+    "Minimise execution time and maximise occupancy": among launch
+    configurations within 1% of the fastest, prefer the highest
+    occupancy, then the largest block.  Blocksizes are unique, so the
+    key is total and the choice is invariant under any reordering of
+    ``candidates`` -- pinned by ``test_blocksize_tiebreak_order_
+    invariant``.
+    """
+    best_time = min(time for time, _, _ in candidates)
+    near_best = [c for c in candidates if c[0] <= best_time * 1.01]
+    return max(near_best, key=lambda c: (c[2], c[1]))
+
+
+def first_min_index(times: Sequence[float]) -> int:
+    """Index of the first strict minimum (``if time < best_time``)."""
+    best = 0
+    for i in range(1, len(times)):
+        if times[i] < times[best]:
+            best = i
+    return best
+
+
+# ---------------------------------------------------------------------
+# Unroll-factor axis (Fig. 2, FPGA)
+# ---------------------------------------------------------------------
+@dataclass
+class UnrollSweepOutcome:
+    """What the factor sweep decided.
+
+    ``points`` lists ``(factor, alm_utilization, utilization,
+    overmapped)`` for every factor evaluated, in order; ``stop`` is why
+    the sweep ended (``overmap`` | ``cap`` | ``ineffective``).
+    """
+
+    best_factor: int
+    stop: str
+    points: List[Tuple[int, float, float, bool]]
+
+
+#: one factor's ``(alm_utilization, utilization, overmapped, effective)``
+_FactorEval = Callable[[int], Tuple[float, float, bool, bool]]
+
+
+def _unroll_until_overmap(factors: Sequence[int],
+                          evaluate: _FactorEval) -> UnrollSweepOutcome:
+    """Fig. 2's loop: double until a factor overmaps or the pragma is
+    ignored (variable-bound inner loop), keeping the last fitting one."""
+    best, points = 1, []
+    for factor in factors:
+        alm, util, overmapped, effective = evaluate(factor)
+        points.append((factor, alm, util, overmapped))
+        if overmapped:
+            return UnrollSweepOutcome(best, "overmap", points)
+        if not effective:
+            return UnrollSweepOutcome(best, "ineffective", points)
+        best = factor
+    return UnrollSweepOutcome(best, "cap", points)
+
+
+def unroll_points(toolchain: DpcppToolchain, ast, kernel: str,
+                  device: str, factors: Sequence[int]
+                  ) -> UnrollSweepOutcome:
+    """The reference path: one cloned kernel and partial compile per
+    factor."""
+    def evaluate(factor):
+        # candidates mutate only the kernel function: clone that
+        # subtree, share every other declaration
+        candidate = ast.clone_function(kernel)
+        for loop in candidate.function(kernel).outermost_loops():
+            set_unroll_pragma(loop, factor)
+        report = toolchain.partial_compile(candidate, kernel, device)
+        return (report.alm_utilization, report.utilization,
+                report.overmapped, report.unroll_factor >= factor)
+
+    return _unroll_until_overmap(factors, evaluate)
+
+
+def unroll_fit(toolchain: DpcppToolchain, ast, kernel: str, device: str,
+               factors: Sequence[int]) -> UnrollSweepOutcome:
+    """The product path: two walks fit ``const + slope * f``, then each
+    factor costs a few float operations.
+
+    Utilisations are bit-identical to per-factor partial compiles:
+    every charge is an exact multiple of 0.5 in float64, and the infra
+    add and capacity divisions run in ``partial_compile``'s order.
+    """
+    spec = toolchain.DEVICES[device]
+    coeffs = toolchain.sweep_coefficients(ast, kernel)
+    infra = spec.alms * spec.infra_alm_fraction
+
+    def evaluate(factor):
+        alm = (infra + (coeffs.alm_const + coeffs.alm_slope * factor)) \
+            / spec.alms
+        dsp = (coeffs.dsp_const + coeffs.dsp_slope * factor) / spec.dsps
+        util = max(alm, dsp)
+        # HLSReport.overmapped: not (utilization <= 0.90)
+        return alm, util, not util <= 0.90, coeffs.effective
+
+    return _unroll_until_overmap(factors, evaluate)
 
 
 class UnrollUntilOvermapDSE(Task):
@@ -58,107 +182,53 @@ class UnrollUntilOvermapDSE(Task):
         design = ctx.design
         if design is None:
             raise FlowError("unroll DSE needs a oneAPI design in flight")
-        kernel = design.kernel_name
-        mode = sweep.LOWERING
+        mode = LOWERING
         with obs.span("dse.sweep", dse="unroll", device=self.device,
                       mode=mode) as sp:
-            if mode == "batched":
-                points = self._run_batched(ctx, design, kernel)
-            else:
-                points = self._run_point(ctx, design, kernel)
-            sweep.record_sweep(sp, mode, "unroll", points)
+            points = self._sweep(ctx, design, design.kernel_name, mode)
+            record_sweep(sp, mode, "unroll", points)
 
-    # -- shared pieces -------------------------------------------------
-    def _mark_unsynthesizable(self, ctx, design, report) -> None:
-        design.synthesizable = False
-        design.failure_reason = (
-            f"design overmaps the {self.device} at unroll factor 1 "
-            f"(ALM utilisation {report.alm_utilization:.0%})")
-        design.metadata.update(unroll_factor=1, hls_report=report)
-        ctx.log(f"    {self.name}: {design.failure_reason}")
-
-    def _finalize(self, ctx, design, kernel, best_factor,
-                  best_report) -> None:
-        if best_factor > 1:
-            for loop in design.ast.function(kernel).outermost_loops():
-                set_unroll_pragma(loop, best_factor)
-            best_report = self.toolchain.partial_compile(
-                design.ast, kernel, self.device)
-        design.metadata.update(unroll_factor=best_factor,
-                               hls_report=best_report)
-        ctx.log(f"    {self.name}: selected unroll factor {best_factor} "
-                f"(ALM {best_report.alm_utilization:.0%}, "
-                f"DSP {best_report.dsp_utilization:.0%})")
-
-    # -- point-at-a-time reference lowering -----------------------------
-    def _run_point(self, ctx, design, kernel) -> int:
-        # baseline compile at factor 1
-        report = self.toolchain.partial_compile(design.ast, kernel,
-                                                self.device)
-        if report.overmapped:
-            self._mark_unsynthesizable(ctx, design, report)
-            return 0
-
-        best_factor = 1
-        best_report = report
-        points = 0
-        factor = 2
-        while factor <= self.MAX_FACTOR:
-            # candidates mutate only the kernel function: clone that
-            # subtree, share every other declaration
-            candidate = design.ast.clone_function(kernel)
-            for loop in candidate.function(kernel).outermost_loops():
-                set_unroll_pragma(loop, factor)
-            report = self.toolchain.partial_compile(candidate, kernel,
-                                                    self.device)
-            points += 1
-            obs.event("dse.point", dse="unroll", device=self.device,
-                      factor=factor, alm=report.alm_utilization,
-                      overmapped=report.overmapped)
-            if report.overmapped:
-                ctx.log(f"    {self.name}: factor {factor} overmaps "
-                        f"({report.utilization:.0%}); keeping {best_factor}")
-                break
-            if report.unroll_factor < factor:
-                # pragma ignored (variable-bound inner loop): no point
-                # continuing to double
-                ctx.log(f"    {self.name}: unroll pragma ineffective "
-                        "(variable-bound inner loop); keeping factor 1")
-                break
-            best_factor = factor
-            best_report = report
-            factor *= 2
-        else:
-            ctx.log(f"    {self.name}: stopped at cap {self.MAX_FACTOR}")
-
-        self._finalize(ctx, design, kernel, best_factor, best_report)
-        return points
-
-    # -- batched lowering (default) ------------------------------------
-    def _run_batched(self, ctx, design, kernel) -> int:
-        # the factor-1 baseline is a real compile in both lowerings
+    def _sweep(self, ctx, design, kernel, mode) -> int:
+        # the factor-1 baseline is a real compile on both paths
         baseline = self.toolchain.partial_compile(design.ast, kernel,
                                                   self.device)
         if baseline.overmapped:
-            self._mark_unsynthesizable(ctx, design, baseline)
+            design.synthesizable = False
+            design.failure_reason = (
+                f"design overmaps the {self.device} at unroll factor 1 "
+                f"(ALM utilisation {baseline.alm_utilization:.0%})")
+            design.metadata.update(unroll_factor=1, hls_report=baseline)
+            ctx.log(f"    {self.name}: {design.failure_reason}")
             return 0
 
-        outcome = sweep.unroll_sweep(self.toolchain, design.ast, kernel,
-                                     self.device, self.FACTORS)
+        sweep = unroll_fit if mode == "fit" else unroll_points
+        outcome = sweep(self.toolchain, design.ast, kernel, self.device,
+                        self.FACTORS)
         for factor, alm, _util, over in outcome.points:
             obs.event("dse.point", dse="unroll", device=self.device,
                       factor=factor, alm=alm, overmapped=over)
+        best_factor = outcome.best_factor
         if outcome.stop == "ineffective":
             ctx.log(f"    {self.name}: unroll pragma ineffective "
                     "(variable-bound inner loop); keeping factor 1")
         elif outcome.stop == "overmap":
             factor, _alm, util, _over = outcome.points[-1]
             ctx.log(f"    {self.name}: factor {factor} overmaps "
-                    f"({util:.0%}); keeping {outcome.best_factor}")
+                    f"({util:.0%}); keeping {best_factor}")
         else:
             ctx.log(f"    {self.name}: stopped at cap {self.MAX_FACTOR}")
 
-        self._finalize(ctx, design, kernel, outcome.best_factor, baseline)
+        report = baseline
+        if best_factor > 1:
+            for loop in design.ast.function(kernel).outermost_loops():
+                set_unroll_pragma(loop, best_factor)
+            report = self.toolchain.partial_compile(design.ast, kernel,
+                                                    self.device)
+        design.metadata.update(unroll_factor=best_factor,
+                               hls_report=report)
+        ctx.log(f"    {self.name}: selected unroll factor {best_factor} "
+                f"(ALM {report.alm_utilization:.0%}, "
+                f"DSP {report.dsp_utilization:.0%})")
         return len(outcome.points)
 
 
@@ -193,32 +263,26 @@ class BlocksizeDSE(Task):
             uses_intrinsics=design.metadata.get("intrinsics", False),
             spilled=compile_report.spilled,
         )
-        mode = sweep.LOWERING
         with obs.span("dse.sweep", dse="blocksize", device=self.device,
-                      mode=mode) as sp:
-            if mode == "batched":
-                candidates, limiters = sweep.blocksize_sweep(
-                    model, profile, point, self.CANDIDATES)
-            else:
-                candidates, limiters = [], []
-                for blocksize in self.CANDIDATES:
-                    point.blocksize = blocksize
-                    time = model.design_time(profile, point)
-                    occ = model.occupancy(blocksize,
-                                          point.registers_per_thread,
-                                          point.shared_mem_per_block)
-                    candidates.append((time, blocksize, occ.occupancy))
-                    limiters.append(occ.limited_by)
-            for time, blocksize, occupancy in candidates:
+                      mode="point") as sp:
+            candidates, limiters = [], []
+            for blocksize in self.CANDIDATES:
+                point.blocksize = blocksize
+                time = model.design_time(profile, point)
+                occ = model.occupancy(blocksize,
+                                      point.registers_per_thread,
+                                      point.shared_mem_per_block)
+                candidates.append((time, blocksize, occ.occupancy))
+                limiters.append(occ.limited_by)
                 obs.event("dse.point", dse="blocksize",
                           device=self.device, blocksize=blocksize,
-                          time_s=time, occupancy=occupancy)
-            sweep.record_sweep(sp, mode, "blocksize", len(candidates))
+                          time_s=time, occupancy=occ.occupancy)
+            record_sweep(sp, "point", "blocksize", len(candidates))
 
         # "minimize execution time and maximize occupancy": among
         # launch configurations within 1% of the optimum, prefer the
         # highest-occupancy (then largest) block
-        _, blocksize, occupancy = sweep.select_blocksize(candidates)
+        _, blocksize, occupancy = select_blocksize(candidates)
         limited_by = limiters[self.CANDIDATES.index(blocksize)]
         design.metadata.update(
             blocksize=blocksize,
@@ -249,18 +313,14 @@ class OmpThreadsDSE(Task):
         profile = ctx.profile_for(design)
         candidates = [t for t in (1, 2, 4, 8, 16, 24, 32)
                       if t <= model.spec.cores]
-        mode = sweep.LOWERING
-        with obs.span("dse.sweep", dse="omp-threads", mode=mode) as sp:
-            if mode == "batched":
-                times = sweep.omp_sweep(model, profile, candidates)
-            else:
-                times = [model.omp_time(profile, threads)
-                         for threads in candidates]
-            for threads, time in zip(candidates, times):
+        with obs.span("dse.sweep", dse="omp-threads", mode="point") as sp:
+            times = []
+            for threads in candidates:
+                times.append(model.omp_time(profile, threads))
                 obs.event("dse.point", dse="omp-threads", threads=threads,
-                          time_s=time)
-            sweep.record_sweep(sp, mode, "omp-threads", len(candidates))
-        best_threads = candidates[sweep.first_min_index(times)]
+                          time_s=times[-1])
+            record_sweep(sp, "point", "omp-threads", len(candidates))
+        best_threads = candidates[first_min_index(times)]
         design.metadata["num_threads"] = best_threads
         set_num_threads(design.ast, design.kernel_name, best_threads)
         ctx.log(f"    {self.name}: selected {best_threads} threads")

@@ -69,37 +69,7 @@ class CPUModel:
     def omp_speedup(self, profile: KernelProfile, threads: int) -> float:
         return self.reference_time(profile) / self.omp_time(profile, threads)
 
-    # -- batched predictions ----------------------------------------------
+    # perfbench/spans.py wraps this name (``cls.__dict__[name]``), so
+    # it stays: one omp_time per thread count
     def omp_time_batch(self, profile: KernelProfile, threads):
-        """:meth:`omp_time` over a thread-count axis as one tensor op.
-
-        Entry ``i`` is bit-identical to ``omp_time(profile,
-        threads[i])``: the broadcast expressions mirror the scalar
-        compute/memory rooflines operation for operation, and the
-        ``threads == 1`` entries take the scalar reference time.
-        """
-        import numpy as np
-
-        t = np.minimum(np.maximum(1, np.asarray(threads, dtype=np.int64)),
-                       self.spec.cores)
-        rate_scale = t * self.spec.omp_efficiency
-        sp = profile.total_flops * profile.sp_fraction
-        dp = profile.total_flops - sp
-        sp_rate = self.spec.st_gflops_sp * 1e9 * rate_scale
-        dp_rate = self.spec.st_gflops_dp * 1e9 * rate_scale
-        int_rate = 2.0 * self.spec.st_gflops_dp * 1e9 * rate_scale
-        compute = sp / sp_rate + dp / dp_rate + profile.int_ops / int_rate
-
-        if profile.mem_bytes <= 0:
-            memory = np.zeros(t.shape)
-        else:
-            cache_resident = (profile.working_set_bytes
-                              <= self.spec.llc_bytes)
-            scaled = self.spec.st_cache_bw_gbs * t * self.spec.omp_efficiency
-            bw = scaled if cache_resident \
-                else np.minimum(scaled, self.spec.dram_bw_gbs)
-            memory = profile.mem_bytes / (bw * 1e9)
-
-        overhead = self.spec.omp_overhead_s * max(1, profile.kernel_calls)
-        multi = np.maximum(compute, memory) + overhead
-        return np.where(t == 1, self.reference_time(profile), multi)
+        return [self.omp_time(profile, t) for t in threads]

@@ -33,7 +33,7 @@ hinge on (§IV-B.ii):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from repro.platforms.interconnect import TransferModel
@@ -46,15 +46,6 @@ class OccupancyResult(NamedTuple):
     active_threads_per_sm: int
     occupancy: float
     limited_by: str  # 'threads' | 'registers' | 'blocks' | 'shared'
-
-
-class BatchOccupancy(NamedTuple):
-    """Vectorized :class:`OccupancyResult`: one entry per blocksize."""
-
-    blocks_per_sm: "object"          # int64 ndarray
-    active_threads_per_sm: "object"  # int64 ndarray
-    occupancy: "object"              # float64 ndarray
-    limited_by: "object"             # array of limiter names (str)
 
 
 @dataclass
@@ -108,39 +99,6 @@ class GPUModel:
         active = blocks * blocksize
         return OccupancyResult(
             blocks, active, active / spec.max_threads_per_sm, limiter)
-
-    def occupancy_batch(self, blocksizes, registers_per_thread: int,
-                        shared_mem_per_block: int = 0) -> BatchOccupancy:
-        """:meth:`occupancy` over a whole blocksize axis at once.
-
-        Element-wise bit-identical to the scalar path: the limit rows
-        stack in the same order the scalar dict declares them, and
-        ``argmin`` keeps the first row on ties exactly as ``min`` over
-        dict keys keeps the first-inserted key.
-        """
-        import numpy as np
-
-        spec = self.spec
-        b = np.maximum(spec.warp_size,
-                       np.minimum(np.asarray(blocksizes, dtype=np.int64),
-                                  1024))
-        names = ["threads", "blocks", "registers"]
-        regs_per_block = b * max(1, registers_per_thread)
-        rows = [spec.max_threads_per_sm // b,
-                np.full(b.shape, spec.max_blocks_per_sm, dtype=np.int64),
-                spec.registers_per_sm // regs_per_block]
-        if shared_mem_per_block > 0:
-            names.append("shared")
-            rows.append(np.full(
-                b.shape, spec.shared_mem_per_sm // shared_mem_per_block,
-                dtype=np.int64))
-        stacked = np.stack(rows)
-        limiter = np.argmin(stacked, axis=0)
-        blocks = np.maximum(0, np.min(stacked, axis=0))
-        active = blocks * b
-        return BatchOccupancy(
-            blocks, active, active / spec.max_threads_per_sm,
-            np.asarray(names, dtype=object)[limiter])
 
     # -- compute roofline ---------------------------------------------------
     def _compute_time(self, profile: KernelProfile,
@@ -257,61 +215,9 @@ class GPUModel:
         return self.kernel_time(profile, point) \
             + self.transfer_time(profile, point)
 
-    # -- batched predictions ------------------------------------------------
+    # perfbench/spans.py wraps this name (``cls.__dict__[name]``), so
+    # it stays: one design_time per blocksize
     def design_time_batch(self, profile: KernelProfile,
                           point: GPUDesignPoint, blocksizes):
-        """:meth:`design_time` over a blocksize axis as one tensor op.
-
-        ``point`` supplies every non-blocksize knob; the result's entry
-        ``i`` is bit-identical to ``design_time`` of ``point`` with
-        ``blocksize=blocksizes[i]``.  Only the occupancy-driven
-        utilisation term varies along the axis: the issue-model time,
-        the memory roofline and the PCIe transfer are blocksize-
-        independent scalars computed once through the *scalar* code
-        paths, so the broadcast arithmetic mirrors the scalar
-        operation order exactly.
-        """
-        import numpy as np
-
-        spec = self.spec
-        sp_fraction = (point.sp_fraction if point.sp_fraction is not None
-                       else profile.sp_fraction)
-        builtin = profile.builtin_flops
-        if point.uses_intrinsics:
-            builtin *= INTRINSIC_DISCOUNT
-        arith = profile.flops
-
-        sp_rate = spec.peak_gflops_sp * 1e9 * spec.compute_efficiency
-        dp_rate = spec.peak_gflops_dp * 1e9 * spec.compute_efficiency
-        sfu_rate = sp_rate * spec.sfu_ratio
-
-        fp_time = arith * sp_fraction / sp_rate
-        sfu_time = builtin * sp_fraction / sfu_rate
-        dp_time = (arith + builtin) * (1.0 - sp_fraction) / dp_rate
-        int_time = profile.int_ops / sp_rate
-        if spec.int_fp_coissue:
-            raw = max(fp_time, int_time, sfu_time) + dp_time
-        else:
-            raw = fp_time + int_time + sfu_time + dp_time
-
-        occ = self.occupancy_batch(blocksizes, point.registers_per_thread,
-                                   point.shared_mem_per_block)
-        resident = occ.active_threads_per_sm * spec.sm_count
-        knee_capacity = (spec.max_threads_per_sm * spec.sm_count
-                         * spec.occupancy_knee)
-        work_items = max(1, profile.outer_iterations)
-        effective = np.minimum(work_items, resident)
-        utilization = np.minimum(1.0, effective / knee_capacity)
-        live = utilization > 0
-        compute = raw / np.where(live, utilization, 1.0)
-        if profile.dependent_inner_loops and sp_fraction < 0.5:
-            compute = compute / spec.serial_chain_efficiency
-        if point.spilled:
-            compute = compute * SPILL_PENALTY
-        compute = np.where(live & (occ.occupancy > 0), compute, math.inf)
-
-        memory = self._memory_time(profile, point)
-        launches = max(1, profile.kernel_calls)
-        kernel = np.maximum(compute, memory) \
-            + spec.launch_overhead_s * launches
-        return kernel + self.transfer_time(profile, point)
+        return [self.design_time(profile, replace(point, blocksize=b))
+                for b in blocksizes]

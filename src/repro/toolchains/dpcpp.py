@@ -282,9 +282,9 @@ class DpcppToolchain:
                            kernel_name: str) -> SweepCoefficients:
         """Fit the affine unroll-axis resource model with two walks.
 
-        The batched DSE replaces one partial compile *per factor* with
-        this single fit plus a tensor evaluation over the whole factor
-        axis (see :mod:`repro.flow.sweep`).  Device independent: the
+        The unroll DSE replaces one partial compile *per factor* with
+        this single fit plus a few float operations per factor (see
+        :func:`repro.flow.dse.unroll_fit`).  Device independent: the
         walker charges raw ALMs/DSPs; per-device infrastructure offsets
         and capacity divisions happen at evaluation time.
         """

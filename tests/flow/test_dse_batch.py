@@ -1,25 +1,30 @@
-"""Differential suite: batched DSE lowering vs point-at-a-time.
+"""Differential suite: the unroll fit vs one partial compile per factor.
 
-The guarantee is that the batched lowering every flow runs
-(``sweep.LOWERING``) is a pure *performance* lowering: for every app
-and device the chosen design point, the model costs, the HLS reports,
-the failure classifications and even the human-readable trace lines are
-element-wise identical to the original candidate-at-a-time loops, which
-these tests reach by patching ``sweep.LOWERING`` to ``"point"``.  They
-pin that equivalence app by app -- including the edge cases: Rush
-Larsen overmapping at factor 1 (unsynthesisable on both FPGAs) and
-n-body's variable-bound inner loop discounting the unroll pragma.
+Every flow runs the unroll DSE through the two-walk affine fit
+(``dse.LOWERING == "fit"``).  It is a pure *performance* path: for
+every app and device the chosen design point, the model costs, the HLS
+reports, the failure classifications and even the human-readable trace
+lines are identical to the per-factor reference loop, which these
+tests reach by patching ``dse.LOWERING`` to ``"point"``.  They pin
+that equivalence app by app -- including the edge cases: Rush Larsen
+overmapping at factor 1 (unsynthesisable on both FPGAs) and n-body's
+variable-bound inner loop discounting the unroll pragma -- and kernel
+by kernel over 200 generated kernels on both FPGAs.
 """
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from repro.apps import get_app
 from repro.apps.registry import ALL_APPS
-from repro.flow import sweep
+from repro.flow import dse
 from repro.flow.engine import FlowEngine
+from repro.meta.ast_api import Ast
+from repro.toolchains.dpcpp import DpcppToolchain
+from tests.lang.kernelgen import generate
 
 
 # ---------------------------------------------------------------------
@@ -48,8 +53,8 @@ def _design_fingerprint(design):
     }
 
 
-def _run(app_name, mode, dse, monkeypatch):
-    monkeypatch.setattr(sweep, "LOWERING", dse)
+def _run(app_name, mode, lowering, monkeypatch):
+    monkeypatch.setattr(dse, "LOWERING", lowering)
     result = FlowEngine().run(get_app(app_name), mode=mode)
     return ([_design_fingerprint(d) for d in result.designs],
             [line for line in result.trace if "DSE" in line])
@@ -59,16 +64,43 @@ def _run(app_name, mode, dse, monkeypatch):
 @pytest.mark.parametrize("mode", ["informed", "uninformed"])
 def test_batched_identical_to_point(app_name, mode, monkeypatch):
     point_designs, point_trace = _run(app_name, mode, "point", monkeypatch)
-    batch_designs, batch_trace = _run(app_name, mode, "batched", monkeypatch)
-    assert batch_designs == point_designs
-    assert batch_trace == point_trace
+    fit_designs, fit_trace = _run(app_name, mode, "fit", monkeypatch)
+    assert fit_designs == point_designs
+    assert fit_trace == point_trace
+
+
+# ---------------------------------------------------------------------
+# Generated kernels: the fit against per-factor partial compiles
+# ---------------------------------------------------------------------
+
+def test_unroll_fit_matches_partial_compiles_on_generated_kernels():
+    """Over 200 generated kernels on both FPGAs, the fit picks the same
+    factor for the same reason, and every evaluated point's
+    ``(factor, alm, util, overmapped)`` is bit-identical to the per-
+    factor partial compile's.  Kernels overmapping at factor 1 stop at
+    the baseline compile on both paths and are skipped."""
+    toolchain = DpcppToolchain()
+    factors = dse.UnrollUntilOvermapDSE.FACTORS
+    stops = Counter()
+    for seed in range(200):
+        ast = Ast(generate(seed).source, name=f"kernel{seed}.cpp")
+        for device in ("arria10", "stratix10"):
+            if toolchain.partial_compile(ast, "main", device).overmapped:
+                continue
+            fit = dse.unroll_fit(toolchain, ast, "main", device, factors)
+            ref = dse.unroll_points(toolchain, ast, "main", device,
+                                    factors)
+            assert fit == ref, (seed, device)
+            stops[fit.stop] += 1
+    # the corpus reaches both early exits of Fig. 2's loop
+    assert stops["overmap"] and stops["ineffective"], stops
 
 
 def test_rush_larsen_overmap_edge_case(monkeypatch):
-    """Overmap at factor 1 -> unsynthesisable, identically in both
-    lowerings (the batched path must not even fit the polynomial)."""
-    for dse in ("point", "batched"):
-        monkeypatch.setattr(sweep, "LOWERING", dse)
+    """Overmap at factor 1 -> unsynthesisable, identically on both
+    paths (the fit path must not even fit the polynomial)."""
+    for lowering in ("point", "fit"):
+        monkeypatch.setattr(dse, "LOWERING", lowering)
         result = FlowEngine().run(get_app("rush_larsen"),
                                   mode="uninformed")
         for label in ("oneapi-a10", "oneapi-s10"):
@@ -80,9 +112,9 @@ def test_rush_larsen_overmap_edge_case(monkeypatch):
 
 def test_nbody_variable_inner_edge_case(monkeypatch):
     """The discounted pragma (variable-bound inner loop) keeps factor 1
-    under both lowerings."""
-    for dse in ("point", "batched"):
-        monkeypatch.setattr(sweep, "LOWERING", dse)
+    on both paths."""
+    for lowering in ("point", "fit"):
+        monkeypatch.setattr(dse, "LOWERING", lowering)
         result = FlowEngine().run(get_app("nbody"), mode="uninformed")
         design = result.design("oneapi-s10")
         assert design.metadata["unroll_factor"] == 1
@@ -104,19 +136,19 @@ def test_blocksize_tiebreak_order_invariant():
         (1.012, 512, 1.00),   # outside the 1% window
         (2.000, 1024, 1.00),
     ]
-    expected = sweep.select_blocksize(candidates)
+    expected = dse.select_blocksize(candidates)
     assert expected[1] == 256
     rng = random.Random(7)
     for _ in range(50):
         shuffled = candidates[:]
         rng.shuffle(shuffled)
-        assert sweep.select_blocksize(shuffled) == expected
+        assert dse.select_blocksize(shuffled) == expected
 
 
 def test_first_min_index_matches_scalar_rule():
-    assert sweep.first_min_index([3.0, 1.0, 1.0, 2.0]) == 1
-    assert sweep.first_min_index([5.0]) == 0
-    assert sweep.first_min_index([2.0, 2.0, 2.0]) == 0
+    assert dse.first_min_index([3.0, 1.0, 1.0, 2.0]) == 1
+    assert dse.first_min_index([5.0]) == 0
+    assert dse.first_min_index([2.0, 2.0, 2.0]) == 0
 
 
 # ---------------------------------------------------------------------
@@ -213,10 +245,12 @@ def test_sweep_spans_and_metrics():
     assert {s.attrs["dse"] for s in spans} >= {"unroll", "blocksize",
                                                "omp-threads"}
     for span in spans:
-        assert span.attrs["mode"] == "batched"
+        # only the unroll axis has a second path
+        assert span.attrs["mode"] == ("fit" if span.attrs["dse"] == "unroll"
+                                      else "point")
         assert span.attrs["points"] >= 1
         points = [e for e in span.events if e.name == "dse.point"]
         assert len(points) == span.attrs["points"]
 
-    counter = sweep.POINTS_TOTAL.get(mode="batched", dse="blocksize")
+    counter = dse.POINTS_TOTAL.get(mode="point", dse="blocksize")
     assert counter >= 8  # the full candidate axis, maybe across runs

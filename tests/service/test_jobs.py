@@ -78,7 +78,7 @@ class TestExecution:
     def test_concurrent_jobs_share_one_lowering_and_leave_env_alone(self):
         """Jobs carry no per-process switch: running several at once
         neither reads nor writes the environment's REPRO_* state, and
-        every DSE sweep runs the batched lowering."""
+        every unroll sweep runs the fit."""
         import os
         import threading
 
@@ -109,4 +109,5 @@ class TestExecution:
         assert dict(os.environ) == before
         sweeps = [s for s in collector.snapshot() if s.name == "dse.sweep"]
         assert len(sweeps) >= 3
-        assert {s.attrs["mode"] for s in sweeps} == {"batched"}
+        assert {s.attrs["mode"] for s in sweeps
+                if s.attrs["dse"] == "unroll"} == {"fit"}
