@@ -32,7 +32,8 @@ fault plan, and then checks the invariants it names:
 ``metrics_exposition``  router ``/metrics`` passes the exposition
                         validator with the fleet families present
 ``federated_metrics``   router ``/metrics`` carries both runners'
-                        series plus the fleet/SLO/server gauges
+                        series plus the fleet, HTTP-latency and server
+                        families
 ``profiler_serves``     the profiled runner serves folded stacks
 ``console_snapshot``    ``repro obs top --once`` renders the fleet
 ``victim_busy``         every process a step killed or paused held
@@ -93,7 +94,8 @@ ROUTER_METRICS = ("repro_http_requests_total",
                   "repro_fleet_reroutes_total",
                   "repro_fleet_runner_inflight",
                   "repro_fleet_runners_healthy")
-FEDERATED_METRICS = ("repro_fleet_runners_healthy", "repro_slo_burn_rate",
+FEDERATED_METRICS = ("repro_fleet_runners_healthy",
+                     "repro_http_request_seconds",
                      "repro_server_jobs_inflight")
 STITCHED_SPANS = ("fleet.job", "fleet.route", "service.job")
 
@@ -662,7 +664,7 @@ def check_console_snapshot(run: Run) -> str:
     wanted = ("repro fleet console",
               f"runners {len(run.fleet.runners)}/"
               f"{len(run.fleet.runners)} healthy",
-              *run.fleet.runner_urls, "slo router")
+              *run.fleet.runner_urls, "fleet: reroutes")
     missing = [text for text in wanted if text not in top.stdout]
     if top.returncode != 0 or missing:
         raise InvariantViolation(

@@ -53,7 +53,6 @@ import asyncio
 import contextlib
 import json
 import logging
-import signal
 import urllib.error
 import urllib.parse
 from collections import Counter
@@ -70,9 +69,7 @@ from repro.fleet.hashring import HashRing, pick_target
 from repro.fleet.runner import RunnerHandle
 from repro.resilience import CircuitBreaker, faults
 from repro.server import protocol
-from repro.server.http import (
-    JSON_TYPE, HttpServerBase, decode_reply, parse_trace_parent,
-)
+from repro.server.http import JSON_TYPE, HttpServerBase, decode_reply
 from repro.server.protocol import JobNotFound, ServerError
 
 log = logging.getLogger("repro.fleet.router")
@@ -92,16 +89,10 @@ _SHED = {
 }
 
 
-def _cursor(since: str) -> int:
-    try:
-        return int(since)
-    except (TypeError, ValueError):
-        raise ServerError(f"bad since cursor {since!r}",
-                          status=400, code="bad_request") from None
-
-
 class FleetRouter(HttpServerBase):
     """Shards ``/v1`` traffic across N runner nodes."""
+
+    route_prefix = "fleet."
 
     def __init__(self, runners: Iterable[str],
                  host: str = "127.0.0.1", port: int = 8000,
@@ -118,7 +109,9 @@ class FleetRouter(HttpServerBase):
                  standby_of: Optional[str] = None,
                  takeover_after: int = 3,
                  tail_interval_s: float = 0.5):
-        super().__init__()
+        # the router's own spans land in span_buffer (on by default --
+        # a router serves few requests and every one should trace)
+        super().__init__(obs_buffer)
         urls = [u.rstrip("/") for u in runners]
         if not urls:
             raise ValueError("a fleet router needs at least one runner")
@@ -155,14 +148,9 @@ class FleetRouter(HttpServerBase):
             "fleet.admission", failure_threshold=breaker_threshold,
             cooldown_s=breaker_cooldown_s)
         self.draining = False
-        # the fleet's observability brain: the router's own spans land
-        # in span_buffer (on by default -- a router serves few requests
-        # and every one should trace), runner spans are pulled by the
-        # probe loop, and both stitch per trace id in trace_store
-        self.span_buffer: Optional[obs.SpanBuffer] = (
-            obs.SpanBuffer(obs_buffer) if obs_buffer > 0 else None)
+        # the router's spans and the runner spans the probe loop pulls
+        # stitch per trace id here
         self.trace_store = obs.TraceStore()
-        self.slo = obs.SLOTracker("router")
         self._own_cursor = 0          # drain cursor into span_buffer
         #: the placement table: changed only by :meth:`_commit` /
         #: :meth:`_fold`, replaced only by :meth:`_reset`
@@ -171,7 +159,6 @@ class FleetRouter(HttpServerBase):
         self._open: Dict[str, str] = {}
         #: key -> future resolved when its current forward ends
         self._forwarding: Dict[str, asyncio.Future] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._probe_task: Optional[asyncio.Task] = None
         # blocking forwards run here, never on the loop; sized
         # past the runner count so probes can't starve forwards
@@ -179,12 +166,6 @@ class FleetRouter(HttpServerBase):
             max_workers=max(8, 2 * len(urls) + 2),
             thread_name_prefix="fleet-fwd")
         reg = obs.REGISTRY
-        self._m_requests = reg.counter(
-            "repro_http_requests_total", "HTTP requests served",
-            labelnames=("route", "status"))
-        self._m_latency = reg.histogram(
-            "repro_http_request_seconds", "HTTP request latency",
-            labelnames=("route",))
         self._m_shard = reg.counter(
             "repro_fleet_shard_jobs_total",
             "jobs placed on a runner by the router", ("runner",))
@@ -217,17 +198,13 @@ class FleetRouter(HttpServerBase):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Replay the journal, recover (a primary), bind, serve.
+    async def _prepare(self) -> None:
+        """Replay the journal and recover (a primary) before binding.
 
-        A primary reconciles its table *before* binding the socket; a
+        A primary reconciles its table *before* the socket binds; a
         standby binds at once (it sheds job traffic anyway) and runs
         the tail loop instead of the probe loop.
         """
-        self._loop = asyncio.get_running_loop()
-        if self.span_buffer is not None:
-            obs.add_sink(self.span_buffer)
-        self.slo.attach(obs.REGISTRY)
         if self.journal is not None:
             # a primary takes the lease; a *restarted* standby replays
             # its own mirror and resumes tailing where it left off
@@ -237,9 +214,8 @@ class FleetRouter(HttpServerBase):
             self._m_lease_term.set(self.journal.term)
         if self.role != "standby":
             await self._recover()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+
+    def _listening(self) -> None:
         if self.role == "standby":
             self._tail_task = self._loop.create_task(self._tail_loop())
             log.info("fleet standby on http://%s:%d tailing %s "
@@ -261,31 +237,13 @@ class FleetRouter(HttpServerBase):
                 with contextlib.suppress(asyncio.CancelledError):
                     await task
         self._probe_task = self._tail_task = None
-        await self._finish_connections()
+        await super().shutdown()
         if self.journal is not None:
             self.journal.close()
-        if self.span_buffer is not None:
-            obs.remove_sink(self.span_buffer)
-        self.slo.detach()
         self._executor.shutdown(wait=False)
         for handle in (*self.handles.values(), self._primary):
             if handle is not None:
                 handle.close()
-
-    def run(self) -> None:
-        """Serve until SIGINT/SIGTERM (blocking)."""
-        async def main():
-            await self.start()
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                with contextlib.suppress(NotImplementedError, RuntimeError):
-                    loop.add_signal_handler(sig, stop.set)
-            await stop.wait()
-            log.info("signal received: shutting down router")
-            await self.shutdown()
-
-        asyncio.run(main())
 
     # ------------------------------------------------------------------
     # Fleet membership
@@ -711,18 +669,10 @@ class FleetRouter(HttpServerBase):
     # HTTP surface
     # ------------------------------------------------------------------
 
-    def _observe_request(self, route: str, status: int,
-                         elapsed_s: float) -> None:
-        self._m_requests.inc(route=f"fleet.{route}", status=str(status))
-        self._m_latency.observe(elapsed_s, route=f"fleet.{route}")
-        self.slo.observe(ok=status < 500, latency_s=elapsed_s)
-
     def _route(self, method: str, path: str, query):
         parts = [p for p in path.split("/") if p]
         if path == "/healthz" and method == "GET":
             return "healthz", self._h_healthz, ()
-        if path == "/metrics" and method == "GET":
-            return "metrics", self._h_metrics, (query.get("local"),)
         if parts[:1] == [protocol.API_VERSION]:
             rest = parts[1:]
             if (len(rest) == 3 and rest[:2] == ["obs", "traces"]
@@ -730,9 +680,6 @@ class FleetRouter(HttpServerBase):
                 return "obs_trace", self._h_obs_trace, (rest[2],)
             if rest == ["obs", "summary"] and method == "GET":
                 return "obs_summary", self._h_obs_summary, ()
-            if rest == ["obs", "spans"] and method == "GET":
-                return "obs_spans", self._h_obs_spans, (
-                    query.get("since", "0"),)
             if rest == ["journal"] and method == "GET":
                 return "journal", self._h_journal, (
                     query.get("since", "0"),)
@@ -750,8 +697,7 @@ class FleetRouter(HttpServerBase):
             if (len(rest) == 3 and rest[0] == "jobs"
                     and rest[2] == "events" and method == "GET"):
                 return "events", self._h_events, (rest[1],)
-        raise ServerError(f"no route for {method} {path}",
-                          status=404, code="not_found")
+        return super()._route(method, path, query)
 
     def _shed_unless_primary(self) -> None:
         """Job traffic is a primary-only privilege (see ``_SHED``)."""
@@ -771,7 +717,6 @@ class FleetRouter(HttpServerBase):
             "journal": (self.journal.stats()
                         if self.journal is not None else None),
             "version": repro.__version__, "now": obs.now(),
-            "slo": self.slo.snapshot(),
             "fleet": {
                 "healthy": len(self.routable()), "total": len(handles),
                 "steal_threshold": self.steal_threshold,
@@ -789,22 +734,19 @@ class FleetRouter(HttpServerBase):
         payload["status"] = "ok" if ok else "degraded"
         return await self._send_json(writer, 200 if ok else 503, payload)
 
-    async def _h_metrics(self, writer, body, headers,
-                         local: Optional[str]) -> int:
+    async def _metrics_text(self, query: Dict[str, str]) -> str:
         """Fleet-federated Prometheus dump (``?local=1`` skips peers):
         every reachable runner's ``/metrics`` merges in under a
         ``runner="<url>"`` label; one failing mid-scrape is absent."""
-        text = obs.REGISTRY.to_prometheus()
-        if not local:
-            peers = []
-            for handle in self._reachable():
-                with contextlib.suppress(urllib.error.URLError, OSError):
-                    peers.append((handle.url, await self._in_executor(
-                        handle.fetch_text, "/metrics")))
-            if peers:
-                text = obs.federate_metrics(text, peers)
-        return await self._send(writer, 200, text.encode("utf-8"),
-                                "text/plain; version=0.0.4")
+        text = await super()._metrics_text(query)
+        if query.get("local"):
+            return text
+        peers = []
+        for handle in self._reachable():
+            with contextlib.suppress(urllib.error.URLError, OSError):
+                peers.append((handle.url, await self._in_executor(
+                    handle.fetch_text, "/metrics")))
+        return obs.federate_metrics(text, peers) if peers else text
 
     # -- fleet observability: stitched traces + summary -----------------
 
@@ -837,33 +779,16 @@ class FleetRouter(HttpServerBase):
     async def _h_obs_summary(self, writer, body, headers) -> int:
         status = self._status()
         fleet = status.pop("fleet")
-        buffer = self.span_buffer
         payload = {
             "role": "router", "fleet_role": status.pop("role"), **status,
             "traces": {"count": len(self.trace_store),
                        "dropped": self.trace_store.dropped},
-            "spans": {"enabled": buffer is not None,
-                      "buffered": len(buffer) if buffer is not None else 0,
-                      "dropped": buffer.dropped if buffer is not None
-                      else 0},
+            "spans": self._span_stats(),
             "fleet": {key: fleet[key] for key in (
                 "healthy", "total", "placements", "inflight", "breaker")},
             "runners": fleet["runners"],
         }
         return await self._send_json(writer, 200, payload)
-
-    async def _h_obs_spans(self, writer, body, headers,
-                           since: str) -> int:
-        """Drain the ROUTER's own span buffer (standbys tail this so
-        the fleet.job root spans survive a primary crash)."""
-        buffer = self.span_buffer
-        spans, next_seq = (buffer.since(_cursor(since))
-                           if buffer is not None else ([], 0))
-        return await self._send_json(writer, 200, {
-            "enabled": buffer is not None, "spans": spans,
-            "next": next_seq,
-            "dropped": buffer.dropped if buffer is not None else 0,
-            "now": obs.now()})
 
     async def _h_journal(self, writer, body, headers,
                          since: str) -> int:
@@ -872,7 +797,7 @@ class FleetRouter(HttpServerBase):
             raise ServerError(
                 "this router runs without a journal (--journal-dir)",
                 status=404, code="not_found")
-        payload = self.journal.tail(_cursor(since))
+        payload = self.journal.tail(self._cursor(since))
         payload["role"] = "standby" if self.role == "standby" else "primary"
         payload["node"] = self.node_name
         return await self._send_json(writer, 200, payload)
@@ -926,7 +851,7 @@ class FleetRouter(HttpServerBase):
         # a fresh job opens the fleet-wide root span here at the
         # router, parented on the client's traceparent when present
         # (malformed/absent -> a fresh root, never an error)
-        client_ctx = parse_trace_parent(headers)
+        client_ctx = obs.parse_traceparent(headers.get("traceparent"))
         with obs.span("fleet.job", parent=client_ctx, key=key[:12],
                       app=payload.get("app"),
                       mode=payload.get("mode")) as root:

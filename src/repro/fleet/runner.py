@@ -25,6 +25,7 @@ child on localhost -- the fleet tests, the served benchmark and
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import socket
@@ -32,7 +33,6 @@ import subprocess
 import sys
 import time
 import urllib.error
-import urllib.request
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -253,21 +253,21 @@ class RunnerProcess:
 
     # ------------------------------------------------------------------
     def wait_ready(self, timeout_s: float = 30.0) -> None:
-        """Block until ``/healthz`` answers (any status) or die trying."""
+        """Block until ``/healthz`` answers (any status: degraded still
+        counts) or die trying."""
         deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.proc.poll() is not None:
-                raise RuntimeError(
-                    f"runner on port {self.port} exited with "
-                    f"{self.proc.returncode} before becoming ready")
-            try:
-                with urllib.request.urlopen(self.url + "/healthz",
-                                            timeout=2.0):
+        with contextlib.closing(ConnectionPool()) as pool:
+            while time.monotonic() < deadline:
+                if self.proc.poll() is not None:
+                    raise RuntimeError(
+                        f"runner on port {self.port} exited with "
+                        f"{self.proc.returncode} before becoming ready")
+                try:
+                    pool.exchange(self.url, "GET", "/healthz",
+                                  timeout_s=2.0)
                     return
-            except urllib.error.HTTPError:
-                return                 # answered: degraded still counts
-            except (urllib.error.URLError, OSError):
-                time.sleep(0.05)
+                except urllib.error.URLError:
+                    time.sleep(0.05)
         raise TimeoutError(f"runner on port {self.port} never became "
                            f"ready within {timeout_s}s")
 

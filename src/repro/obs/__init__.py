@@ -32,7 +32,6 @@ from repro.obs.metrics import (
     REGISTRY, Counter, Gauge, Histogram, MetricsRegistry, get_registry,
 )
 from repro.obs.profiler import StackProfiler
-from repro.obs.slo import SLOTracker
 from repro.obs.span import (
     NULL_SPAN, Span, SpanCollector, SpanEvent, add_sink, adopt_spans,
     current_context, current_span, enabled, event, new_trace_id, now,
@@ -46,7 +45,7 @@ __all__ = [
     "span_depth", "write_chrome_trace",
     "REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry",
-    "StackProfiler", "SLOTracker",
+    "StackProfiler",
     "NULL_SPAN", "Span", "SpanCollector", "SpanEvent", "add_sink",
     "adopt_spans", "current_context", "current_span", "enabled",
     "event", "new_trace_id", "now", "remove_sink", "span",

@@ -2,8 +2,8 @@
 
 ``python -m repro obs top`` polls one endpoint pair -- the router's
 ``/v1/obs/summary`` and its federated ``/metrics`` -- and renders an
-ASCII dashboard: fleet totals, SLO burn rates, then one row per runner
-(state, in-flight, shed counts, cache hit tiers, breaker state).  The
+ASCII dashboard: fleet totals, then one row per runner (state,
+in-flight, shed counts, cache hit tiers, breaker state).  The
 rendering is a pure function of ``(summary, samples)`` so tests
 snapshot it without a terminal; the loop just clears the screen and
 re-renders.  Pointing it at a single runner instead of a router also
@@ -18,15 +18,16 @@ ASCII timeline renderer.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import sys
 import time
 import urllib.error
-import urllib.request
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.span import Span
+from repro.server import http
 
 #: one Prometheus sample: (metric name, labels, value)
 Sample = Tuple[str, Dict[str, str], float]
@@ -91,18 +92,6 @@ def _fmt_count(value: float) -> str:
     return f"{value:.1f}"
 
 
-def _slo_line(slo: Optional[Dict[str, Any]]) -> str:
-    if not slo:
-        return "slo: (not configured)"
-    windows = slo.get("windows") or {}
-    parts = [f"{name} {win.get('burn_rate', 0):.2f}x"
-             for name, win in sorted(windows.items())]
-    flag = "DEGRADED" if slo.get("degraded") else "ok"
-    return (f"slo {slo.get('name', '?')}: target "
-            f"{slo.get('target', 0):.2%}  burn [{', '.join(parts)}]  "
-            f"-> {flag}")
-
-
 def render_top(summary: Dict[str, Any],
                samples: List[Sample]) -> str:
     """The dashboard frame as plain text (no ANSI)."""
@@ -118,7 +107,6 @@ def render_top(summary: Dict[str, Any],
             f"healthy · placements {fleet.get('placements', 0)} · "
             f"inflight {fleet.get('inflight', 0)} · breaker "
             f"{(fleet.get('breaker') or {}).get('state', '?')}")
-    lines.append(_slo_line(summary.get("slo")))
     lines.append("")
 
     runners = [r.get("url", "?") for r in summary.get("runners") or ()]
@@ -128,7 +116,7 @@ def render_top(summary: Dict[str, Any],
                                "runner") or [""]
     header = (f"{'runner':<28} {'state':<10} {'infl':>5} {'shed':>5} "
               f"{'hit:mem':>8} {'hit:disk':>9} {'miss':>6} "
-              f"{'brkr':>5} {'burn':>6}")
+              f"{'brkr':>5}")
     lines.append(header)
     lines.append("-" * len(header))
     states = {r.get("url"): r for r in summary.get("runners") or ()}
@@ -149,14 +137,12 @@ def render_top(summary: Dict[str, Any],
             1 for name, labels, value in samples
             if name == "repro_breaker_state" and value > 0
             and all(labels.get(k) == v for k, v in sel.items()))
-        burn = metric_sum(samples, "repro_slo_burn_rate",
-                          window="fast", **sel)
         label = runner or "(local)"
         lines.append(
             f"{label:<28.28} {state.get('state', 'up'):<10} "
             f"{_fmt_count(inflight):>5} {_fmt_count(shed):>5} "
             f"{_fmt_count(hit_mem):>8} {_fmt_count(hit_disk):>9} "
-            f"{_fmt_count(miss):>6} {breakers_open:>5} {burn:>6.2f}")
+            f"{_fmt_count(miss):>6} {breakers_open:>5}")
 
     reroutes = metric_sum(samples, "repro_fleet_reroutes_total")
     steals = metric_sum(samples, "repro_fleet_steals_total")
@@ -172,9 +158,9 @@ def render_top(summary: Dict[str, Any],
 # Fetch + loop
 # -------------------------------------------------------------------------
 def fetch_text(server: str, path: str, timeout_s: float = 10.0) -> str:
-    with urllib.request.urlopen(server.rstrip("/") + path,
-                                timeout=timeout_s) as resp:
-        return resp.read().decode("utf-8")
+    """GET ``path``; an error status raises ``urllib.error.HTTPError``."""
+    with contextlib.closing(http.ConnectionPool()) as pool:
+        return http.fetch_text(pool, server.rstrip("/"), path, timeout_s)
 
 
 def fetch_json(server: str, path: str,

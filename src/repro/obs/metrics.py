@@ -298,15 +298,6 @@ class MetricsRegistry:
             if fn not in self._collectors:
                 self._collectors.append(fn)
 
-    def unregister_collector(
-            self, fn: Callable[["MetricsRegistry"], None]) -> None:
-        """Detach a collector (e.g. an SLO tracker on server shutdown)."""
-        with self._lock:
-            try:
-                self._collectors.remove(fn)
-            except ValueError:
-                pass
-
     def _collect(self) -> None:
         with self._lock:
             collectors = list(self._collectors)

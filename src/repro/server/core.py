@@ -1,8 +1,8 @@
 """The asyncio HTTP front end over :class:`DesignService`.
 
-Stdlib only: HTTP/1.1 parsed directly off ``asyncio`` streams, one
-request per connection.  The interesting part is not the parsing but
-the plumbing between three worlds:
+Stdlib only: the keep-alive HTTP/1.1 node surface of
+:class:`~repro.server.http.HttpServerBase`.  The interesting part is
+not the parsing but the plumbing between three worlds:
 
 - **service threads** complete jobs and fire listener callbacks;
 - **flow worker threads** execute tasks and fire :class:`TaskFrames`
@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,9 +49,7 @@ from repro.config import ReproConfig
 from repro.flow.serialize import result_to_dict
 from repro.flow.task import FlowObserver
 from repro.server import protocol
-from repro.server.http import (
-    HttpServerBase, JSON_TYPE, MAX_BODY_BYTES, parse_trace_parent,
-)
+from repro.server.http import HttpServerBase, JSON_TYPE, MAX_BODY_BYTES
 from repro.server.protocol import JobNotFound, ServerError
 from repro.service import DesignService
 from repro.service.core import ServiceOverloaded
@@ -164,38 +161,26 @@ class ReproServer(HttpServerBase):
                  host: str = "127.0.0.1", port: int = 8000,
                  max_queue: int = 8, drain_timeout_s: float = 30.0,
                  config: Optional[ReproConfig] = None):
-        super().__init__()
-        self._own_service = service is None
-        self.service = service or api.open_service(config)
         self.config = config if config is not None \
             else ReproConfig.from_env()
+        # the span ring buffer a fleet collector drains is opt-in
+        # (obs_buffer), and so is the sampling profiler (profile_hz)
+        super().__init__(self.config.obs_buffer)
+        self._own_service = service is None
+        self.service = service or api.open_service(config)
         self.host = host
         self.port = port
         self.max_queue = max_queue
         self.drain_timeout_s = drain_timeout_s
         self.draining = False
-        # fleet-observability surface: a span ring buffer the collector
-        # drains (opt-in via obs_buffer), an SLO burn tracker, and an
-        # opt-in sampling profiler (profile_hz)
-        self.span_buffer: Optional[obs.SpanBuffer] = (
-            obs.SpanBuffer(self.config.obs_buffer)
-            if self.config.obs_buffer > 0 else None)
-        self.slo = obs.SLOTracker("server")
         self.profiler: Optional[obs.StackProfiler] = (
             obs.StackProfiler(self.config.profile_hz)
             if self.config.profile_hz > 0 else None)
         self._jobs: Dict[str, _JobState] = {}
         self._inflight = 0                # uncached jobs not yet done
         self._seq = 0                     # global SSE event id
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._idle = asyncio.Event()
         reg = obs.REGISTRY
-        self._m_requests = reg.counter(
-            "repro_http_requests_total", "HTTP requests served",
-            labelnames=("route", "status"))
-        self._m_latency = reg.histogram(
-            "repro_http_request_seconds", "HTTP request latency",
-            labelnames=("route",))
         self._m_inflight = reg.gauge(
             "repro_server_jobs_inflight", "uncached jobs being executed")
         self._m_shed = reg.counter(
@@ -210,21 +195,15 @@ class ReproServer(HttpServerBase):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind and begin serving (non-blocking; use from async code)."""
-        self._loop = asyncio.get_running_loop()
+    async def _prepare(self) -> None:
         self._idle = asyncio.Event()
         self._idle.set()
         self.service.add_listener(self._on_service_event)
         self.service.set_tracer_factory(self._frames_for)
-        if self.span_buffer is not None:
-            obs.add_sink(self.span_buffer)
-        self.slo.attach(obs.REGISTRY)
         if self.profiler is not None:
             self.profiler.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+
+    def _listening(self) -> None:
         log.info("serving on http://%s:%d", self.host, self.port)
 
     async def shutdown(self, drain: bool = True) -> None:
@@ -241,33 +220,13 @@ class ReproServer(HttpServerBase):
         # wake every SSE stream so connections close promptly
         for state in self._jobs.values():
             self._fanout(state, "shutdown", {"draining": True})
-        await self._finish_connections()
+        await super().shutdown()
         self.service.remove_listener(self._on_service_event)
         self.service.set_tracer_factory(None)
-        if self.span_buffer is not None:
-            obs.remove_sink(self.span_buffer)
-        self.slo.detach()
         if self.profiler is not None:
             self.profiler.stop()
         if self._own_service:
             self.service.close()
-
-    def run(self) -> None:
-        """Serve until SIGINT/SIGTERM, then drain and exit (blocking)."""
-        async def main():
-            await self.start()
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(sig, stop.set)
-                except (NotImplementedError, RuntimeError):
-                    pass
-            await stop.wait()
-            log.info("signal received: draining")
-            await self.shutdown(drain=True)
-
-        asyncio.run(main())
 
     # ------------------------------------------------------------------
     # Cross-thread event plumbing
@@ -338,25 +297,12 @@ class ReproServer(HttpServerBase):
     # HTTP layer (parsing/response plumbing lives in HttpServerBase)
     # ------------------------------------------------------------------
 
-    def _observe_request(self, route: str, status: int,
-                         elapsed_s: float) -> None:
-        self._m_requests.inc(route=route, status=str(status))
-        self._m_latency.observe(elapsed_s, route=route)
-        # SLO accounting: server-caused failures burn the budget;
-        # client errors and deliberate shedding (4xx) do not
-        self.slo.observe(ok=status < 500, latency_s=elapsed_s)
-
     def _route(self, method: str, path: str, query):
         parts = [p for p in path.split("/") if p]
         if path == "/healthz" and method == "GET":
             return "healthz", self._h_healthz, ()
-        if path == "/metrics" and method == "GET":
-            return "metrics", self._h_metrics, ()
         if parts[:1] == [protocol.API_VERSION]:
             rest = parts[1:]
-            if rest == ["obs", "spans"] and method == "GET":
-                return "obs_spans", self._h_obs_spans, (
-                    query.get("since", "0"),)
             if rest == ["obs", "profile"] and method == "GET":
                 return "obs_profile", self._h_obs_profile, ()
             if rest == ["obs", "summary"] and method == "GET":
@@ -379,8 +325,7 @@ class ReproServer(HttpServerBase):
                 return "events", self._h_events, (rest[1],)
             if len(rest) == 2 and rest[0] == "cache" and method == "GET":
                 return "cache", self._h_cache_entry, (rest[1],)
-        raise ServerError(f"no route for {method} {path}",
-                          status=404, code="not_found")
+        return super()._route(method, path, query)
 
     # -- handlers -------------------------------------------------------
 
@@ -392,43 +337,14 @@ class ReproServer(HttpServerBase):
             "max_queue": self.max_queue,
             "jobs_tracked": len(self._jobs),
         }
-        # advisory fields for the fleet collector: the runner's clock
-        # (for offset measurement) and SLO burn state.  An SLO burn
-        # does NOT flip top-level status -- the router parks non-ok
-        # runners unroutable, and shrinking a burning fleet burns it
-        # harder.
+        # the runner's clock, for the fleet collector's offset
         health["now"] = obs.now()
-        health["slo"] = self.slo.snapshot()
         breaker_open = health["overload"]["state"] != "closed"
         ok = not breaker_open and not self.draining
         health["status"] = "ok" if ok else "degraded"
         return await self._send_json(writer, 200 if ok else 503, health)
 
-    async def _h_metrics(self, writer, body, headers) -> int:
-        text = obs.REGISTRY.to_prometheus()
-        return await self._send(writer, 200, text.encode("utf-8"),
-                                "text/plain; version=0.0.4")
-
     # -- fleet observability surface ------------------------------------
-
-    async def _h_obs_spans(self, writer, body, headers,
-                           since: str) -> int:
-        """Drain finished spans past the collector's cursor."""
-        try:
-            cursor = int(since)
-        except (TypeError, ValueError):
-            raise ServerError(f"bad since cursor {since!r}",
-                              status=400, code="bad_request") from None
-        if self.span_buffer is None:
-            payload = {"enabled": False, "spans": [], "next": 0,
-                       "dropped": 0, "now": obs.now()}
-        else:
-            spans, next_seq = self.span_buffer.since(cursor)
-            payload = {"enabled": True, "spans": spans,
-                       "next": next_seq,
-                       "dropped": self.span_buffer.dropped,
-                       "now": obs.now()}
-        return await self._send_json(writer, 200, payload)
 
     async def _h_obs_profile(self, writer, body, headers) -> int:
         """Folded-stack profiler dump (flamegraph.pl input format)."""
@@ -446,14 +362,7 @@ class ReproServer(HttpServerBase):
             "role": "runner",
             "version": repro.__version__,
             "now": obs.now(),
-            "slo": self.slo.snapshot(),
-            "spans": {
-                "enabled": self.span_buffer is not None,
-                "buffered": (len(self.span_buffer)
-                             if self.span_buffer is not None else 0),
-                "dropped": (self.span_buffer.dropped
-                            if self.span_buffer is not None else 0),
-            },
+            "spans": self._span_stats(),
             "profiler": (self.profiler.snapshot()
                          if self.profiler is not None else None),
         }
@@ -516,8 +425,9 @@ class ReproServer(HttpServerBase):
         self._idle.clear()
         self._fanout(state, "queued", {"id": key})
         # a forwarding router stamps its span context onto the request;
-        # adopting it stitches router->runner traces into one tree
-        obs_parent = parse_trace_parent(headers)
+        # adopting it stitches router->runner traces into one tree (a
+        # malformed or absent traceparent opens a fresh root)
+        obs_parent = obs.parse_traceparent(headers.get("traceparent"))
         try:
             submission = await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self.service.submit(job,

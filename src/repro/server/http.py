@@ -3,10 +3,14 @@
 :class:`ReproServer` (the single-node job API) and the fleet router
 (:mod:`repro.fleet.router`) both speak the same tiny HTTP dialect:
 persistent (keep-alive) connections, ``Content-Length`` framing, JSON
-bodies.  :class:`HttpServerBase` owns that dialect -- head/body
-parsing with bounded bodies, response encoding, the per-connection
-request loop with taxonomy error mapping -- so each server only
-implements :meth:`_route` and its handlers.
+bodies.  :class:`HttpServerBase` is the one node surface they share:
+head/body parsing with bounded bodies, response encoding, the
+per-connection request loop with taxonomy error mapping, per-request
+accounting (``repro_http_requests_total`` and
+``repro_http_request_seconds``), the span buffer a collector drains
+at ``GET /v1/obs/spans?since=N``, the local ``/metrics`` dump, and
+the start/shutdown lifecycle with a signal-driven :meth:`run`.  Each
+server implements :meth:`_route` for its own routes and its handlers.
 
 A connection serves requests until the peer sends ``Connection:
 close`` or hangs up, a framing error leaves the stream out of sync, a
@@ -17,13 +21,15 @@ down.  Each response's ``Connection`` header says which.
 Handlers are coroutines ``handler(writer, body, headers, *args)``
 returning the HTTP status they sent (0 suppresses accounting, e.g. a
 stream the peer closed).  ``headers`` is a lower-cased name -> value
-dict, which is how request metadata like the router's
-``X-Repro-Parent`` trace context reaches a handler.
+dict, which is how request metadata like the caller's ``traceparent``
+reaches a handler.
 
 The calling side is :class:`ConnectionPool` (idle keep-alive
-``http.client`` connections per host), :func:`wire_exchange` and
-:func:`decode_reply`, which :class:`~repro.client.ReproClient` and the
-router's :class:`~repro.fleet.runner.RunnerHandle` share.
+``http.client`` connections per host), :func:`wire_exchange`,
+:func:`decode_reply` and :func:`fetch_text`, which
+:class:`~repro.client.ReproClient`, the router's
+:class:`~repro.fleet.runner.RunnerHandle` and the ``repro obs``
+console share.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import logging
+import signal
 import threading
 import time
 import urllib.error
@@ -38,9 +46,12 @@ import urllib.parse
 import weakref
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro import obs
 from repro.resilience import faults
 from repro.server import protocol
 from repro.server.protocol import ServerError
+
+log = logging.getLogger("repro.server")
 
 #: request bodies past this are refused (jobs are tiny)
 MAX_BODY_BYTES = 64 * 1024
@@ -71,18 +82,79 @@ class FramingError(ServerError):
 
 
 class HttpServerBase:
-    """Keep-alive HTTP/1.1 server core (stdlib asyncio)."""
+    """Keep-alive HTTP/1.1 server core (stdlib asyncio).
+
+    ``obs_buffer`` > 0 keeps a :class:`~repro.obs.SpanBuffer` of that
+    many finished spans, attached as a span sink while the node
+    serves.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0
+    #: prefix of this node's ``route`` label on the request metrics
+    route_prefix: str = ""
 
-    def __init__(self) -> None:
+    def __init__(self, obs_buffer: int = 0) -> None:
         #: open connections: None while idle between requests, else
         #: whether the current response may keep the connection open
         self._conns: Dict[asyncio.StreamWriter, Optional[bool]] = {}
         self._conn_tasks: Set[asyncio.Task] = set()
         self._closing = False
         self._server: Optional[asyncio.base_events.Server] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self.span_buffer: Optional[obs.SpanBuffer] = (
+            obs.SpanBuffer(obs_buffer) if obs_buffer > 0 else None)
+        self._m_requests = obs.REGISTRY.counter(
+            "repro_http_requests_total", "HTTP requests served",
+            labelnames=("route", "status"))
+        self._m_latency = obs.REGISTRY.histogram(
+            "repro_http_request_seconds", "HTTP request latency",
+            labelnames=("route",))
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    async def start(self) -> None:
+        """Attach the span buffer, :meth:`_prepare`, bind, then
+        :meth:`_listening` (non-blocking; use from async code)."""
+        self._loop = asyncio.get_running_loop()
+        if self.span_buffer is not None:
+            obs.add_sink(self.span_buffer)
+        await self._prepare()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port)
+        self.port = self._server.sockets[0].getsockname()[1]
+        self._listening()
+
+    async def _prepare(self) -> None:
+        """Node set-up before the socket binds (spans already record)."""
+
+    def _listening(self) -> None:
+        """Called once bound: say where, start background loops."""
+
+    async def shutdown(self) -> None:
+        """Finish every connection, then detach the span buffer."""
+        await self._finish_connections()
+        if self.span_buffer is not None:
+            obs.remove_sink(self.span_buffer)
+
+    def run(self) -> None:
+        """Serve until SIGINT/SIGTERM, then :meth:`shutdown` (blocking)."""
+        async def main():
+            await self.start()
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(sig, stop.set)
+                except (NotImplementedError, RuntimeError):
+                    pass
+            await stop.wait()
+            log.info("signal received: shutting down")
+            await self.shutdown()
+
+        asyncio.run(main())
 
     # ------------------------------------------------------------------
     # Connection loop
@@ -184,13 +256,65 @@ class HttpServerBase:
 
         ``query`` is the parsed query string; routes that take
         parameters (e.g. ``/v1/obs/spans?since=N``) thread the values
-        through as handler args.
+        through as handler args.  A server routes its own paths and
+        hands the rest here: the routes every node answers.
         """
-        raise NotImplementedError
+        if method == "GET" and path == "/metrics":
+            return "metrics", self._h_metrics, (query,)
+        if method == "GET" and path == f"/{protocol.API_VERSION}/obs/spans":
+            return "obs_spans", self._h_obs_spans, (
+                query.get("since", "0"),)
+        raise ServerError(f"no route for {method} {path}",
+                          status=404, code="not_found")
 
     def _observe_request(self, route: str, status: int,
                          elapsed_s: float) -> None:
-        """Per-request accounting hook; default is no accounting."""
+        route = self.route_prefix + route
+        self._m_requests.inc(route=route, status=str(status))
+        self._m_latency.observe(elapsed_s, route=route)
+
+    # ------------------------------------------------------------------
+    # Routes every node answers
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _cursor(since: str) -> int:
+        """A ``?since=`` drain cursor; not an integer is a 400."""
+        try:
+            return int(since)
+        except (TypeError, ValueError):
+            raise ServerError(f"bad since cursor {since!r}",
+                              status=400, code="bad_request") from None
+
+    async def _metrics_text(self, query: Dict[str, str]) -> str:
+        """This process's Prometheus exposition."""
+        return obs.REGISTRY.to_prometheus()
+
+    async def _h_metrics(self, writer, body, headers,
+                         query: Dict[str, str]) -> int:
+        text = await self._metrics_text(query)
+        return await self._send(writer, 200, text.encode("utf-8"),
+                                "text/plain; version=0.0.4")
+
+    def _span_stats(self) -> Dict[str, Any]:
+        """The span buffer's ``/v1/obs/summary`` block."""
+        buffer = self.span_buffer
+        return {"enabled": buffer is not None,
+                "buffered": len(buffer) if buffer is not None else 0,
+                "dropped": buffer.dropped if buffer is not None else 0}
+
+    async def _h_obs_spans(self, writer, body, headers,
+                           since: str) -> int:
+        """Drain finished spans past the collector's cursor."""
+        cursor = self._cursor(since)
+        buffer = self.span_buffer
+        spans, next_seq = (buffer.since(cursor) if buffer is not None
+                           else ([], 0))
+        return await self._send_json(writer, 200, {
+            "enabled": buffer is not None, "spans": spans,
+            "next": next_seq,
+            "dropped": buffer.dropped if buffer is not None else 0,
+            "now": obs.now()})
 
     # ------------------------------------------------------------------
     # Request parsing
@@ -417,33 +541,3 @@ def fetch_text(pool: ConnectionPool, base_url: str, path: str,
                                      REASONS.get(status, "Error"),
                                      headers, None)
     return raw.decode("utf-8")
-
-
-def parse_trace_parent(headers: Dict[str, str]
-                       ) -> Optional[Dict[str, str]]:
-    """The caller's span context, or None.
-
-    Two encodings are accepted: the W3C-style ``traceparent`` header
-    (``00-<trace_id>-<span_id>-01``, stamped by :class:`ReproClient`
-    and the fleet router) and the older JSON ``X-Repro-Parent``
-    (``{"trace_id": ..., "span_id": ...}``).  ``traceparent`` wins
-    when both are present.  A malformed value is ignored rather than
-    failing the job -- the receiver opens a fresh trace root.
-    """
-    from repro.obs.collect import parse_traceparent
-
-    ctx = parse_traceparent(headers.get("traceparent"))
-    if ctx is not None:
-        return ctx
-    raw = headers.get("x-repro-parent")
-    if not raw:
-        return None
-    try:
-        ctx = json.loads(raw)
-    except (ValueError, TypeError):
-        return None
-    if (isinstance(ctx, dict) and
-            isinstance(ctx.get("trace_id"), str) and
-            isinstance(ctx.get("span_id"), str)):
-        return {"trace_id": ctx["trace_id"], "span_id": ctx["span_id"]}
-    return None

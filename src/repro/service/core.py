@@ -87,7 +87,7 @@ class _Pending:
         # the submitter's span context: worker spans (thread pool) and
         # adopted payload spans (process pool) parent onto it.  An
         # explicit obs_parent (a remote caller's context, e.g. the
-        # fleet router via X-Repro-Parent) wins over the local one so
+        # fleet router's traceparent) wins over the local one so
         # router->runner traces stitch into a single tree.
         self.obs_ctx: Optional[Dict[str, str]] = (
             obs_parent or obs.current_context())

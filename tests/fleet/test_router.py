@@ -19,6 +19,7 @@ from repro.config import ReproConfig
 from repro.fleet.durable import inflight_counts
 from repro.fleet.router import FleetRouter
 from repro.fleet.runner import RunnerHandle, free_port
+from repro.obs.console import metric_sum, parse_prometheus
 from repro.server import protocol
 
 URLS = [f"http://10.9.9.{i}:7000" for i in range(1, 4)]
@@ -219,12 +220,22 @@ def test_sse_events_proxy_through_the_router(fleet):
 
 
 def test_metrics_expose_fleet_series(fleet):
-    _, _, _, client = fleet
-    client.submit("kmeans", "informed")
+    a, b, _, client = fleet
+    client.run_flow("kmeans", "informed", timeout=120)
     text = client.metrics()
     assert "repro_fleet_shard_jobs_total" in text
     assert "repro_fleet_runners_healthy 2" in text
     assert 'repro_http_requests_total{route="fleet.submit"' in text
+    # the four latency series perfbench's served_mix reads: the
+    # router's own fleet.* routes, and the runners' bare ones
+    # federated under a runner label
+    samples = parse_prometheus(text)
+    count = "repro_http_request_seconds_count"
+    for route in ("fleet.submit", "fleet.result"):
+        assert metric_sum(samples, count, route=route) >= 1
+    for route in ("submit", "result"):
+        assert sum(metric_sum(samples, count, route=route, runner=url)
+                   for url in (a.url, b.url)) >= 1
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,15 @@ def test_malformed_traceparent_falls_back_to_a_fresh_root(fleet):
     placement = router.router._placements[data["id"]]
     assert placement["trace"] is not None
     assert len(placement["trace"]["trace_id"]) == 16   # a minted root
+    # the old JSON X-Repro-Parent header is not a trace context
+    legacy = {"trace_id": "ab" * 8, "span_id": "1.1"}
+    status, data = submit_raw(
+        router.url, {"app": "kmeans", "scale": 1.66},
+        headers={"X-Repro-Parent": json.dumps(legacy)})
+    assert status == 201
+    minted = router.router._placements[data["id"]]["trace"]
+    assert minted is not None
+    assert minted["trace_id"] != legacy["trace_id"]
 
 
 def test_resubmit_dedup_attaches_to_the_original_trace(fleet):

@@ -19,7 +19,6 @@ repro_server_jobs_inflight{runner="http://n2:2"} 1
 repro_profile_cache_total{runner="http://n1:1",tier="memory"} 5
 repro_profile_cache_total{runner="http://n1:1",tier="miss"} 3
 repro_fleet_reroutes_total{reason="node_loss"} 1
-repro_slo_burn_rate{slo="router",window="fast"} 0.5
 plain_counter 7
 """
 
@@ -27,11 +26,6 @@ SUMMARY = {
     "role": "router",
     "version": "1.2.3",
     "traces": {"count": 4, "dropped": 0},
-    "slo": {
-        "name": "router", "target": 0.99, "degraded": False,
-        "windows": {"fast": {"burn_rate": 0.5},
-                    "slow": {"burn_rate": 0.1}},
-    },
     "fleet": {"healthy": 2, "total": 2, "placements": 4,
               "inflight": 3, "breaker": {"state": "closed"}},
     "runners": [
@@ -84,12 +78,11 @@ def test_label_values_lists_distinct_sorted():
 # Dashboard rendering (pure)
 # ----------------------------------------------------------------------
 
-def test_render_top_shows_fleet_runners_and_slo():
+def test_render_top_shows_fleet_runners_and_totals():
     frame = render_top(SUMMARY, parse_prometheus(TEXT))
     assert "router v1.2.3" in frame and "traces 4" in frame
     assert "runners 2/2 healthy" in frame
     assert "breaker closed" in frame
-    assert "slo router" in frame and "-> ok" in frame
     lines = frame.splitlines()
     n1 = next(l for l in lines if l.startswith("http://n1:1"))
     assert "healthy" in n1
@@ -101,17 +94,10 @@ def test_render_top_shows_fleet_runners_and_slo():
     assert "reroutes 1" in frame
 
 
-def test_render_top_flags_degradation():
-    summary = dict(SUMMARY)
-    summary["slo"] = {**SUMMARY["slo"], "degraded": True}
-    assert "DEGRADED" in render_top(summary, [])
-
-
 def test_render_top_collapses_to_local_row_without_fleet():
     summary = {"role": "runner", "version": "1.2.3"}
     frame = render_top(summary, parse_prometheus("plain 1\n"))
     assert "(local)" in frame
-    assert "slo: (not configured)" in frame
 
 
 # ----------------------------------------------------------------------

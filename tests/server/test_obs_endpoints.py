@@ -1,4 +1,8 @@
-"""Runner-side observability surface: /v1/obs/* and healthz extras."""
+"""The observability surface: /v1/obs/* and healthz extras.
+
+The span drain is every node's (it lives in ``HttpServerBase``), so
+its tests run against a runner and against a router over it.
+"""
 
 import pytest
 
@@ -22,46 +26,54 @@ def obs_client(obs_server):
                        poll_interval_s=0.05)
 
 
-def test_healthz_carries_clock_and_slo_advisories(obs_client):
+@pytest.fixture(scope="module", params=["runner", "router"])
+def node(request, obs_server):
+    """``(kind, client)`` of the runner, or of a router in front of it."""
+    if request.param == "runner":
+        yield "runner", ReproClient(obs_server.url, backoff_s=0.05,
+                                    poll_interval_s=0.05)
+        return
+    from tests.fleet.conftest import LiveRouter
+
+    router = LiveRouter([obs_server.url])
+    yield "router", ReproClient(router.url, backoff_s=0.05,
+                                poll_interval_s=0.05)
+    router.stop()
+
+
+def test_healthz_carries_the_runner_clock(obs_client):
     health = obs_client.health()
     assert health["http_status"] == 200 and health["status"] == "ok"
     assert isinstance(health["now"], float)
-    slo = health["slo"]
-    assert slo["name"] == "server"
-    assert set(slo["windows"]) == {"fast", "slow"}
-    assert isinstance(slo["degraded"], bool)
+    assert "slo" not in health
 
 
-def test_slo_degradation_never_flips_health_status(obs_server,
-                                                   obs_client):
-    slo = obs_server.server.slo
-    # drown the tracker in synthetic failures: burn >> threshold
-    for _ in range(200):
-        slo.observe(ok=False)
-    health = obs_client.health()
-    assert health["slo"]["degraded"] is True
-    # advisory only -- the runner stays routable (see slo.py docstring)
-    assert health["http_status"] == 200 and health["status"] == "ok"
+#: the root span, then the others, a node records for one job
+OWN_SPANS = {"runner": ("service.job",),
+             "router": ("fleet.job", "fleet.route")}
 
 
-def test_obs_spans_drains_job_spans_incrementally(obs_client):
-    obs_client.run_flow("kmeans", "informed", timeout=120)
-    data = obs_client.obs_spans(since=0)
+def test_obs_spans_drains_job_spans_incrementally(node):
+    kind, client = node
+    client.run_flow("kmeans", "informed", timeout=120)
+    data = client.obs_spans(since=0)
     assert data["enabled"] is True
     assert data["next"] > 0 and isinstance(data["now"], float)
     names = {s["name"] for s in data["spans"]}
-    assert "service.job" in names
-    assert any(n.startswith("flow.") or n == "parse" for n in names)
+    assert set(OWN_SPANS[kind]) <= names
+    if kind == "runner":
+        assert any(n.startswith("flow.") or n == "parse" for n in names)
     trace_ids = {s["trace_id"] for s in data["spans"]
-                 if s["name"] == "service.job"}
+                 if s["name"] == OWN_SPANS[kind][0]}
     assert len(trace_ids) >= 1
     # the cursor advances: nothing new means an empty drain
-    again = obs_client.obs_spans(since=data["next"])
+    again = client.obs_spans(since=data["next"])
     assert again["spans"] == [] and again["next"] == data["next"]
 
 
-def test_obs_spans_rejects_a_bad_cursor(obs_client):
-    status, data, _ = obs_client._request_once(
+def test_obs_spans_rejects_a_bad_cursor(node):
+    _, client = node
+    status, data, _ = client._request_once(
         "GET", "/v1/obs/spans?since=banana")
     assert status == 400
     assert data["error"]["code"] == "bad_request"
@@ -78,7 +90,7 @@ def test_obs_summary_describes_the_runner(obs_client):
     profiler = summary["profiler"]
     assert profiler is not None and profiler["hz"] == 50.0
     assert profiler["running"] is True
-    assert summary["slo"]["name"] == "server"
+    assert "slo" not in summary
 
 
 def test_obs_profile_serves_folded_stacks(obs_client):
