@@ -88,6 +88,8 @@ class ReproClient:
         self._rng = rng or random.Random()
         self._sleep = time.sleep       # monkeypatch point for tests
         self._pool = ConnectionPool()
+        #: ``(job_id, result dict)`` a submit answer carried inline
+        self._kept: Optional[Tuple[str, Dict[str, Any]]] = None
 
     # ------------------------------------------------------------------
     # Transport
@@ -274,10 +276,22 @@ class ReproClient:
     def submit(self, app: str, mode: str = "informed",
                **job_kwargs: Any) -> Dict[str, Any]:
         """Submit one job; returns the job record (``id`` is the
-        content hash -- resubmitting the same spec is a no-op)."""
+        content hash -- resubmitting the same spec is a no-op).
+
+        A job already finished with status ``succeeded`` comes back
+        with its result inline.  The record returned here leaves it
+        out; the client keeps it in one slot for the next
+        :meth:`result` of that id.  Every submit replaces or clears
+        the slot.
+        """
         payload = {"app": app, "mode": mode}
         payload.update(job_kwargs)
-        return self._request("POST", "/v1/jobs", payload)
+        self._kept = None
+        record = self._request("POST", "/v1/jobs", payload)
+        result = record.pop("result", None)
+        if result is not None:
+            self._kept = (record["id"], result)
+        return record
 
     def status(self, job_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/v1/jobs/{job_id}")
@@ -287,7 +301,15 @@ class ReproClient:
 
     def result(self, job_id: str) -> FlowResultRecord:
         """The finished result; raises the job's terminal taxonomy
-        error, or :class:`JobResultPending` while it still runs."""
+        error, or :class:`JobResultPending` while it still runs.
+
+        A result the last :meth:`submit` kept for ``job_id`` is
+        returned once, with no request; any other read is a GET.
+        """
+        kept = self._kept
+        if kept is not None and kept[0] == job_id:
+            self._kept = None
+            return result_from_dict(kept[1])
         data = self._request("GET", f"/v1/jobs/{job_id}/result")
         return result_from_dict(data)
 
@@ -295,7 +317,8 @@ class ReproClient:
                  timeout: Optional[float] = None,
                  **job_kwargs: Any) -> FlowResultRecord:
         """Submit and block until the result is ready (the remote
-        equivalent of :func:`repro.api.run_flow`).
+        equivalent of :func:`repro.api.run_flow`); a job finished
+        before the submit costs that one request.
 
         A read that answers :class:`JobNotFound` for the job submitted
         here resubmits the same spec, up to ``max_retries`` times: the

@@ -3,8 +3,9 @@
 :class:`PeerFetchCache` is a :class:`~repro.service.cache.CacheBackend`
 wrapping the node's local :class:`~repro.service.cache.ResultCache`.
 On a local miss it asks peer runners for the completed entry over
-``GET /v1/cache/{key}`` -- shard owner first, in the fleet's shared
-:class:`~repro.fleet.hashring.HashRing` preference order -- and adopts
+``GET /v1/cache/{key}`` on kept-alive connections -- shard owner first,
+in the fleet's shared :class:`~repro.fleet.hashring.HashRing`
+preference order -- and adopts
 a hit into the local store through
 :meth:`~repro.service.cache.ResultCache.put_entry`, which re-verifies
 the format version and CRC32.  A peer can therefore never poison the
@@ -28,12 +29,12 @@ import logging
 import socket
 import time
 import urllib.error
-import urllib.request
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro import obs
 from repro.fleet.hashring import HashRing
 from repro.flow.serialize import FlowResultRecord, result_from_dict
+from repro.server.http import ConnectionPool
 from repro.service.cache import CacheStats, ResultCache
 
 logger = logging.getLogger(__name__)
@@ -58,6 +59,8 @@ class PeerFetchCache:
         self.peers: List[str] = [p.rstrip("/") for p in peers]
         self.timeout_s = timeout_s
         self.ring = ring or HashRing(self.peers)
+        #: kept-alive connections to the peers, shared by every fetch
+        self._pool = ConnectionPool()
         # peer -> monotonic time until which it is skipped; unlocked,
         # since a race costs at most one more timeout
         self._cooling: Dict[str, float] = {}
@@ -110,14 +113,10 @@ class PeerFetchCache:
     def _fetch_one(self, peer: str,
                    key: str) -> Optional[Dict[str, Any]]:
         try:
-            with urllib.request.urlopen(
-                    f"{peer}/v1/cache/{key}",
-                    timeout=self.timeout_s) as resp:
-                entry = json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            outcome = "miss" if exc.code == 404 else "error"
-            _PEER_FETCH_TOTAL.inc(outcome=outcome)
-            return None
+            status, raw, _ = self._pool.exchange(
+                peer, "GET", f"/v1/cache/{key}", timeout_s=self.timeout_s)
+            entry = (json.loads(raw.decode("utf-8")) if status == 200
+                     else None)
         except (urllib.error.URLError, OSError, ValueError) as exc:
             _PEER_FETCH_TOTAL.inc(outcome="error")
             if isinstance(getattr(exc, "reason", exc),
@@ -126,6 +125,10 @@ class PeerFetchCache:
                                        + PEER_TIMEOUT_COOLDOWN_S)
             logger.debug("peer fetch %s from %s failed: %s",
                          key[:12], peer, exc)
+            return None
+        if entry is None:
+            _PEER_FETCH_TOTAL.inc(outcome="miss" if status == 404
+                                  else "error")
             return None
         try:
             # adoption re-verifies format + CRC before touching disk

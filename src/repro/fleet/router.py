@@ -557,6 +557,9 @@ class FleetRouter(HttpServerBase):
                               obs_ctx: Optional[Dict[str, str]] = None):
         """Place one job; returns ``(handle, status, data)`` or None.
 
+        ``data`` is the runner's undecoded answer when it accepted the
+        job (2xx), its decoded error payload otherwise.
+
         A resubmit of a placed key tries its runner first (its dedup
         makes that free).  ``away_from`` re-routes off a lost runner
         unless another caller moved the job first; ``reroute_reason``
@@ -609,8 +612,8 @@ class FleetRouter(HttpServerBase):
                 self._open[key] = target.url
                 self._count(target.url, 1)
                 try:
-                    status, data, _ = await self._in_executor(
-                        target.request, "POST", "/v1/jobs", payload,
+                    status, raw, replied = await self._in_executor(
+                        target.exchange, "POST", "/v1/jobs", payload,
                         headers, self.forward_timeout_s)
                 except (urllib.error.URLError, OSError) as exc:
                     self._note_forward_failure(target, exc)
@@ -619,12 +622,13 @@ class FleetRouter(HttpServerBase):
                 finally:
                     del self._open[key]
                     self._count(target.url, -1)
-            code = ((data.get("error") or {}).get("code")
-                    if isinstance(data, dict) else None)
             if status in (200, 201):
+                # the answer (an inlined result too) is relayed as the
+                # runner's bytes; the table needs only the status header
                 self._m_shard.inc(runner=target.url)
                 entry = self._placements.get(key)
-                done = bool(data.get("done"))
+                done = (replied.get(protocol.JOB_STATUS_HEADER)
+                        in protocol.TERMINAL)
                 # first writer wins: the job's root context survives
                 # every later reroute, keeping one trace id for life
                 trace = ((entry or {}).get("trace") or obs_ctx)
@@ -643,7 +647,10 @@ class FleetRouter(HttpServerBase):
                 if reroute_reason is not None:
                     self._m_reroutes.inc(reason=reroute_reason)
                 self.breaker.record_success()
-                return target, status, data
+                return target, status, raw
+            status, data, _ = decode_reply(status, raw, replied)
+            code = ((data.get("error") or {}).get("code")
+                    if isinstance(data, dict) else None)
             if code in _REFUSAL_CODES:
                 # alive but shedding; remember the refusal (it carries
                 # Retry-After) and offer the job elsewhere
@@ -874,6 +881,8 @@ class FleetRouter(HttpServerBase):
                 f" strike(s))",
                 retry_after_s=self.probe_interval_s))
         _, status, data = outcome
+        if isinstance(data, bytes):
+            return await self._send(writer, status, data, JSON_TYPE)
         return await self._send_json(writer, status, data)
 
     async def _h_job(self, writer, body, headers, key: str,

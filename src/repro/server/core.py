@@ -16,9 +16,12 @@ into :meth:`_publish`, so job state only ever mutates on the loop and
 SSE ordering is the publish order.
 
 A finished job's ``/result`` body is encoded once, by the first read
-after the loop has published its ``done``, and kept on the job's
-state: every later read writes those bytes, with no executor hop and
-no re-serialization.
+(or submit answer) after the loop has published its ``done``, and kept
+on the job's state: every later read writes those bytes, with no
+executor hop and no re-serialization.  A submit that finds its job
+done and ``succeeded`` answers with the job record plus those bytes
+spliced in as ``"result"``, so a cache hit costs one round trip; every
+2xx submit answer names the job's status in ``X-Repro-Job-Status``.
 
 Backpressure is enforced end-to-end: the service's admission breaker
 surfaces as ``429 overloaded``, and on top of it the server keeps a
@@ -50,7 +53,9 @@ from repro.flow.serialize import result_to_dict
 from repro.flow.task import FlowObserver
 from repro.server import protocol
 from repro.server.http import HttpServerBase, JSON_TYPE, MAX_BODY_BYTES
-from repro.server.protocol import JobNotFound, ServerError
+from repro.server.protocol import (
+    JOB_STATUS_HEADER, TERMINAL, JobNotFound, ServerError,
+)
 from repro.service import DesignService
 from repro.service.core import ServiceOverloaded
 from repro.service.jobs import FlowJob, JobValidationError
@@ -58,9 +63,6 @@ from repro.service.jobs import FlowJob, JobValidationError
 __all__ = ["ReproServer", "MAX_BODY_BYTES", "TERMINAL", "TaskFrames"]
 
 log = logging.getLogger("repro.server")
-
-#: job states with nothing left to wait for
-TERMINAL = ("succeeded", "failed", "quarantined", "timeout", "cancelled")
 
 
 class TaskFrames(FlowObserver):
@@ -390,8 +392,7 @@ class ReproServer(HttpServerBase):
         known = self._jobs.get(key)
         if known is not None:
             # content-hash dedup: same spec, same job, no new work
-            return await self._send_json(writer, 200,
-                                         known.to_payload(key))
+            return await self._send_record(writer, 200, key, known)
         # cached/in-flight results are served even while shedding
         cached = await asyncio.get_running_loop().run_in_executor(
             None, self.service.lookup, job)
@@ -404,8 +405,7 @@ class ReproServer(HttpServerBase):
                                            "source": cached.source})
             self._publish(key, "done", {"id": key, "status": "succeeded",
                                         "source": cached.source})
-            return await self._send_json(writer, 200,
-                                         state.to_payload(key))
+            return await self._send_record(writer, 200, key, state)
         if self.draining:
             self._m_shed.inc(reason="draining")
             return await self._send_json(writer, 503, protocol._body(
@@ -453,7 +453,38 @@ class ReproServer(HttpServerBase):
                 self._publish(key, "done",
                               {"id": key, "status": "succeeded",
                                "source": "inflight"})
-        return await self._send_json(writer, 201, state.to_payload(key))
+        return await self._send_record(writer, 201, key, state)
+
+    async def _send_record(self, writer, status: int, key: str,
+                           state: _JobState) -> int:
+        """A submit answer: the job record, plus the finished result
+        spliced in as ``"result"`` when the job succeeded."""
+        body = json.dumps(state.to_payload(key)).encode("utf-8")
+        submission = state.submission
+        if (state.status == "succeeded" and submission is not None
+                and submission.done()):
+            result = await self._result_body(key, state)
+            body = body[:-1] + b', "result": ' + result + b"}"
+        return await self._send(writer, status, body, JSON_TYPE,
+                                {JOB_STATUS_HEADER: state.status})
+
+    async def _result_body(self, key: str, state: _JobState) -> bytes:
+        """The encoded ``/result`` body of a finished submission.
+
+        A done state's source is final, and so is its body; a read
+        that beats the loop's ``done`` publish encodes without keeping
+        it, so a stale source is never frozen.
+        """
+        if state.body is not None:
+            return state.body
+        submission = state.submission
+        final = state.done
+        encoded = await asyncio.get_running_loop().run_in_executor(
+            None, _encode_result, key, submission,
+            state.source or submission.source)
+        if final:
+            state.body = encoded
+        return encoded
 
     async def _h_cache_entry(self, writer, body, headers,
                              key: str) -> int:
@@ -484,23 +515,14 @@ class ReproServer(HttpServerBase):
 
     async def _h_result(self, writer, body, headers, key: str) -> int:
         state = self._state_of(key)
-        if state.body is not None:
-            return await self._send(writer, 200, state.body, JSON_TYPE)
-        submission = state.submission
-        if submission is None or not submission.done():
+        if state.body is None and (state.submission is None
+                                   or not state.submission.done()):
             # taxonomy satellite: same error the in-process caller gets
             raise protocol.JobResultPending(
                 key, state.status, 0, 0.0, label=state.job.label)
-        # a done state's source is final, and so is its body; a read
-        # that beats the loop's ``done`` publish encodes without
-        # keeping it, so a stale source is never frozen
-        final = state.done
-        encoded = await asyncio.get_running_loop().run_in_executor(
-            None, _encode_result, key, submission,
-            state.source or submission.source)
-        if final:
-            state.body = encoded
-        return await self._send(writer, 200, encoded, JSON_TYPE)
+        return await self._send(writer, 200,
+                                await self._result_body(key, state),
+                                JSON_TYPE)
 
     async def _h_events(self, writer, body, headers, key: str) -> int:
         state = self._state_of(key)

@@ -40,6 +40,13 @@ from repro.service.scheduler import (
 #: API version prefix every job route lives under
 API_VERSION = "v1"
 
+#: job states with nothing left to wait for
+TERMINAL = ("succeeded", "failed", "quarantined", "timeout", "cancelled")
+
+#: response header of every 2xx ``POST /v1/jobs`` answer: the job's
+#: status, so a relaying router learns ``done`` without parsing a body
+JOB_STATUS_HEADER = "X-Repro-Job-Status"
+
 #: fields a POST /v1/jobs body may set (everything else is rejected --
 #: unknown keys are typos, not forward compatibility)
 JOB_FIELDS = ("app", "mode", "intensity_threshold", "scale", "priority",

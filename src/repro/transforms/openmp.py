@@ -14,6 +14,7 @@ from repro.analysis.dependence import analyze_loop_dependences
 from repro.meta.ast_api import Ast
 from repro.meta.ast_nodes import ForStmt
 from repro.meta.instrument import insert_pragma
+from repro.transforms.extraction import TransformError
 
 
 def _omp_pragma(reductions, num_threads: Optional[int],
@@ -35,8 +36,9 @@ def insert_parallel_for(ast: Ast, fn_name: str,
 
     A loop qualifies when the dependence analysis reports it parallel,
     or parallel-with-reductions (handled with a reduction clause).
-    Returns the annotated loops; raises ValueError when none qualifies
-    (mapping to the multi-thread CPU branch was a PSA error).
+    Returns the annotated loops; raises :class:`TransformError` when
+    none qualifies (mapping to the multi-thread CPU branch was a PSA
+    error).
     """
     fn = ast.function(fn_name)
     annotated = []
@@ -48,7 +50,7 @@ def insert_parallel_for(ast: Ast, fn_name: str,
             loop, _omp_pragma(info.reductions, num_threads, schedule))
         annotated.append(loop)
     if not annotated:
-        raise ValueError(
+        raise TransformError(
             f"no parallelisable outermost loop in {fn_name}(); "
             "the multi-thread CPU branch does not apply")
     return annotated

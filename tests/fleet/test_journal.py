@@ -18,6 +18,40 @@ from repro.fleet.durable import (
 from repro.resilience import FaultPlan, InjectedFault, active_plan
 
 
+#: journals the running test opened; closed when it ends
+_OPENED = []
+
+
+def journal_at(root, **kwargs):
+    """A :class:`RouterJournal` closed when the test ends, as a
+    router's shutdown closes its own."""
+    journal = RouterJournal(root, **kwargs)
+    _OPENED.append(journal)
+    return journal
+
+
+@pytest.fixture(autouse=True)
+def close_journals():
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
+
+
+def read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def place(journal, i, runner="http://r1", done=False):
     return journal.append(
         "place", f"k{i:02d}",
@@ -38,7 +72,7 @@ def fold(records):
 
 class TestRoundTrip:
     def test_replay_reconstructs_the_table(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=10_000)
+        journal = journal_at(str(tmp_path), compact_every=10_000)
         assert journal.open() == {}
         for i in range(5):
             place(journal, i)
@@ -49,7 +83,7 @@ class TestRoundTrip:
         expected = dict(journal.table)
         journal.close()
 
-        fresh = RouterJournal(str(tmp_path), compact_every=10_000)
+        fresh = journal_at(str(tmp_path), compact_every=10_000)
         table = fresh.open(acquire_lease=False)
         assert table == expected
         assert table["k02"]["done"] is True
@@ -60,25 +94,25 @@ class TestRoundTrip:
         assert fresh.torn_tail == fresh.torn_mid == 0
 
     def test_records_and_snapshot_carry_valid_crcs(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=10_000)
+        journal = journal_at(str(tmp_path), compact_every=10_000)
         journal.open()
         record = place(journal, 0)
         assert record_crc32(record) == record["crc32"]
         journal.close()
         # compact-on-open folds it into a snapshot that is CRC-checked
         # with the same discipline
-        RouterJournal(str(tmp_path)).open(acquire_lease=False)
-        snap = json.load(open(journal.snapshot_path))
+        journal_at(str(tmp_path)).open(acquire_lease=False)
+        snap = read_json(journal.snapshot_path)
         assert record_crc32(snap) == snap["crc32"]
         assert "k00" in snap["placements"]
 
     def test_unknown_op_is_rejected_at_append(self, tmp_path):
-        journal = RouterJournal(str(tmp_path))
+        journal = journal_at(str(tmp_path))
         journal.open()
         with pytest.raises(ValueError):
             journal.append("upsert", "k")
         with pytest.raises(RuntimeError):
-            RouterJournal(str(tmp_path), name="x").append("place", "k")
+            journal_at(str(tmp_path), name="x").append("place", "k")
 
     def test_reducer_ignores_done_for_unplaced_keys(self):
         table = {}
@@ -94,24 +128,24 @@ class TestRoundTrip:
 
 class TestTornRecords:
     def test_corrupt_mid_record_is_skipped_and_counted(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=10_000)
+        journal = journal_at(str(tmp_path), compact_every=10_000)
         journal.open()
         for i in range(4):
             place(journal, i)
         journal.close()
-        lines = open(journal.path).read().splitlines()
+        lines = read_text(journal.path).splitlines()
         lines[1] = lines[1][: len(lines[1]) // 2]       # torn mid-file
         lines[3] = lines[3][:-5]                        # torn tail
         with open(journal.path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-        fresh = RouterJournal(str(tmp_path), compact_every=10_000)
+        fresh = journal_at(str(tmp_path), compact_every=10_000)
         table = fresh.open(acquire_lease=False)
         assert set(table) == {"k00", "k02"}
         assert fresh.torn_mid == 1 and fresh.torn_tail == 1
 
     def test_crc_mismatch_drops_the_record(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=10_000)
+        journal = journal_at(str(tmp_path), compact_every=10_000)
         journal.open()
         record = place(journal, 0)
         journal.close()
@@ -120,21 +154,21 @@ class TestTornRecords:
         tampered["runner"] = "http://evil"
         with open(journal.path, "w") as fh:
             fh.write(json.dumps(tampered, separators=(",", ":")) + "\n")
-        fresh = RouterJournal(str(tmp_path), compact_every=10_000)
+        fresh = journal_at(str(tmp_path), compact_every=10_000)
         assert fresh.open(acquire_lease=False) == {}
         assert fresh.torn_tail == 1
 
     def test_random_crash_points_always_converge(self, tmp_path):
         """Truncate the journal at 40 seeded byte offsets: replay must
         equal the fold of exactly the records whose bytes survived."""
-        journal = RouterJournal(str(tmp_path / "full"),
+        journal = journal_at(str(tmp_path / "full"),
                                 compact_every=10_000)
         journal.open()
         records = [place(journal, i) for i in range(12)]
         records.append(journal.append("done", "k04", status="succeeded"))
         records.append(journal.append("done", "k09", status="failed"))
         journal.close()
-        blob = open(journal.path, "rb").read()
+        blob = read_bytes(journal.path)
         rng = random.Random(1234)
         offsets = [len(blob)] + [rng.randrange(1, len(blob))
                                  for _ in range(39)]
@@ -143,7 +177,7 @@ class TestTornRecords:
             os.makedirs(root)
             with open(root / "primary.journal.jsonl", "wb") as fh:
                 fh.write(blob[:cut])
-            replayed = RouterJournal(str(root), compact_every=10_000)
+            replayed = journal_at(str(root), compact_every=10_000)
             table = replayed.open(acquire_lease=False)
             survived = blob[:cut].count(b"\n")
             expected = fold(records[:survived])
@@ -158,7 +192,7 @@ class TestTornRecords:
 
 class TestFaultStorm:
     def run_storm(self, root, seed):
-        journal = RouterJournal(str(root), compact_every=10_000)
+        journal = journal_at(str(root), compact_every=10_000)
         journal.open()
         torn = []
         with active_plan(FaultPlan(seed=seed, rate=0.3,
@@ -169,7 +203,7 @@ class TestFaultStorm:
                 except InjectedFault:
                     torn.append(i)
         journal.close()
-        replayed = RouterJournal(str(root), compact_every=10_000)
+        replayed = journal_at(str(root), compact_every=10_000)
         return torn, replayed.open(acquire_lease=False), replayed
 
     def test_same_seed_same_recovered_table(self, tmp_path):
@@ -187,7 +221,7 @@ class TestFaultStorm:
         assert torn_a != torn_b
 
     def test_torn_append_burns_the_seq_but_not_neighbours(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=10_000)
+        journal = journal_at(str(tmp_path), compact_every=10_000)
         journal.open()
         place(journal, 0)
         with active_plan(FaultPlan(seed=0, rate=1.0,
@@ -197,7 +231,7 @@ class TestFaultStorm:
         record = place(journal, 2)
         assert record["seq"] == 3          # seq 2 burnt by the tear
         journal.close()
-        fresh = RouterJournal(str(tmp_path), compact_every=10_000)
+        fresh = journal_at(str(tmp_path), compact_every=10_000)
         assert set(fresh.open(acquire_lease=False)) == {"k00", "k02"}
 
 
@@ -207,37 +241,38 @@ class TestFaultStorm:
 
 class TestCompaction:
     def test_compaction_truncates_and_preserves_state(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=4)
+        journal = journal_at(str(tmp_path), compact_every=4)
         journal.open()
         for i in range(11):
             place(journal, i)
         # every 4th append compacted: the live journal holds < 4 records
-        assert len(open(journal.path).read().splitlines()) < 4
-        snap = json.load(open(journal.snapshot_path))
+        assert len(read_text(journal.path).splitlines()) < 4
+        snap = read_json(journal.snapshot_path)
         assert snap["format"] == 1 and len(snap["placements"]) >= 8
         expected = dict(journal.table)
         journal.close()
-        fresh = RouterJournal(str(tmp_path), compact_every=4)
+        fresh = journal_at(str(tmp_path), compact_every=4)
         assert fresh.open(acquire_lease=False) == expected
         assert fresh.seq == 11
 
     def test_corrupt_snapshot_falls_back_to_empty_replay(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=2)
+        journal = journal_at(str(tmp_path), compact_every=2)
         journal.open()
         for i in range(4):
             place(journal, i)
         journal.close()
-        snap = json.load(open(journal.snapshot_path))
+        snap = read_json(journal.snapshot_path)
         snap["crc32"] ^= 1
-        json.dump(snap, open(journal.snapshot_path, "w"))
-        fresh = RouterJournal(str(tmp_path), compact_every=2)
+        with open(journal.snapshot_path, "w") as fh:
+            json.dump(snap, fh)
+        fresh = journal_at(str(tmp_path), compact_every=2)
         # snapshot rejected; only post-snapshot journal records remain
         table = fresh.open(acquire_lease=False)
         assert set(table).issubset({f"k{i:02d}" for i in range(4)})
 
     def test_tail_serves_records_then_resets_past_compaction(
             self, tmp_path):
-        journal = RouterJournal(str(tmp_path), compact_every=10_000)
+        journal = journal_at(str(tmp_path), compact_every=10_000)
         journal.open()
         for i in range(3):
             place(journal, i)
@@ -254,10 +289,10 @@ class TestCompaction:
     def test_adopt_snapshot_persists_wholesale(self, tmp_path):
         table = {"kx": {"runner": "http://r9", "payload": {"app": "fft"},
                         "trace": None, "done": False, "status": None}}
-        journal = RouterJournal(str(tmp_path), name="standby")
+        journal = journal_at(str(tmp_path), name="standby")
         journal.adopt_snapshot(table, seq=41, term=3)
         journal.close()
-        fresh = RouterJournal(str(tmp_path), name="standby")
+        fresh = journal_at(str(tmp_path), name="standby")
         assert fresh.open(acquire_lease=False) == table
         assert fresh.seq == 41
 
@@ -277,11 +312,11 @@ class TestFencing:
 
     def test_stale_primary_append_is_rejected_after_takeover(
             self, tmp_path):
-        primary = RouterJournal(str(tmp_path), name="primary")
+        primary = journal_at(str(tmp_path), name="primary")
         primary.open()
         place(primary, 0)
 
-        standby = RouterJournal(str(tmp_path), name="standby")
+        standby = journal_at(str(tmp_path), name="standby")
         standby.open(acquire_lease=False)
         term = standby.promote("standby")
         assert term == primary.term + 1
@@ -291,24 +326,24 @@ class TestFencing:
         assert exc.value.own_term == primary.term
         assert exc.value.lease_term == term
         # the fenced append must not have reached the journal
-        fresh = RouterJournal(str(tmp_path), name="primary")
+        fresh = journal_at(str(tmp_path), name="primary")
         assert set(fresh.open(acquire_lease=False)) == {"k00"}
 
     def test_mirroring_is_not_fenced(self, tmp_path):
-        primary = RouterJournal(str(tmp_path), name="primary")
+        primary = journal_at(str(tmp_path), name="primary")
         primary.open()
         record = place(primary, 0)
-        standby = RouterJournal(str(tmp_path), name="standby")
+        standby = journal_at(str(tmp_path), name="standby")
         standby.open(acquire_lease=False)
         standby.append_mirror(record)      # no lease, no FencedOut
         assert standby.table == primary.table
         assert standby.seq == record["seq"]
 
     def test_reopening_as_primary_fences_the_old_writer(self, tmp_path):
-        old = RouterJournal(str(tmp_path), name="primary")
+        old = journal_at(str(tmp_path), name="primary")
         old.open()
         place(old, 0)
-        new = RouterJournal(str(tmp_path), name="primary")
+        new = journal_at(str(tmp_path), name="primary")
         new.open(acquire_lease=True)       # restart on the same journal
         with pytest.raises(FencedOut):
             place(old, 1)
@@ -322,13 +357,13 @@ class TestFencing:
 class TestDurable:
     def test_fsync_follows_the_env_knob(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_DURABLE", raising=False)
-        assert RouterJournal(str(tmp_path)).fsync is False
+        assert journal_at(str(tmp_path)).fsync is False
         monkeypatch.setenv("REPRO_DURABLE", "1")
-        assert RouterJournal(str(tmp_path)).fsync is True
-        assert RouterJournal(str(tmp_path), fsync=False).fsync is False
+        assert journal_at(str(tmp_path)).fsync is True
+        assert journal_at(str(tmp_path), fsync=False).fsync is False
 
     def test_fsync_batches(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), fsync=True,
+        journal = journal_at(str(tmp_path), fsync=True,
                                 fsync_batch=3, compact_every=10_000)
         journal.open()
         for i in range(7):
@@ -337,7 +372,7 @@ class TestDurable:
         journal.close()
 
     def test_fsync_fault_site_fires(self, tmp_path):
-        journal = RouterJournal(str(tmp_path), fsync=True,
+        journal = journal_at(str(tmp_path), fsync=True,
                                 fsync_batch=1, compact_every=10_000)
         journal.open()
         with active_plan(FaultPlan(seed=0, rate=1.0,
@@ -346,5 +381,5 @@ class TestDurable:
                 place(journal, 0)
         # the record itself was flushed before the fsync failed
         journal.close()
-        fresh = RouterJournal(str(tmp_path), compact_every=10_000)
+        fresh = journal_at(str(tmp_path), compact_every=10_000)
         assert set(fresh.open(acquire_lease=False)) == {"k00"}

@@ -1,7 +1,8 @@
 """The router's placement core as a Hypothesis state machine.
 
-No sockets: three in-memory runners answer the router's requests, and
-the rules drive the same code paths a live fleet does -- the one
+No sockets: three in-memory runners answer the router's requests (a
+submit answer names the job's status in its header and inlines a done
+key's result, as a real runner's does), and the rules drive the same code paths a live fleet does -- the one
 mutation path (``_commit`` through :func:`apply_record`), orphan
 re-routing (:func:`orphans`), target picking (:func:`pick_target`),
 crash recovery (:func:`plan_recovery`) and the standby's tail fold --
@@ -12,8 +13,9 @@ any journal record (a restart replays exactly the record prefix on
 disk), takeover by a standby, takeover before the standby tailed a
 caller's fresh ``place`` record, and a stale primary whose next append
 raises :class:`FencedOut`.  After every step: every accepted key has
-an entry, no caller's job is lost, a settled key stays settled, no key
-runs twice at once, and every runner's ``inflight`` equals its undone
+an entry, no caller's job is lost, a caller whose submit carried the
+result reads nothing more, a settled key stays settled, no key runs
+twice at once, and every runner's ``inflight`` equals its undone
 entries plus open forwards.
 
 Callers are real :class:`ReproClient` objects whose ``run_flow`` runs
@@ -23,6 +25,7 @@ own rule (resubmit on ``JobNotFound``) keeps it.
 """
 
 import asyncio
+import json
 import shutil
 import tempfile
 import threading
@@ -46,6 +49,14 @@ RUNNERS = [f"http://10.7.7.{i}:7000" for i in range(1, 4)]
 KEYS = [f"{i:02d}" * 32 for i in range(6)]
 
 
+#: the finished result every done key serves
+RESULT = {"app": "kmeans", "mode": "informed", "reference_time_s": 1.0}
+
+
+def _encode(data):
+    return json.dumps(data).encode("utf-8")
+
+
 class Crash(BaseException):
     """The router process dies right after a journal append."""
 
@@ -63,8 +74,10 @@ class Fleet:
         #: results every runner can reach (disk cache + peer fetch)
         self.results = {}
 
-    def request(self, url, method, path, payload=None, headers=None,
-                timeout_s=None):
+    def exchange(self, url, method, path, payload=None, headers=None,
+                 timeout_s=None):
+        """One runner's answer, undecoded; a submit answer names the
+        job's status in its header and inlines a done key's result."""
         if not self.alive[url]:
             raise urllib.error.URLError("connection refused")
         jobs = self.jobs[url]
@@ -74,18 +87,24 @@ class Fleet:
             if key in self.results:
                 jobs[key] = "done"    # a cache hit, recorded as a job
             jobs.setdefault(key, "running")
-            return (201 if fresh else 200), {
-                "id": key, "done": jobs[key] == "done"}, {}
+            done = jobs[key] == "done"
+            record = {"id": key, "done": done}
+            if done:
+                record["result"] = RESULT
+            return (201 if fresh else 200), _encode(record), {
+                protocol.JOB_STATUS_HEADER:
+                    "succeeded" if done else "running"}
         if path == "/healthz":
-            return 200, {"status": "ok", "version": None}, {}
+            return 200, _encode({"status": "ok", "version": None}), {}
         if path.startswith("/v1/obs/spans"):
-            return 200, {"spans": [], "next": 0}, {}
+            return 200, _encode({"spans": [], "next": 0}), {}
         key = path.split("/")[3]
         if key not in jobs:
-            return 404, {"error": {"code": "not_found"}}, {}
+            return 404, _encode({"error": {"code": "not_found"}}), {}
         done = jobs[key] == "done"
-        return 200, {"id": key, "done": done,
-                     "status": "succeeded" if done else "running"}, {}
+        return 200, _encode({"id": key, "done": done,
+                             "status": "succeeded" if done
+                             else "running"}), {}
 
     def running(self, key):
         return [url for url in RUNNERS
@@ -106,6 +125,9 @@ class Caller:
         self.key = key
         self.outcome = None           # the record, or what it raised
         self.done = False
+        #: reads since the latest submit answer that carried a result
+        #: (None: the latest submit answer carried none)
+        self.reads_after_inline = None
         self._stopped = False
         self._turn = threading.Semaphore(0)
         self._parked = threading.Semaphore(0)
@@ -160,7 +182,13 @@ class Caller:
             if outcome is None:       # no routable runner, or a crash
                 return 503, protocol._body(
                     "unavailable", "no routable runner"), {}
-            return outcome[1], outcome[2], {}
+            status, data = outcome[1], outcome[2]
+            if isinstance(data, bytes):     # relayed runner bytes
+                data = json.loads(data)
+            self.reads_after_inline = 0 if "result" in data else None
+            return status, data, {}
+        if self.reads_after_inline is not None:
+            self.reads_after_inline += 1
         try:
             outcome = machine._run(router, router._forward_job_read(
                 key, f"/v1/jobs/{key}"))
@@ -170,8 +198,7 @@ class Caller:
             return 503, protocol._body("unavailable", "router crashed"), {}
         status, data = outcome
         if status == 200 and data.get("done"):
-            return 200, {"app": "kmeans", "mode": "informed",
-                         "reference_time_s": 1.0}, {}
+            return 200, dict(RESULT), {}
         if status == 200:
             return 202, protocol._body("pending", "running", key=key,
                                        status="running"), {}
@@ -218,8 +245,8 @@ class PlacementMachine(RuleBasedStateMachine):
         router._executor.shutdown(wait=False)
         router._in_executor = _direct
         for url, handle in router.handles.items():
-            handle.request = (lambda url: lambda *a, **kw:
-                              self.fleet.request(url, *a, **kw))(url)
+            handle.exchange = (lambda url: lambda *a, **kw:
+                               self.fleet.exchange(url, *a, **kw))(url)
         append = router.journal.append
 
         def crashing_append(*args, **kwargs):
@@ -415,6 +442,15 @@ class PlacementMachine(RuleBasedStateMachine):
         for key, caller in self.callers.items():
             assert not isinstance(caller.outcome, BaseException), (
                 key, caller.outcome)
+
+    @invariant()
+    def a_done_submit_finishes_in_one_request(self):
+        """A submit answer that inlined the result ends ``run_flow``
+        with no read."""
+        for key, caller in self.callers.items():
+            if caller.reads_after_inline is not None:
+                assert caller.reads_after_inline == 0, key
+                assert isinstance(caller.outcome, FlowResultRecord), key
 
     @invariant()
     def settled_keys_stay_settled(self):

@@ -5,6 +5,7 @@ wire-shaped runs against real runners through a live router.
 """
 
 import asyncio
+import json
 import threading
 import urllib.error
 import urllib.request
@@ -94,17 +95,18 @@ def test_probe_and_read_reroute_a_lost_job_once(steal_threshold):
     all_healthy(router)
     posts = []
 
-    def fake_request(url):
-        def request(method, path, payload=None, headers=None,
-                    timeout_s=None):
+    def fake_exchange(url):
+        def exchange(method, path, payload=None, headers=None,
+                     timeout_s=None):
             if method != "POST":
                 raise urllib.error.URLError("connection refused")
             posts.append(url)
-            return 201, {"id": KEY, "done": False}, {}
-        return request
+            return 201, json.dumps({"id": KEY, "done": False}).encode(), {
+                protocol.JOB_STATUS_HEADER: "queued"}
+        return exchange
 
     for url, handle in router.handles.items():
-        handle.request = fake_request(url)
+        handle.exchange = fake_exchange(url)
 
     async def on_the_wire(fn, *args):
         await asyncio.sleep(0.01)      # a forward takes a while
@@ -128,6 +130,36 @@ def test_probe_and_read_reroute_a_lost_job_once(steal_threshold):
     assert {u: h.inflight for u, h in router.handles.items()} == \
         {u: derived[u] for u in URLS}
     assert router.handles[posts[0]].inflight == 1
+
+
+@pytest.mark.parametrize("header, body_done, done", [
+    ("succeeded", False, True),
+    ("failed", False, True),
+    ("running", True, False),
+    ("queued", True, False),
+])
+def test_placement_done_comes_from_the_status_header(header, body_done,
+                                                     done):
+    # the body says the opposite: only the header may decide
+    router = bare_router()
+    all_healthy(router)
+
+    def exchange(method, path, payload=None, headers=None,
+                 timeout_s=None):
+        return 200, json.dumps({"id": KEY, "done": body_done}).encode(), {
+            protocol.JOB_STATUS_HEADER: header}
+
+    for handle in router.handles.values():
+        handle.exchange = exchange
+
+    async def direct(fn, *args):
+        return fn(*args)
+
+    router._in_executor = direct
+    _, status, raw = asyncio.run(router._forward_submit(
+        KEY, {"app": "kmeans"}))
+    assert status == 200 and isinstance(raw, bytes)
+    assert router._placements[KEY]["done"] is done
 
 
 def test_router_requires_at_least_one_runner():
@@ -364,3 +396,37 @@ def test_a_finished_result_is_relayed_byte_for_byte(fleet):
         assert resp.status == 200
         assert resp.headers["Content-Type"] == "application/json"
         assert resp.read() == odd
+
+
+def _post(url, payload):
+    request = urllib.request.Request(
+        f"{url}/v1/jobs", data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    with urllib.request.urlopen(request, timeout=30) as resp:
+        return resp.status, resp.headers, resp.read()
+
+
+def test_an_inlined_result_is_relayed_byte_for_byte(fleet):
+    a, b, router, client = fleet
+    spec = {"app": "kmeans", "mode": "informed", "scale": 1.38}
+    job_id = client.submit(**spec)["id"]
+    client.run_flow(**spec, timeout=120)
+    runner = {a.url: a, b.url: b}[
+        router.router._placements[job_id]["runner"]]
+    status, headers, via_router = _post(router.url, spec)
+    assert status == 200
+    _, replied, direct = _post(runner.url, spec)
+    assert replied[protocol.JOB_STATUS_HEADER] == "succeeded"
+    assert via_router == direct
+    # the inlined result is what a later read serves, source included
+    with urllib.request.urlopen(
+            f"{router.url}/v1/jobs/{job_id}/result", timeout=30) as resp:
+        later = resp.read()
+    assert via_router.endswith(b', "result": ' + later + b"}")
+    assert json.loads(via_router)["result"]["source"] == "run"
+    # spacing no re-encoding would keep
+    odd = b'{"id": "%s",   "app": "kmeans"}' % job_id.encode()
+    runner.server._jobs[job_id].body = odd
+    _, _, relayed = _post(router.url, spec)
+    assert relayed.endswith(b', "result": ' + odd + b"}")
+    assert router.router._placements[job_id]["done"]

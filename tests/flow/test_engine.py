@@ -10,6 +10,7 @@ from repro.apps.base import AppSpec
 from repro.flow.engine import FlowEngine, build_default_flow
 from repro.flow.psa import InformedTargetSelection, SelectAll
 from repro.flow.task import FlowError
+from repro.transforms.extraction import TransformError
 from tests.lang.kernelgen import generate
 
 ALL_LABELS = ("omp", "hip-1080ti", "hip-2080ti", "oneapi-a10", "oneapi-s10")
@@ -167,3 +168,20 @@ def test_outer_loop_the_profiling_run_skips_is_a_flow_error(mode):
                   output_buffers=tuple(kernel.arrays))
     with pytest.raises(FlowError, match="never executed"):
         FlowEngine().run(app, mode)
+
+
+def test_no_parallelisable_outer_loop_is_a_transform_error():
+    """Generated kernel 5's outer loop carries a dependence, so the
+    uninformed flow's multi-thread CPU branch stops with the typed
+    error extraction raises for the same kind of stop, naming the
+    function."""
+    kernel = generate(5)
+    app = AppSpec(name="kernelgen5", display_name="kernelgen 5",
+                  source=kernel.source,
+                  workload_factory=lambda scale: kernel.workload(),
+                  oracle=lambda workload: {},
+                  output_buffers=tuple(kernel.arrays))
+    with pytest.raises(TransformError,
+                       match=r"no parallelisable outermost loop in "
+                             r"hotspot_kernel\(\)"):
+        FlowEngine().run(app, "uninformed")

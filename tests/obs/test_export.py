@@ -24,7 +24,8 @@ class TestJsonl:
         finally:
             obs.remove_sink(sink)
             sink.close()
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         assert len(lines) == 3
         assert all(json.loads(ln)["type"] == "span" for ln in lines)
         spans = obs.read_jsonl(path)
@@ -63,7 +64,8 @@ class TestChromeTrace:
         spans = _tree(collector)
         path = str(tmp_path / "trace.json")
         obs.write_chrome_trace(spans, path)
-        data = json.load(open(path, encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
         assert len(data["traceEvents"]) == 4
 
     def test_accepts_dicts(self, collector):

@@ -15,6 +15,7 @@ from repro.config import ReproConfig
 from repro.resilience.faults import active_plan
 from repro.server.protocol import JobNotFound
 from repro.service.core import ServiceOverloaded
+from repro.service.jobs import JobValidationError
 from repro.service.scheduler import (JobQuarantined, JobResultPending,
                                      JobTimeout)
 from tests.resilience.test_wire_faults import forced
@@ -143,6 +144,78 @@ def test_run_flow_resubmits_a_job_the_fleet_forgot():
     assert client.requests == [
         ("POST", "/v1/jobs", payload), ("GET", "/v1/jobs/k/result", None),
         ("POST", "/v1/jobs", payload), ("GET", "/v1/jobs/k/result", None)]
+
+
+def _inlined(job_id, scale):
+    """A submit answer that carries the job's finished result."""
+    return (200, {"id": job_id, "done": True, "status": "succeeded",
+                  "result": {"app": "kmeans", "mode": "informed",
+                             "reference_time_s": scale}}, {})
+
+
+def test_a_kept_result_is_consumed_once():
+    client = ScriptedClient([
+        _inlined("k", 1.0),
+        (200, {"app": "kmeans", "mode": "informed",
+               "reference_time_s": 2.0}, {}),
+    ])
+    record = client.submit("kmeans")
+    assert "result" not in record and record["done"]
+    assert client.result("k").reference_time_s == 1.0
+    assert client.requests == [
+        ("POST", "/v1/jobs", {"app": "kmeans", "mode": "informed"})]
+    # consumed: the next read of the same id is a GET
+    assert client.result("k").reference_time_s == 2.0
+    assert client.requests[-1] == ("GET", "/v1/jobs/k/result", None)
+
+
+def test_a_kept_result_serves_only_its_own_id():
+    client = ScriptedClient([
+        _inlined("k", 1.0),
+        (200, {"app": "kmeans", "mode": "informed",
+               "reference_time_s": 2.0}, {}),
+    ])
+    client.submit("kmeans")
+    assert client.result("other").reference_time_s == 2.0
+    assert client.requests[-1] == ("GET", "/v1/jobs/other/result", None)
+    assert client.result("k").reference_time_s == 1.0
+    assert len(client.requests) == 2
+
+
+def test_run_flow_on_a_done_job_is_one_request():
+    client = ScriptedClient([_inlined("k", 1.0)])
+    assert client.run_flow("kmeans").reference_time_s == 1.0
+    assert [m for m, _, _ in client.requests] == ["POST"]
+
+
+def test_a_kept_result_never_outlives_a_resubmit():
+    done = (200, {"app": "kmeans", "mode": "informed",
+                  "reference_time_s": 3.0}, {})
+    client = ScriptedClient([
+        _inlined("k", 1.0),                 # kept, never read
+        (201, {"id": "k"}, {}),             # run_flow: the fleet forgot
+        _not_found(),                       # ... the job
+        (201, {"id": "k"}, {}),             # the resubmit
+        done,
+    ])
+    client.submit("kmeans")
+    record = client.run_flow("kmeans")
+    assert record.reference_time_s == 3.0   # the server's, not the kept
+    assert [m for m, _, _ in client.requests] == [
+        "POST", "POST", "GET", "POST", "GET"]
+
+
+def test_a_failed_submit_clears_the_kept_result():
+    client = ScriptedClient([
+        _inlined("k", 1.0),
+        (400, {"error": {"code": "invalid_job", "message": "bad"}}, {}),
+        (200, {"app": "kmeans", "mode": "informed",
+               "reference_time_s": 2.0}, {}),
+    ])
+    client.submit("kmeans")
+    with pytest.raises(JobValidationError):
+        client.submit("kmeans", scale=-1.0)
+    assert client.result("k").reference_time_s == 2.0
 
 
 def test_run_flow_resubmits_count_against_max_retries():

@@ -280,5 +280,5 @@ class TestOpenMP:
             }
         }
         """)
-        with pytest.raises(ValueError):
+        with pytest.raises(TransformError, match=r"in knl\(\)"):
             insert_parallel_for(ast, "knl")
