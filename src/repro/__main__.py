@@ -17,8 +17,7 @@
                            [--node-name NAME]
     python -m repro obs <top|trace> [--server URL] ...
     python -m repro config
-    python -m repro service <stats|ls|purge|dead-letter> --cache-dir DIR
-                            [--clear]
+    python -m repro service <stats|ls|purge> --cache-dir DIR
 
 Every flow-running subcommand (``run``, ``eval``, ``batch``,
 ``serve``, ``config``) shares one flag vocabulary, layered over the
@@ -450,6 +449,7 @@ def cmd_obs(args) -> int:
 
 def cmd_service(args) -> int:
     from repro.service import ResultCache
+    from repro.service.cache import QUARANTINE_DIRNAME
 
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
@@ -457,6 +457,8 @@ def cmd_service(args) -> int:
         print(f"cache at {cache.root}")
         print(f"entries: {len(entries)}   "
               f"size: {cache.size_bytes() / 1024:.1f} KiB")
+        print(f"corrupt: {sum(1 for _ in cache.quarantined())} file(s) "
+              f"in {os.path.join(cache.root, QUARANTINE_DIRNAME)}")
         by_app = {}
         for entry in entries:
             job = entry.get("job") or {}
@@ -477,30 +479,6 @@ def cmd_service(args) -> int:
     elif args.action == "purge":
         removed = cache.purge()
         print(f"purged {removed} entry(ies) from {cache.root}")
-    elif args.action == "dead-letter":
-        from repro.resilience import DEAD_LETTER_DIRNAME, DeadLetterQueue
-
-        dlq = DeadLetterQueue(os.path.join(args.cache_dir,
-                                           DEAD_LETTER_DIRNAME))
-        if args.clear:
-            released = dlq.purge()
-            print(f"released {released} dead-lettered job(s)")
-            return 0
-        entries = dlq.entries()
-        quarantined_files = list(cache.quarantined())
-        if not entries and not quarantined_files:
-            print(f"dead-letter queue at {dlq.root}: empty")
-            return 0
-        for record in entries:
-            job = record.get("job") or {}
-            print(f"{record.get('key', '?')[:12]}  "
-                  f"{job.get('app', '?'):12s} {job.get('mode', '?'):11s} "
-                  f"crashes={record.get('crashes', 0)} "
-                  f"attempts={record.get('attempts', 0)}  "
-                  f"{record.get('reason', '?')}")
-        if quarantined_files:
-            print(f"({len(quarantined_files)} corrupt cache file(s) "
-                  f"in {os.path.join(cache.root, '.quarantine')})")
     return 0
 
 
@@ -692,12 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     svc = sub.add_parser(
         "service", help="inspect/maintain the persistent result cache")
-    svc.add_argument("action",
-                     choices=("stats", "ls", "purge", "dead-letter"))
+    svc.add_argument("action", choices=("stats", "ls", "purge"))
     svc.add_argument("--cache-dir", required=True, metavar="DIR")
-    svc.add_argument("--clear", action="store_true",
-                     help="with dead-letter: release every "
-                          "quarantined job")
     svc.set_defaults(func=cmd_service)
     return parser
 

@@ -6,7 +6,7 @@ Stdlib only: requests go over kept-alive ``http.client`` connections
 wire schema from :mod:`repro.server.protocol`, so every error body
 comes back as the **same exception type** the in-process
 :meth:`JobHandle.result` path raises -- remote and local callers share
-one taxonomy.  Transient refusals (``429`` overload/busy, ``503``
+one taxonomy.  Transient refusals (``429`` busy, ``503``
 unavailable, connection resets) are retried with backoff, honoring the
 server's ``Retry-After`` whenever it sends one.
 
@@ -36,8 +36,8 @@ from repro.server.protocol import JobNotFound, error_from_payload
 from repro.service.scheduler import JobResultPending, JobTimeout
 
 #: error codes worth retrying: transient refusals, not terminal job
-#: outcomes (a quarantined job stays quarantined -- no point retrying)
-RETRYABLE_CODES = ("overloaded", "busy", "unavailable")
+#: outcomes (a failed job stays failed until it is resubmitted)
+RETRYABLE_CODES = ("busy", "unavailable")
 
 
 class ReproClient:

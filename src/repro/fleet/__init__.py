@@ -16,8 +16,8 @@ HTTP:
   from the shard owner's ``/v1/cache/{key}`` before recomputing;
 - :mod:`repro.fleet.router` -- :class:`FleetRouter`, the front door:
   shard routing with work stealing, node-loss re-routing that never
-  consumes job retries, a fleet admission breaker, aggregated
-  ``/healthz`` and router-side ``repro_fleet_*`` metrics;
+  consumes job retries, aggregated ``/healthz`` and router-side
+  ``repro_fleet_*`` metrics;
 - :mod:`repro.fleet.durable` -- the placement table's one reducer
   :func:`apply_record` (live router, replay, standbys and tests all
   fold through it) and pure recovery core, :class:`RouterJournal`

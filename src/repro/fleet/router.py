@@ -23,10 +23,10 @@ hash idempotency makes that safe (a finished job resolves from cache
 or dedup, never runs twice).  One forward per key runs at a time, so
 the probe loop and a status read never re-route one job twice.
 
-**Admission breaker.**  Zero routable runners strikes the fleet
-breaker and sheds with ``503 unavailable``; once open, the breaker
-sheds with ``429 overloaded`` until its cooldown, mirroring the
-single-node service's admission semantics.
+**No routable runner.**  A submit that finds no runner to take it
+answers ``503 unavailable`` with ``Retry-After`` set to the probe
+interval: the next probe pass may re-admit one, and the first submit
+after that is placed.
 
 The probe loop re-admits recovered runners automatically, and rejects
 runners whose ``/healthz`` ``version`` differs from the router's
@@ -67,7 +67,7 @@ from repro.fleet.durable import (
 )
 from repro.fleet.hashring import HashRing, pick_target
 from repro.fleet.runner import RunnerHandle
-from repro.resilience import CircuitBreaker, faults
+from repro.resilience import faults
 from repro.server import protocol
 from repro.server.http import JSON_TYPE, HttpServerBase, decode_reply
 from repro.server.protocol import JobNotFound, ServerError
@@ -75,7 +75,7 @@ from repro.server.protocol import JobNotFound, ServerError
 log = logging.getLogger("repro.fleet.router")
 
 #: forward statuses that mean "this runner refused, try another"
-_REFUSAL_CODES = ("busy", "overloaded", "unavailable")
+_REFUSAL_CODES = ("busy", "unavailable")
 
 
 #: why each non-serving role sheds job traffic (a retryable 503: the
@@ -100,8 +100,6 @@ class FleetRouter(HttpServerBase):
                  probe_interval_s: float = 2.0,
                  expected_version: Optional[str] = None,
                  forward_timeout_s: float = 60.0,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_s: float = 5.0,
                  obs_buffer: int = 4096,
                  journal: Optional[RouterJournal] = None,
                  journal_dir: Optional[str] = None,
@@ -144,9 +142,6 @@ class FleetRouter(HttpServerBase):
         self.handles: Dict[str, RunnerHandle] = {
             url: RunnerHandle(url) for url in urls}
         self.ring = HashRing(urls)
-        self.breaker = CircuitBreaker(
-            "fleet.admission", failure_threshold=breaker_threshold,
-            cooldown_s=breaker_cooldown_s)
         self.draining = False
         # the router's spans and the runner spans the probe loop pulls
         # stitch per trace id here
@@ -646,7 +641,6 @@ class FleetRouter(HttpServerBase):
                                  else "reroute", key, **fields)
                 if reroute_reason is not None:
                     self._m_reroutes.inc(reason=reroute_reason)
-                self.breaker.record_success()
                 return target, status, raw
             status, data, _ = decode_reply(status, raw, replied)
             code = ((data.get("error") or {}).get("code")
@@ -729,7 +723,6 @@ class FleetRouter(HttpServerBase):
                 "steal_threshold": self.steal_threshold,
                 "placements": len(self._placements),
                 "inflight": sum(h.inflight for h in handles),
-                "breaker": self.breaker.snapshot(),
                 "runners": [h.snapshot() for h in handles],
             },
         }
@@ -792,7 +785,7 @@ class FleetRouter(HttpServerBase):
                        "dropped": self.trace_store.dropped},
             "spans": self._span_stats(),
             "fleet": {key: fleet[key] for key in (
-                "healthy", "total", "placements", "inflight", "breaker")},
+                "healthy", "total", "placements", "inflight")},
             "runners": fleet["runners"],
         }
         return await self._send_json(writer, 200, payload)
@@ -843,12 +836,6 @@ class FleetRouter(HttpServerBase):
             return await self._send_json(writer, 503, protocol._body(
                 "unavailable", "router is shutting down",
                 retry_after_s=1.0))
-        if not self.breaker.allow():
-            return await self._send_json(writer, 429, protocol._body(
-                "overloaded",
-                f"fleet admission breaker open after "
-                f"{self.breaker.trips} trip(s)",
-                retry_after_s=self.breaker.cooldown_s))
         entry = self._placements.get(key)
         if entry is not None and entry["trace"] is not None:
             # resubmit-dedup: the job already has a root span; attach
@@ -873,12 +860,9 @@ class FleetRouter(HttpServerBase):
         """Route one admitted submission (sticky dedup, then anywhere)."""
         outcome = await self._forward_submit(key, payload, obs_ctx=obs_ctx)
         if outcome is None:
-            self.breaker.record_failure()
             return await self._send_json(writer, 503, protocol._body(
                 "unavailable",
-                f"no routable runner among {len(self.handles)} "
-                f"(fleet breaker at {self.breaker.snapshot()['failures']}"
-                f" strike(s))",
+                f"no routable runner among {len(self.handles)}",
                 retry_after_s=self.probe_interval_s))
         _, status, data = outcome
         if isinstance(data, bytes):

@@ -3,7 +3,7 @@
 ``python -m repro obs top`` polls one endpoint pair -- the router's
 ``/v1/obs/summary`` and its federated ``/metrics`` -- and renders an
 ASCII dashboard: fleet totals, then one row per runner (state,
-in-flight, shed counts, cache hit tiers, breaker state).  The
+in-flight, shed counts, cache hit tiers).  The
 rendering is a pure function of ``(summary, samples)`` so tests
 snapshot it without a terminal; the loop just clears the screen and
 re-renders.  Pointing it at a single runner instead of a router also
@@ -105,8 +105,7 @@ def render_top(summary: Dict[str, Any],
         lines.append(
             f"runners {fleet.get('healthy', 0)}/{fleet.get('total', 0)} "
             f"healthy · placements {fleet.get('placements', 0)} · "
-            f"inflight {fleet.get('inflight', 0)} · breaker "
-            f"{(fleet.get('breaker') or {}).get('state', '?')}")
+            f"inflight {fleet.get('inflight', 0)}")
     lines.append("")
 
     runners = [r.get("url", "?") for r in summary.get("runners") or ()]
@@ -115,8 +114,7 @@ def render_top(summary: Dict[str, Any],
         runners = label_values(samples, "repro_server_jobs_inflight",
                                "runner") or [""]
     header = (f"{'runner':<28} {'state':<10} {'infl':>5} {'shed':>5} "
-              f"{'hit:mem':>8} {'hit:disk':>9} {'miss':>6} "
-              f"{'brkr':>5}")
+              f"{'hit:mem':>8} {'hit:disk':>9} {'miss':>6}")
     lines.append(header)
     lines.append("-" * len(header))
     states = {r.get("url"): r for r in summary.get("runners") or ()}
@@ -133,16 +131,12 @@ def render_top(summary: Dict[str, Any],
                               tier="disk", **sel)
         miss = metric_sum(samples, "repro_profile_cache_total",
                           tier="miss", **sel)
-        breakers_open = sum(
-            1 for name, labels, value in samples
-            if name == "repro_breaker_state" and value > 0
-            and all(labels.get(k) == v for k, v in sel.items()))
         label = runner or "(local)"
         lines.append(
             f"{label:<28.28} {state.get('state', 'up'):<10} "
             f"{_fmt_count(inflight):>5} {_fmt_count(shed):>5} "
             f"{_fmt_count(hit_mem):>8} {_fmt_count(hit_disk):>9} "
-            f"{_fmt_count(miss):>6} {breakers_open:>5}")
+            f"{_fmt_count(miss):>6}")
 
     reroutes = metric_sum(samples, "repro_fleet_reroutes_total")
     steals = metric_sum(samples, "repro_fleet_steals_total")

@@ -1,19 +1,13 @@
-"""repro.resilience -- fault injection, containment, graceful degradation.
+"""repro.resilience -- deterministic fault injection for chaos runs.
 
-The harden-then-chaos-test toolkit the service stack leans on:
-
-- :mod:`repro.resilience.faults` -- a process-global seeded
-  :class:`FaultPlan` with named injection sites threaded through the
-  result cache, scheduler payloads, execution engines and profile
-  cache; off by default, configured via API or ``$REPRO_FAULTS``,
-  deterministic per (seed, site, invocation index) so chaos runs
-  replay;
-- :mod:`repro.resilience.breaker` -- :class:`CircuitBreaker`
-  (closed/open/half-open, wall-clock cooldown) guarding compiled
-  execution and service admission;
-- :mod:`repro.resilience.deadletter` -- :class:`DeadLetterQueue`, the
-  persisted quarantine for payloads that keep crashing workers,
-  inspectable via ``python -m repro service dead-letter``.
+:mod:`repro.resilience.faults` holds a process-global seeded
+:class:`FaultPlan` with named injection sites threaded through the
+result cache, scheduler payloads, execution engines, profile cache,
+fleet wire and router journal; off by default, configured via API or
+``$REPRO_FAULTS``, deterministic per (seed, site, invocation index) so
+chaos runs replay.  What absorbs the faults lives with the code that
+hits them: scheduler retries and pool rebuilds, the interpreter
+fallback, cache quarantine, fleet re-routing.
 
 Quick chaos run::
 
@@ -21,10 +15,6 @@ Quick chaos run::
         python -m repro eval fig5 --trace-out chaos.json
 """
 
-from repro.resilience.breaker import (
-    CLOSED, HALF_OPEN, OPEN, CircuitBreaker, STATE_VALUES,
-)
-from repro.resilience.deadletter import DEAD_LETTER_DIRNAME, DeadLetterQueue
 from repro.resilience.faults import (
     FaultPlan, InjectedFault, KNOWN_SITES, WIRE_MODES, active_plan,
     clear_plan, configure_from_env, current_plan, inject, inject_wire,
@@ -32,8 +22,6 @@ from repro.resilience.faults import (
 )
 
 __all__ = [
-    "CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker", "STATE_VALUES",
-    "DEAD_LETTER_DIRNAME", "DeadLetterQueue",
     "FaultPlan", "InjectedFault", "KNOWN_SITES", "WIRE_MODES",
     "active_plan", "clear_plan", "configure_from_env", "current_plan",
     "inject", "inject_wire", "install_plan",

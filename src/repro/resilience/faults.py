@@ -28,8 +28,8 @@ Sites wired through the stack (see README "Resilience"):
 ``cache.write``     ResultCache.put fails (service skips the write)
 ``worker.exec``     job execution raises (scheduler retry path)
 ``worker.crash``    pool worker hard-exits (BrokenProcessPool recovery)
-``exec.compiled``   compiled engine faults (interpreter fallback +
-                    breaker accounting)
+``exec.compiled``   compiled engine faults (interpreter fallback,
+                    counted in ``repro_exec_fallback_total``)
 ``profile.disk``    profile-cache disk tier read/write fails (miss)
 ``net.request``     HTTP request between fleet processes misbehaves
                     (:func:`inject_wire`: drop / delay / http_500 /

@@ -23,14 +23,14 @@ done and ``succeeded`` answers with the job record plus those bytes
 spliced in as ``"result"``, so a cache hit costs one round trip; every
 2xx submit answer names the job's status in ``X-Repro-Job-Status``.
 
-Backpressure is enforced end-to-end: the service's admission breaker
-surfaces as ``429 overloaded``, and on top of it the server keeps a
-**bounded accept queue** -- at most ``max_queue`` uncached jobs in
-flight; past that, new work is shed with ``429 busy`` while cached
-results (served via :meth:`DesignService.lookup`) keep flowing.
-Graceful shutdown flips to draining (new jobs ``503 unavailable``),
-waits out in-flight jobs up to ``drain_timeout_s``, then closes every
-SSE stream with a ``shutdown`` event.
+Backpressure is a **bounded accept queue**: at most ``max_queue``
+uncached jobs in flight; past that, new work is shed with ``429 busy``
+(:class:`~repro.service.ServiceOverloaded` on the wire; a client
+raises it once its retries are spent) while cached results (served via
+:meth:`DesignService.lookup`) keep flowing.  Graceful shutdown flips
+to draining (new jobs ``503 unavailable``, ``/healthz``
+``degraded``), waits out in-flight jobs up to ``drain_timeout_s``,
+then closes every SSE stream with a ``shutdown`` event.
 
 Live SSE task events stream in thread-pool execution mode (the
 default); process workers run their flows unobserved, so remote
@@ -56,8 +56,7 @@ from repro.server.http import HttpServerBase, JSON_TYPE, MAX_BODY_BYTES
 from repro.server.protocol import (
     JOB_STATUS_HEADER, TERMINAL, JobNotFound, ServerError,
 )
-from repro.service import DesignService
-from repro.service.core import ServiceOverloaded
+from repro.service import DesignService, ServiceOverloaded
 from repro.service.jobs import FlowJob, JobValidationError
 
 __all__ = ["ReproServer", "MAX_BODY_BYTES", "TERMINAL", "TaskFrames"]
@@ -285,10 +284,6 @@ class ReproServer(HttpServerBase):
                 "wall_s": info.get("wall_s"),
                 "error": info.get("error"),
             })
-        elif event == "lookup" and info.get("source") == "dead-letter":
-            self._publish_threadsafe(key, "done", {
-                "id": key, "status": "quarantined",
-                "source": "dead-letter"})
 
     def _frames_for(self, job: FlowJob, key: str) -> TaskFrames:
         """Per-job observer streaming task/branch frames to subscribers."""
@@ -341,8 +336,7 @@ class ReproServer(HttpServerBase):
         }
         # the runner's clock, for the fleet collector's offset
         health["now"] = obs.now()
-        breaker_open = health["overload"]["state"] != "closed"
-        ok = not breaker_open and not self.draining
+        ok = not self.draining
         health["status"] = "ok" if ok else "degraded"
         return await self._send_json(writer, 200 if ok else 503, health)
 
@@ -413,9 +407,9 @@ class ReproServer(HttpServerBase):
                 retry_after_s=self.drain_timeout_s))
         if self._inflight >= self.max_queue:
             self._m_shed.inc(reason="queue_full")
-            return await self._send_json(writer, 429, protocol._body(
-                "busy", f"accept queue full ({self.max_queue} in flight)",
-                retry_after_s=1.0))
+            raise ServiceOverloaded(
+                f"accept queue full ({self.max_queue} in flight)",
+                retry_after_s=1.0)
         # register BEFORE submitting so listener events find the state
         state = _JobState(job)
         state.counted = True
@@ -432,11 +426,6 @@ class ReproServer(HttpServerBase):
             submission = await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self.service.submit(job,
                                                   obs_parent=obs_parent))
-        except ServiceOverloaded:
-            del self._jobs[key]
-            self._job_settled()
-            self._m_shed.inc(reason="breaker")
-            raise
         except BaseException:
             del self._jobs[key]
             self._job_settled()

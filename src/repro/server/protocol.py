@@ -1,25 +1,25 @@
 """Wire schema shared by the HTTP server and :class:`ReproClient`.
 
-The contract the issue pins down: every terminal job outcome maps to
-**one stable machine-readable error body**, and the mapping is a
-bijection -- the client rebuilds the *same* exception type (with its
-fields) that :meth:`JobHandle.result` would have raised in-process::
+The contract: every terminal job outcome maps to **one stable
+machine-readable error body**, and the mapping is a bijection -- the
+client rebuilds the *same* exception type (with its fields) that
+:meth:`JobHandle.result` would have raised in-process::
 
-    {"error": {"code": "quarantined", "message": ..., ...extras}}
+    {"error": {"code": "timeout", "message": ..., ...extras}}
 
 =================  ======  ===========================================
 code               status  in-process exception
 =================  ======  ===========================================
 ``pending``        202     :class:`JobResultPending` (still running)
-``overloaded``     429     :class:`ServiceOverloaded` (breaker open)
-``busy``           429     server accept queue full (bounded)
-``quarantined``    503     :class:`JobQuarantined` (dead-lettered)
+``busy``           429     :class:`ServiceOverloaded` (accept queue
+                           full)
 ``timeout``        504     :class:`JobTimeout`
 ``cancelled``      409     :class:`JobCancelled`
-``failed``         500     :class:`JobFailed`
+``failed``         500     :class:`JobFailed` (retries or crash budget
+                           spent)
 ``invalid_job``    400     :class:`JobValidationError`
 ``not_found``      404     :class:`JobNotFound`
-``unavailable``    503     server draining for shutdown
+``unavailable``    503     draining, or no routable runner (a router)
 ``internal``       500     anything else
 =================  ======  ===========================================
 
@@ -34,14 +34,14 @@ from typing import Any, Dict, Optional, Tuple
 from repro.service.core import ServiceOverloaded
 from repro.service.jobs import FlowJob, JobValidationError
 from repro.service.scheduler import (
-    JobCancelled, JobFailed, JobQuarantined, JobResultPending, JobTimeout,
+    JobCancelled, JobFailed, JobResultPending, JobTimeout,
 )
 
 #: API version prefix every job route lives under
 API_VERSION = "v1"
 
 #: job states with nothing left to wait for
-TERMINAL = ("succeeded", "failed", "quarantined", "timeout", "cancelled")
+TERMINAL = ("succeeded", "failed", "timeout", "cancelled")
 
 #: response header of every 2xx ``POST /v1/jobs`` answer: the job's
 #: status, so a relaying router learns ``done`` without parsing a body
@@ -124,11 +124,8 @@ def error_to_payload(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
                           status=exc.status, attempts=exc.attempts,
                           retry_after_s=1.0)
     if isinstance(exc, ServiceOverloaded):
-        return 429, _body("overloaded", str(exc),
+        return 429, _body("busy", str(exc),
                           retry_after_s=exc.retry_after_s or 1.0)
-    if isinstance(exc, JobQuarantined):
-        return 503, _body("quarantined", str(exc), key=exc.key,
-                          crashes=exc.crashes)
     if isinstance(exc, JobTimeout):
         return 504, _body("timeout", str(exc),
                           status=getattr(exc, "status", None),
@@ -157,12 +154,9 @@ def error_from_payload(status: int,
         return JobResultPending(
             error.get("key", ""), error.get("status", "pending"),
             int(error.get("attempts", 0)), None)
-    if code in ("overloaded", "busy"):
+    if code == "busy":
         return ServiceOverloaded(
             message, retry_after_s=float(error.get("retry_after_s", 0.0)))
-    if code == "quarantined":
-        return JobQuarantined(message, key=error.get("key", ""),
-                              crashes=int(error.get("crashes", 0)))
     if code == "timeout":
         # the message already embeds any status/attempts detail;
         # restore the structured fields without re-appending it

@@ -36,8 +36,8 @@ from repro.service.jobs import (
     FlowJob, JobValidationError, execute_job, execute_job_payload,
 )
 from repro.service.scheduler import (
-    JobCancelled, JobError, JobFailed, JobHandle, JobQuarantined,
-    JobResultPending, JobScheduler, JobStatus, JobTimeout,
+    JobCancelled, JobError, JobFailed, JobHandle, JobResultPending,
+    JobScheduler, JobStatus, JobTimeout,
 )
 
 __all__ = [
@@ -45,6 +45,6 @@ __all__ = [
     "CACHE_FORMAT_VERSION", "CacheBackend", "CacheStats", "ResultCache",
     "DesignService", "ServiceOverloaded", "ServiceResult",
     "FlowJob", "JobValidationError", "execute_job", "execute_job_payload",
-    "JobCancelled", "JobError", "JobFailed", "JobHandle", "JobQuarantined",
+    "JobCancelled", "JobError", "JobFailed", "JobHandle",
     "JobResultPending", "JobScheduler", "JobStatus", "JobTimeout",
 ]

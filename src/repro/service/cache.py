@@ -325,8 +325,7 @@ class ResultCache:
     def keys(self) -> Iterator[str]:
         for shard in sorted(os.listdir(self.root)):
             shard_dir = os.path.join(self.root, shard)
-            # dot-dirs are service state (.quarantine, .deadletter),
-            # not key shards
+            # dot-dirs (.quarantine) are cache state, not key shards
             if shard.startswith(".") or not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):

@@ -22,19 +22,14 @@ An engine carrying a custom ``strategy_a`` override cannot be content-
 hashed or pickled, so such a service runs uncached and in-process --
 correctness over throughput for experimental strategies.
 
-Resilience (see :mod:`repro.resilience`): jobs whose payloads keep
-crashing pool workers resolve :class:`JobQuarantined` and land in the
-**dead-letter queue** next to the result cache; re-submitting a
-dead-lettered job fast-fails without touching the pool.  A spike of
-dead-letters trips the service's **overload breaker**: new work is
-shed with :class:`ServiceOverloaded` (cache reads and in-flight joins
-still serve) until the cooldown passes.  A failed cache write degrades
-to an uncached result instead of failing the job.
+A job that fails -- its retries spent, or the worker pool broken
+under it more than ``crash_retries`` times -- holds no state here: a
+resubmission runs it again.  A failed cache write degrades to an
+uncached result instead of failing the job.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -42,13 +37,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro import obs
 from repro.flow.engine import FlowEngine
 from repro.flow.serialize import result_from_dict, result_to_dict
-from repro.resilience import (
-    CircuitBreaker, DEAD_LETTER_DIRNAME, DeadLetterQueue, faults,
-)
+from repro.resilience import faults
 from repro.service.cache import ResultCache
 from repro.service.jobs import FlowJob, execute_job, execute_job_payload
 from repro.service.scheduler import (
-    JobHandle, JobQuarantined, JobResultPending, JobScheduler, JobStatus,
+    JobHandle, JobResultPending, JobScheduler, JobStatus,
 )
 
 _EVENTS = obs.REGISTRY.counter(
@@ -62,10 +55,12 @@ _JOB_WALL = obs.REGISTRY.histogram(
 
 
 class ServiceOverloaded(RuntimeError):
-    """The overload breaker is open: new work is being shed.
+    """A server is shedding new work: its accept queue is full.
 
-    Raised by :meth:`DesignService.submit` for jobs that would need to
-    *run*; cached results and in-flight joins are still served.
+    The HTTP front end answers it as ``429 busy``, and
+    :class:`~repro.client.ReproClient` raises it once its retries of
+    that answer are spent; ``retry_after_s`` is the ``Retry-After``.
+    Cached results are still served.
     """
 
     def __init__(self, message: str, retry_after_s: float = 0.0):
@@ -146,8 +141,6 @@ class DesignService:
                  default_timeout: Optional[float] = None,
                  default_retries: int = 0,
                  crash_retries: int = 2,
-                 overload_threshold: int = 3,
-                 overload_cooldown_s: float = 30.0,
                  cache: Optional[Any] = None):
         self.engine = engine or FlowEngine()
         # a custom strategy object defeats content hashing and pickling
@@ -165,19 +158,6 @@ class DesignService:
             default_timeout=default_timeout,
             default_retries=default_retries,
             crash_retries=crash_retries)
-        # dead-letter records persist next to the result cache so one
-        # directory carries the whole service state; memory-only else
-        dl_root = cache_dir or getattr(self.cache, "root", None)
-        self.dead_letter = DeadLetterQueue(
-            os.path.join(dl_root, DEAD_LETTER_DIRNAME)
-            if self.cache is not None and dl_root else None)
-        # trips after `overload_threshold` dead-letters with no
-        # successful completion in between; while open, submit() sheds
-        # work that would need to run
-        self._overload = CircuitBreaker(
-            "service.admission",
-            failure_threshold=overload_threshold,
-            cooldown_s=overload_cooldown_s)
         # per-job flow observer (the HTTP server streams live task
         # events through this); called as factory(job, key)
         self._observer_factory = None
@@ -185,11 +165,6 @@ class DesignService:
         self._pending: Dict[str, _Pending] = {}
         self._lock = threading.Lock()
         self._listeners: List[Any] = []
-
-    @property
-    def overload_state(self) -> str:
-        """Admission breaker state: 'closed', 'half-open' or 'open'."""
-        return self._overload.state
 
     # ------------------------------------------------------------------
     # Lifecycle listeners (the HTTP front end's event feed).
@@ -266,7 +241,6 @@ class DesignService:
         return {
             # the router refuses mixed-version runners off this field
             "version": repro.__version__,
-            "overload": self._overload.snapshot(),
             "scheduler": {
                 "mode": self.scheduler.mode,
                 "workers": self.scheduler.workers,
@@ -277,16 +251,14 @@ class DesignService:
             "memory_entries": memory,
             "cache_dir": getattr(self.cache, "root", None),
             "cache": cache_stats,
-            "dead_letter": len(self.dead_letter),
         }
 
     def lookup(self, job: FlowJob) -> Optional[ServiceResult]:
         """A result this service can serve *without* scheduling work.
 
         Checks memory, the disk cache, and in-flight dedup; returns
-        None when the job would have to run.  Never trips admission
-        control -- the HTTP front end uses this to keep serving cached
-        results while shedding new work.
+        None when the job would have to run.  The HTTP front end uses
+        this to keep serving cached results while shedding new work.
         """
         key = job.key()
         with self._lock:
@@ -352,28 +324,6 @@ class DesignService:
                 return ServiceResult(job, "cache-disk", value=record)
             if self.cache is not None:
                 _EVENTS.inc(event="cache_miss")
-            if self.dead_letter.contains(key):
-                # quarantined payloads never reach the pool again
-                self._served(job, "dead-letter", "dead_letter_hit")
-                record = self.dead_letter.get(key) or {}
-                refused = _Pending(job, key)
-                refused.resolve(error=JobQuarantined(
-                    f"{job.label} is dead-lettered "
-                    f"({record.get('reason', 'unknown')}); "
-                    f"release it via `repro service dead-letter --clear`",
-                    key=key, crashes=record.get("crashes", 0)))
-                self._notify("lookup", job, key, source="dead-letter")
-                return ServiceResult(job, "dead-letter", pending=refused)
-            if not self._overload.allow():
-                obs.event("service.overloaded", app=job.app, mode=job.mode)
-                _EVENTS.inc(event="overload_rejected")
-                self._notify("lookup", job, key, source="shed",
-                             retry_after_s=self._overload.cooldown_s)
-                raise ServiceOverloaded(
-                    f"service overloaded (admission breaker open after "
-                    f"{self._overload.trips} trip(s)); shedding "
-                    f"{job.label}",
-                    retry_after_s=self._overload.cooldown_s)
             pending = _Pending(job, key, obs_parent=obs_parent)
             self._pending[key] = pending
         return self._schedule(pending)
@@ -421,14 +371,6 @@ class DesignService:
         """Driver-thread callback: convert, persist, account, release."""
         job = pending.job
         if handle.status is not JobStatus.SUCCEEDED:
-            if handle.status is JobStatus.QUARANTINED:
-                self.dead_letter.add(
-                    pending.key, job.spec(),
-                    reason=str(handle.error), attempts=handle.attempts,
-                    crashes=handle.crashes)
-                _EVENTS.inc(event="dead_letter")
-                # each dead-letter is an admission-breaker strike
-                self._overload.record_failure()
             _EVENTS.inc(event="jobs_failed")
             _JOB_WALL.observe(handle.wall_s, source="run")
             with self._lock:
@@ -462,7 +404,6 @@ class DesignService:
                               key=pending.key[:12],
                               error=type(exc).__name__)
                     _EVENTS.inc(event="cache_write_failed")
-            self._overload.record_success()
             _JOB_WALL.observe(handle.wall_s, source="run")
             with self._lock:
                 if self._cacheable:

@@ -1,5 +1,5 @@
 """Worker-pool job scheduler: parallelism, dedup, timeout, retry,
-crash containment.
+crash recovery.
 
 Two executor layers:
 
@@ -20,22 +20,22 @@ nor pool processes can be killed mid-task portably); the handle still
 resolves promptly with :class:`JobTimeout` so callers never block on a
 hung job.  An abandoned attempt that is still running occupies a pool
 slot, tracked by the ``repro_scheduler_abandoned_slots`` gauge until
-the stuck callable returns.  In **process** mode the slot is
+the stuck callable returns.  In **process** mode the slot is always
 *reclaimed*: the pool is recycled (fresh workers swapped in, the old
 workers terminated), so a hung payload cannot starve the pool --
 attempts that were in flight on the old pool are re-queued through the
 crash-recovery path below.  In thread mode the gauge is the only
 remedy (threads cannot be killed).
 
-Worker-crash containment: a dead worker process surfaces as
+Worker-crash recovery: a dead worker process surfaces as
 ``BrokenProcessPool`` (on submit or while waiting on an attempt).  The
 scheduler rebuilds the pool exactly once per breakage and re-queues
 the interrupted attempt *without* consuming one of the job's regular
-retries -- the job did not fail, the worker did.  A payload whose
-attempts crash the pool more than ``crash_retries`` times is presumed
-poisonous and resolved with :class:`JobQuarantined`; the service layer
-moves such jobs to the dead-letter queue and excludes them from
-further scheduling.
+retries -- the job did not fail, the worker did.  A job whose attempts
+see the pool break more than ``crash_retries`` times resolves as an
+ordinary :class:`JobFailed` naming its crash count, so every job
+terminates.  A breakage is charged to every attempt in flight on the
+broken pool, since the pool cannot tell which payload killed it.
 
 Flow execution is pure Python, so the thread pool gives concurrency
 but not CPU parallelism (GIL); the process pool gives real parallelism
@@ -88,7 +88,6 @@ class JobStatus(enum.Enum):
     FAILED = "failed"
     TIMEOUT = "timeout"
     CANCELLED = "cancelled"
-    QUARANTINED = "quarantined"
 
 
 class JobError(Exception):
@@ -96,7 +95,8 @@ class JobError(Exception):
 
 
 class JobFailed(JobError):
-    """The job raised on every allowed attempt (cause chained)."""
+    """The job raised on every allowed attempt (cause chained), or the
+    worker pool broke under it more than ``crash_retries`` times."""
 
 
 class JobTimeout(JobError):
@@ -121,19 +121,6 @@ class JobTimeout(JobError):
 
 class JobCancelled(JobError):
     """The job was cancelled before it produced a result."""
-
-
-class JobQuarantined(JobError):
-    """The job's payload crashed pool workers past the crash budget.
-
-    The service layer dead-letters jobs that resolve this way; see
-    ``python -m repro service dead-letter``.
-    """
-
-    def __init__(self, message: str, key: str = "", crashes: int = 0):
-        super().__init__(message)
-        self.key = key
-        self.crashes = crashes
 
 
 # ``concurrent.futures.TimeoutError`` is the builtin ``TimeoutError``
@@ -296,8 +283,7 @@ class JobScheduler:
                  backoff_s: float = 0.05,
                  backoff_factor: float = 2.0,
                  max_backoff_s: float = 2.0,
-                 crash_retries: int = 2,
-                 reclaim_timeouts: bool = True):
+                 crash_retries: int = 2):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if crash_retries < 0:
@@ -309,10 +295,8 @@ class JobScheduler:
         self.backoff_s = backoff_s
         self.backoff_factor = backoff_factor
         self.max_backoff_s = max_backoff_s
-        #: times one job's payload may crash the pool before quarantine
+        #: pool breakages one job may ride out before it fails
         self.crash_retries = crash_retries
-        #: recycle the process pool when a timed-out attempt hangs
-        self.reclaim_timeouts = reclaim_timeouts
         self._pool, self.mode, self.fallback_note = \
             _make_work_pool(mode, workers)
         self._drivers = ThreadPoolExecutor(
@@ -467,7 +451,7 @@ class JobScheduler:
                     # occupied until the stuck callable returns
                     _ABANDONED.inc()
                     future.add_done_callback(lambda _f: _ABANDONED.dec())
-                    if self.mode == "process" and self.reclaim_timeouts:
+                    if self.mode == "process":
                         self._replace_pool(pool, reason="timeout-reclaim",
                                            kill_workers=True)
                 _ATTEMPTS.inc(outcome="timeout")
@@ -502,14 +486,11 @@ class JobScheduler:
                     self.backoff_s * self.backoff_factor ** attempt,
                     self.max_backoff_s))
         if handle._cancel_requested \
-                and not isinstance(last_error,
-                                   (JobCancelled, JobQuarantined)):
+                and not isinstance(last_error, JobCancelled):
             last_error = JobCancelled(
                 f"job {handle.key[:12]} cancelled")
         status = (JobStatus.CANCELLED
                   if isinstance(last_error, JobCancelled)
-                  else JobStatus.QUARANTINED
-                  if isinstance(last_error, JobQuarantined)
                   else JobStatus.TIMEOUT
                   if isinstance(last_error, JobTimeout)
                   else JobStatus.FAILED)
@@ -530,10 +511,10 @@ class JobScheduler:
                   crashes=crashes)
         self._replace_pool(pool, reason="worker-crash")
         if crashes > self.crash_retries:
-            return crashes, JobQuarantined(
-                f"job {handle.key[:12]} crashed the worker pool "
-                f"{crashes} times (budget {self.crash_retries}); "
-                f"quarantined", key=handle.key, crashes=crashes)
+            return crashes, JobFailed(
+                f"job {handle.key[:12]} failed: the worker pool broke "
+                f"under it {crashes} times (crash budget "
+                f"{self.crash_retries})")
         return crashes, None
 
     # ------------------------------------------------------------------

@@ -16,6 +16,35 @@ from repro.fleet.router import FleetRouter
 from tests.server.conftest import LiveServer, accepted  # noqa: F401
 
 
+class OfflinePool:
+    """The connection pool of a fake runner's handle.
+
+    Fake runners patch single :class:`~repro.fleet.runner.RunnerHandle`
+    methods; a router path that reaches an unpatched one lands here and
+    fails at once, naming the call, instead of opening a TCP connection
+    to the fake address.
+    """
+
+    def exchange(self, base_url, method, path, *args, **kwargs):
+        raise AssertionError(
+            f"unpatched runner call {method} {base_url}{path} reached "
+            f"the network")
+
+    def close(self):
+        pass
+
+
+def offline(router):
+    """Give every runner handle of ``router`` (a standby's primary
+    handle too) an :class:`OfflinePool`; returns the router."""
+    handles = list(router.handles.values())
+    if router._primary is not None:
+        handles.append(router._primary)
+    for handle in handles:
+        handle._pool = OfflinePool()
+    return router
+
+
 class LiveRouter:
     """Runs one :class:`FleetRouter` on its own event-loop thread."""
 

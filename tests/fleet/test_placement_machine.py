@@ -44,6 +44,7 @@ from repro.fleet.router import FleetRouter
 from repro.flow.serialize import FlowResultRecord
 from repro.server import protocol
 from repro.server.protocol import JobNotFound
+from tests.fleet.conftest import offline
 
 RUNNERS = [f"http://10.7.7.{i}:7000" for i in range(1, 4)]
 KEYS = [f"{i:02d}" * 32 for i in range(6)]
@@ -242,7 +243,7 @@ class PlacementMachine(RuleBasedStateMachine):
             journal=RouterJournal(self.root, name=name, compact_every=5),
             node_name=name,
             standby_of="http://10.7.7.9:7000" if standby else None)
-        router._executor.shutdown(wait=False)
+        offline(router)._executor.shutdown(wait=False)
         router._in_executor = _direct
         for url, handle in router.handles.items():
             handle.exchange = (lambda url: lambda *a, **kw:

@@ -27,7 +27,7 @@ SUMMARY = {
     "version": "1.2.3",
     "traces": {"count": 4, "dropped": 0},
     "fleet": {"healthy": 2, "total": 2, "placements": 4,
-              "inflight": 3, "breaker": {"state": "closed"}},
+              "inflight": 3},
     "runners": [
         {"url": "http://n1:1", "state": "healthy"},
         {"url": "http://n2:2", "state": "draining"},
@@ -82,7 +82,7 @@ def test_render_top_shows_fleet_runners_and_totals():
     frame = render_top(SUMMARY, parse_prometheus(TEXT))
     assert "router v1.2.3" in frame and "traces 4" in frame
     assert "runners 2/2 healthy" in frame
-    assert "breaker closed" in frame
+    assert "placements 4" in frame and "inflight 3" in frame
     lines = frame.splitlines()
     n1 = next(l for l in lines if l.startswith("http://n1:1"))
     assert "healthy" in n1

@@ -8,22 +8,24 @@ and asserts the three resilience guarantees end to end --
    to a fault-free run (retries + fallbacks absorb the faults);
 2. **visibility**: every fired fault shows up in telemetry
    (``repro_faults_injected_total`` and ``fault.injected`` events);
-3. **containment**: poisonous payloads are dead-lettered, corrupt
-   cache entries quarantined, overload breakers degrade gracefully.
+3. **containment**: corrupt cache entries are quarantined and
+   re-run; a payload that keeps crashing the pool fails alone, and the
+   service keeps admitting work.
 """
 
 import os
+import time
 
 import pytest
 
+import repro.service.core as service_core
 from repro import obs
 from repro.lang import engine as lang_engine
 from repro.meta.ast_api import Ast
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
-from repro.service import (
-    DesignService, JobQuarantined, ServiceOverloaded, expand_jobs,
-)
+from repro.service import DesignService, JobFailed, JobStatus, expand_jobs
+from repro.service.jobs import execute_job_payload
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +149,27 @@ class TestCacheCorruptionChaos:
                 service.job_for("kmeans", "informed"))
             assert submission.source == "cache-disk"
 
+    def test_stats_cli_counts_corrupt_entries(self, tmp_path, capsys):
+        from repro.__main__ import main as cli_main
+
+        cache_dir = str(tmp_path / "cache")
+        with DesignService(cache_dir=cache_dir, workers=1,
+                           pool="thread") as service:
+            service.run(service.job_for("kmeans", "informed"), timeout=120)
+        assert cli_main(["service", "stats", "--cache-dir", cache_dir]) == 0
+        assert "corrupt: 0 file(s)" in capsys.readouterr().out
+        plan = FaultPlan(seed=0, rate=1.0, sites=("cache.read",),
+                         max_faults=1)
+        with faults.active_plan(plan), \
+             DesignService(cache_dir=cache_dir, workers=1,
+                           pool="thread") as service:
+            service.run(service.job_for("kmeans", "informed"), timeout=120)
+        assert cli_main(["service", "stats", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 1" in out
+        assert (f"corrupt: 1 file(s) in "
+                f"{os.path.join(cache_dir, '.quarantine')}") in out
+
 
 class TestEngineFaultFallback:
     SOURCE = """
@@ -190,66 +213,59 @@ class TestEngineFaultFallback:
         assert modes == ["compiled"]
 
 
-@pytest.fixture
-def crash_service(tmp_path):
-    """A process-pool service whose workers die on every payload.
-
-    The worker.crash site is gated to pool child processes, so the
-    plan is harmless in this (parent) test process; forked workers
-    inherit it and hard-exit on entry.
+def _kmeans_crashes(spec, collect_obs=False):
+    """Pool payload: every kmeans job hard-exits its worker (the shape
+    of a segfault or an OOM kill); other apps hold their slot for a
+    second first, so they are in flight on the pool each crash breaks.
     """
-    plan = FaultPlan(seed=0, rate=1.0, sites=("worker.crash",))
+    if spec["app"] == "kmeans":
+        os._exit(9)
+    time.sleep(1.0)
+    return execute_job_payload(spec, collect_obs)
+
+
+@pytest.fixture
+def crash_service(tmp_path, monkeypatch):
+    """A 3-worker process-pool service whose kmeans payload always
+    crashes (forked workers inherit the patched payload)."""
+    monkeypatch.setattr(service_core, "execute_job_payload",
+                        _kmeans_crashes)
     service = DesignService(cache_dir=str(tmp_path / "cache"),
-                            workers=2, pool="process",
-                            crash_retries=1, overload_threshold=1)
+                            workers=3, pool="process", crash_retries=1)
     if service.scheduler.mode != "process":
         service.close()
         pytest.skip("process pool unavailable on this host")
-    with faults.active_plan(plan):
-        yield service
+    yield service
     service.close(cancel_pending=True)
 
 
-class TestDeadLetterChaos:
-    def test_crash_loop_lands_in_dead_letter_and_sheds_load(
-            self, crash_service, tmp_path):
+class TestCrashLoopChaos:
+    def test_a_crash_loop_fails_one_job_and_admission_stays_open(
+            self, crash_service):
         service = crash_service
-        job = service.job_for("kmeans", "informed")
-        submission = service.submit(job)
-        with pytest.raises(JobQuarantined):
-            submission.result(timeout=120)
-        # containment: the job is enumerable in the persisted queue
-        assert service.dead_letter.contains(job.key())
-        record = service.dead_letter.get(job.key())
-        assert record["job"]["app"] == "kmeans"
-        assert record["crashes"] >= 2
-        # exclusion: resubmitting never touches the pool again
-        resubmitted = service.submit(job)
-        assert resubmitted.source == "dead-letter"
-        with pytest.raises(JobQuarantined):
-            resubmitted.result(timeout=5)
-        # degradation: the overload breaker is now shedding new work
-        assert service.overload_state == "open"
-        with pytest.raises(ServiceOverloaded):
-            service.submit(service.job_for("nbody", "informed"))
-
-    def test_dead_letter_cli_enumerates_and_clears(self, crash_service,
-                                                   tmp_path, capsys):
-        from repro.__main__ import main as cli_main
-
-        service = crash_service
-        job = service.job_for("kmeans", "informed")
-        with pytest.raises(JobQuarantined):
-            service.submit(job).result(timeout=120)
-        cache_dir = str(tmp_path / "cache")
-        assert cli_main(["service", "dead-letter",
-                         "--cache-dir", cache_dir]) == 0
-        listing = capsys.readouterr().out
-        assert job.key()[:12] in listing
-        assert "kmeans" in listing
-        assert cli_main(["service", "dead-letter",
-                         "--cache-dir", cache_dir, "--clear"]) == 0
-        assert "released 1" in capsys.readouterr().out
-        assert cli_main(["service", "dead-letter",
-                         "--cache-dir", cache_dir]) == 0
-        assert "empty" in capsys.readouterr().out
+        innocent = {app: service.submit(service.job_for(app, "informed"))
+                    for app in ("nbody", "bezier")}
+        crasher = service.submit(service.job_for("kmeans", "informed"))
+        # the crasher terminates, as an ordinary failure naming its
+        # crash count and budget
+        with pytest.raises(JobFailed, match=r"2 times \(crash budget 1\)"):
+            crasher.result(timeout=120)
+        handle = crasher._pending.handle
+        assert handle.status is JobStatus.FAILED
+        assert handle.crashes == service.scheduler.crash_retries + 1
+        # a breakage is charged to every attempt in flight on the pool,
+        # so an innocent job may fail beside the crasher -- but no
+        # record of that failure outlives it: a resubmission runs again
+        for app, submission in innocent.items():
+            try:
+                submission.result(timeout=120)
+                failed = False
+            except JobFailed:
+                failed = True
+            again = service.submit(service.job_for(app, "informed"))
+            assert again.source == ("run" if failed else "cache-memory")
+            assert again.result(timeout=120).app.name == app
+        # and the service still admits new work
+        fresh = service.submit(service.job_for("rush_larsen", "informed"))
+        assert fresh.source == "run"
+        assert fresh.result(timeout=120).app.name == "rush_larsen"

@@ -13,8 +13,8 @@ import time
 import pytest
 
 from repro.service.scheduler import (
-    JobQuarantined, JobResultPending, JobScheduler, JobStatus,
-    JobTimeout, _ABANDONED,
+    JobFailed, JobResultPending, JobScheduler, JobStatus, JobTimeout,
+    _ABANDONED,
 )
 
 
@@ -71,14 +71,19 @@ class TestCrashRecovery:
                                              sentinel, retries=0)
         assert handle.result(timeout=60) == "recovered"
 
-    def test_poison_payload_is_quarantined(self, process_scheduler):
+    def test_poison_payload_fails_once_its_crash_budget_is_spent(
+            self, process_scheduler):
+        done = []
         handle, _ = process_scheduler.submit("poison", _crash_always)
-        with pytest.raises(JobQuarantined) as excinfo:
+        handle.add_done_callback(done.append)
+        with pytest.raises(JobFailed, match=r"3 times \(crash budget 2\)"):
             handle.result(timeout=60)
-        assert handle.status is JobStatus.QUARANTINED
+        # exactly one terminal state, reached once
+        assert handle.status is JobStatus.FAILED
+        assert done == [handle]
         # crash budget (2) + the final straw
-        assert excinfo.value.crashes == 3
-        assert excinfo.value.key == "poison"
+        assert handle.crashes == 3
+        assert process_scheduler.inflight == 0
 
     def test_mid_batch_crash_loses_no_results(self, process_scheduler,
                                               tmp_path):

@@ -16,8 +16,7 @@ from repro.resilience.faults import active_plan
 from repro.server.protocol import JobNotFound
 from repro.service.core import ServiceOverloaded
 from repro.service.jobs import JobValidationError
-from repro.service.scheduler import (JobQuarantined, JobResultPending,
-                                     JobTimeout)
+from repro.service.scheduler import JobFailed, JobResultPending, JobTimeout
 from tests.resilience.test_wire_faults import forced
 
 
@@ -41,16 +40,16 @@ class ScriptedClient(ReproClient):
         return response
 
 
-def _overloaded(retry_after, header=True):
+def _busy(retry_after, header=True):
     headers = {"Retry-After": str(retry_after)} if header else {}
-    return (429, {"error": {"code": "overloaded", "message": "shed",
+    return (429, {"error": {"code": "busy", "message": "shed",
                             "retry_after_s": retry_after}}, headers)
 
 
 def test_retry_honors_retry_after_header():
     client = ScriptedClient([
-        _overloaded(3.5),
-        _overloaded(0.25),
+        _busy(3.5),
+        _busy(0.25),
         (200, {"id": "abc"}, {}),
     ])
     assert client.submit("kmeans")["id"] == "abc"
@@ -69,7 +68,7 @@ def test_retry_falls_back_to_exponential_backoff():
 
 
 def test_retries_exhausted_raises_taxonomy_error():
-    client = ScriptedClient([_overloaded(1.0)] * 3, max_retries=2)
+    client = ScriptedClient([_busy(1.0)] * 3, max_retries=2)
     with pytest.raises(ServiceOverloaded) as excinfo:
         client.submit("kmeans")
     assert excinfo.value.retry_after_s == 1.0
@@ -78,10 +77,9 @@ def test_retries_exhausted_raises_taxonomy_error():
 
 def test_terminal_errors_are_not_retried():
     client = ScriptedClient([
-        (503, {"error": {"code": "quarantined", "message": "dead",
-                         "key": "k", "crashes": 3}}, {}),
+        (500, {"error": {"code": "failed", "message": "crashed"}}, {}),
     ])
-    with pytest.raises(JobQuarantined):
+    with pytest.raises(JobFailed):
         client.result("k")
     assert client.sleeps == []              # no retry on terminal errors
 
@@ -249,7 +247,7 @@ def test_run_flow_timeout_reraises_pending():
 # ----------------------------------------------------------------------
 
 def test_jitter_spreads_retry_delays():
-    client = ScriptedClient([_overloaded(2.0), _overloaded(2.0),
+    client = ScriptedClient([_busy(2.0), _busy(2.0),
                              (200, {"id": "abc"}, {})],
                             jitter=0.5, rng=random.Random(7))
     client.submit("kmeans")
@@ -261,7 +259,7 @@ def test_jitter_spreads_retry_delays():
 
 
 def test_jitter_zero_is_exact_and_bounds_are_validated():
-    client = ScriptedClient([_overloaded(1.5), (200, {"id": "x"}, {})])
+    client = ScriptedClient([_busy(1.5), (200, {"id": "x"}, {})])
     client.submit("kmeans")
     assert client.sleeps == [1.5]
     with pytest.raises(ValueError):
@@ -274,7 +272,7 @@ def test_jitter_zero_is_exact_and_bounds_are_validated():
 
 def test_max_wait_caps_retryable_errors():
     # server keeps asking for 10s waits; a 1s budget refuses to sleep
-    client = ScriptedClient([_overloaded(10.0)] * 5,
+    client = ScriptedClient([_busy(10.0)] * 5,
                             max_wait_s=1.0, max_retries=10)
     with pytest.raises(JobTimeout) as excinfo:
         client.submit("kmeans")

@@ -46,7 +46,6 @@ def test_healthz(client):
     health = client.health()
     assert health["http_status"] == 200
     assert health["status"] == "ok"
-    assert health["overload"]["state"] == "closed"
     assert health["server"]["draining"] is False
     assert health["scheduler"]["workers"] == 1
 

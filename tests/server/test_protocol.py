@@ -10,8 +10,13 @@ from repro.server.protocol import (
 from repro.service.core import ServiceOverloaded
 from repro.service.jobs import FlowJob, JobValidationError
 from repro.service.scheduler import (
-    JobCancelled, JobFailed, JobQuarantined, JobResultPending, JobTimeout,
+    JobCancelled, JobFailed, JobResultPending, JobTimeout,
 )
+
+#: a job whose worker pool broke under it past its crash budget
+CRASH_BUDGET_SPENT = JobFailed(
+    "job kkkkkkkkkkkk failed: the worker pool broke under it 3 times "
+    "(crash budget 2)")
 
 
 # ----------------------------------------------------------------------
@@ -20,8 +25,8 @@ from repro.service.scheduler import (
 
 @pytest.mark.parametrize("exc,status,code", [
     (JobResultPending("k" * 64, "running", 2, 1.5), 202, "pending"),
-    (ServiceOverloaded("shed", retry_after_s=3.0), 429, "overloaded"),
-    (JobQuarantined("boom", key="k" * 64, crashes=3), 503, "quarantined"),
+    (ServiceOverloaded("shed", retry_after_s=3.0), 429, "busy"),
+    (CRASH_BUDGET_SPENT, 500, "failed"),
     (JobTimeout("too slow"), 504, "timeout"),
     (JobCancelled("dropped"), 409, "cancelled"),
     (JobFailed("exploded"), 500, "failed"),
@@ -51,7 +56,7 @@ def test_backpressure_bodies_carry_retry_after():
 @pytest.mark.parametrize("exc,exc_type", [
     (JobResultPending("k" * 64, "running", 2, 1.5), JobResultPending),
     (ServiceOverloaded("shed", retry_after_s=3.0), ServiceOverloaded),
-    (JobQuarantined("boom", key="k" * 64, crashes=3), JobQuarantined),
+    (CRASH_BUDGET_SPENT, JobFailed),
     (JobTimeout("too slow"), JobTimeout),
     (JobCancelled("dropped"), JobCancelled),
     (JobFailed("exploded"), JobFailed),
@@ -65,10 +70,9 @@ def test_round_trip_preserves_type(exc, exc_type):
 
 
 def test_round_trip_preserves_fields():
-    status, payload = error_to_payload(
-        JobQuarantined("boom", key="deadbeef", crashes=5))
+    status, payload = error_to_payload(CRASH_BUDGET_SPENT)
     rebuilt = error_from_payload(status, payload)
-    assert rebuilt.key == "deadbeef" and rebuilt.crashes == 5
+    assert str(rebuilt) == str(CRASH_BUDGET_SPENT)
 
     status, payload = error_to_payload(
         JobResultPending("abc123", "running", 4, 2.0))
