@@ -4,16 +4,15 @@ Boots one real ``python -m repro serve`` child per configuration and
 pushes the Fig. 5 workload (every app, informed mode, distinct content
 hashes so nothing dedups) through it cold:
 
-- **baseline** -- observability dark (no span buffer, no profiler);
+- **baseline** -- observability dark (no span buffer);
 - **traced**   -- ``REPRO_OBS_BUFFER`` on, every client call made
   inside a live span so the ``traceparent`` header is injected and
   adopted, and the span buffer drained after each rep (the collector's
-  cost is part of the bill);
-- **profiled** -- traced plus the 50 Hz sampling profiler.
+  cost is part of the bill).
 
-Gates (min-of-3 wall per configuration): tracing must stay within
-1.05x of baseline, tracing+profiler within 1.10x.  These are the
-numbers that let the fleet run with observability ON by default.
+Gate (min-of-5 wall per configuration): tracing must stay within
+1.05x of baseline.  This is the number that lets the fleet run with
+observability ON by default.
 """
 
 import json
@@ -29,12 +28,10 @@ SNAPSHOT_PATH = REPO_ROOT / "BENCH_obs.json"
 
 REPS = 5
 MAX_TRACED_RATIO = 1.05
-MAX_PROFILED_RATIO = 1.10
 
 CONFIGS = {
     "baseline": {},
     "traced": {"REPRO_OBS_BUFFER": "8192"},
-    "profiled": {"REPRO_OBS_BUFFER": "8192", "REPRO_PROFILE_HZ": "50"},
 }
 
 
@@ -82,17 +79,13 @@ def test_observability_overhead_is_bounded(tmp_path):
                for name, env in CONFIGS.items()}
     base = results["baseline"]["wall_s"]
     traced_ratio = results["traced"]["wall_s"] / base
-    profiled_ratio = results["profiled"]["wall_s"] / base
     snapshot = {
         "reps": REPS,
         "configs": results,
         "traced_ratio": round(traced_ratio, 3),
-        "profiled_ratio": round(profiled_ratio, 3),
         "max_traced_ratio": MAX_TRACED_RATIO,
-        "max_profiled_ratio": MAX_PROFILED_RATIO,
     }
     SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
     print(f"\nobs overhead: baseline {base:.2f}s, "
-          f"traced {traced_ratio:.3f}x, profiled {profiled_ratio:.3f}x")
+          f"traced {traced_ratio:.3f}x")
     assert traced_ratio <= MAX_TRACED_RATIO, snapshot
-    assert profiled_ratio <= MAX_PROFILED_RATIO, snapshot

@@ -34,7 +34,6 @@ fault plan, and then checks the invariants it names:
 ``federated_metrics``   router ``/metrics`` carries both runners'
                         series plus the fleet, HTTP-latency and server
                         families
-``profiler_serves``     the profiled runner serves folded stacks
 ``console_snapshot``    ``repro obs top --once`` renders the fleet
 ``victim_busy``         every process a step killed or paused held
                         in-flight work at that moment, so a batch that
@@ -71,7 +70,7 @@ import validate_trace                                     # noqa: E402
 
 from repro.client import ReproClient                      # noqa: E402
 from repro.fleet import RouterProcess                     # noqa: E402
-from repro.fleet.runner import RunnerProcess, free_port   # noqa: E402
+from repro.fleet.runner import RunnerProcess              # noqa: E402
 from repro.server.protocol import JobNotFound             # noqa: E402
 from repro.service.batch import expand_jobs               # noqa: E402
 from repro.service.scheduler import (                     # noqa: E402
@@ -137,27 +136,15 @@ class Fleet:
     """Two runners + a journaled router (optionally with a standby)."""
 
     def __init__(self, workdir: str, standby: bool = True,
-                 router_env=None, runner_env=({}, {})):
+                 router_env=None):
         self.workdir = workdir
         self.journal_dir = os.path.join(workdir, "journal")
         self.router_env = dict(router_env or {})
-        # pre-assign ports so each runner can name the other as its
-        # cache peer
-        ports = [free_port(), free_port()]
-        urls = [f"http://127.0.0.1:{p}" for p in ports]
-        self.runners = []
-        self.profiled = []
-        for i, port in enumerate(ports):
-            env = {"REPRO_OBS_BUFFER": "4096", **runner_env[i]}
-            runner = RunnerProcess(
-                cache_dir=os.path.join(workdir, f"cache-{i}"),
-                workers=1, port=port, env=env,
-                extra_args=["--max-queue", "64",
-                            "--peers", urls[1 - i]])
-            self.runners.append(runner)
-            if "REPRO_PROFILE_HZ" in env:
-                self.profiled.append(runner)
-        self.runner_urls = urls
+        self.runners = [RunnerProcess(
+            cache_dir=os.path.join(workdir, f"cache-{i}"), workers=1,
+            env={"REPRO_OBS_BUFFER": "4096"},
+            extra_args=["--max-queue", "64"]) for i in range(2)]
+        self.runner_urls = [runner.url for runner in self.runners]
         for runner in self.runners:
             runner.wait_ready()
         self.primary = RouterProcess(
@@ -643,19 +630,6 @@ def check_federated_metrics(run: Run) -> str:
             f"{len(FEDERATED_METRICS)} fleet families")
 
 
-def check_profiler_serves(run: Run) -> str:
-    if not run.fleet.profiled:
-        raise InvariantViolation("no runner is armed with a profiler")
-    for runner in run.fleet.profiled:
-        folded = run.fleet.get(runner.url + "/v1/obs/profile")
-        stacks = [line for line in folded.splitlines()
-                  if re.match(r"^\S.* \d+$", line)]
-        if not stacks:
-            raise InvariantViolation(
-                f"{runner.url}/v1/obs/profile served no folded stacks")
-    return f"{len(stacks)} folded stack(s) from {runner.url}"
-
-
 def check_console_snapshot(run: Run) -> str:
     top = _repro("obs", "top", "--once", "--server",
                  run.fleet.serving_url())
@@ -697,7 +671,6 @@ INVARIANTS = {
     "fig5_identical": check_fig5_identical,
     "metrics_exposition": check_metrics_exposition,
     "federated_metrics": check_federated_metrics,
-    "profiler_serves": check_profiler_serves,
     "console_snapshot": check_console_snapshot,
 }
 
@@ -719,14 +692,12 @@ SCENARIOS = {
                     "stitched_trace", "fig5_identical"),
     ),
     "kill_runner": dict(
-        doc="Snapshot the healthy fleet's console, federated metrics "
-            "and profiler, then SIGKILL the busiest runner; the router "
+        doc="Snapshot the healthy fleet's console and federated "
+            "metrics, then SIGKILL the busiest runner; the router "
             "reroutes its work and every job keeps one trace.",
         standby=False,
-        runner_env=({"REPRO_PROFILE_HZ": "50"}, {}),
         chaos=[("await_inflight",), ("check", "console_snapshot"),
-               ("check", "federated_metrics"),
-               ("check", "profiler_serves"), ("kill_busiest",)],
+               ("check", "federated_metrics"), ("kill_busiest",)],
         invariants=("victim_busy", "terminal_once", "zero_lost",
                     "rerouted", "one_trace_per_job", "stitched_trace",
                     "metrics_exposition"),
@@ -810,8 +781,7 @@ def run_scenario(name: str, jobs: int, keep: bool) -> bool:
     started = time.monotonic()
     _log(f"=== scenario {name}: {spec['doc']}")
     fleet = Fleet(workdir, standby=spec.get("standby", False),
-                  router_env=spec.get("router_env"),
-                  runner_env=spec.get("runner_env", ({}, {})))
+                  router_env=spec.get("router_env"))
     failures = []
     run = None
     try:

@@ -10,9 +10,9 @@
                           [--jobs N] [--pool auto] [--timeout S]
                           [--telemetry] [--json PATH] [--server URL]
     python -m repro serve [--host H] [--port P] [--max-queue N]
-                          [--drain-timeout S] [--peers URL,URL]
+                          [--drain-timeout S]
     python -m repro router [--host H] [--port P] [--runners URL,URL]
-                           [--steal-threshold N] [--probe-interval S]
+                           [--probe-interval S]
                            [--journal-dir DIR] [--standby-of URL]
                            [--node-name NAME]
     python -m repro obs <top|trace> [--server URL] ...
@@ -53,8 +53,6 @@ def _config_from_args(args) -> ReproConfig:
         "workers": getattr(args, "workers", None),
         "retries": getattr(args, "retries", None),
         "fleet_runners": getattr(args, "runners", None),
-        "fleet_peers": getattr(args, "peers", None),
-        "fleet_steal_threshold": getattr(args, "steal_threshold", None),
         "fleet_probe_interval_s": getattr(args, "probe_interval", None),
         "journal_dir": getattr(args, "journal_dir", None),
         "fleet_standby_of": getattr(args, "standby_of", None),
@@ -423,7 +421,6 @@ def cmd_router(args) -> int:
         return 2
     router = FleetRouter(
         runners, host=args.host, port=args.port,
-        steal_threshold=cfg.fleet_steal_threshold,
         probe_interval_s=cfg.fleet_probe_interval_s,
         # span collection is on by default for a router; REPRO_OBS_BUFFER
         # can only resize it upward from the CLI, never disable tracing
@@ -591,9 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        metavar="S",
                        help="graceful-shutdown drain budget (default 30)")
-    serve.add_argument("--peers", default=None, metavar="URL,URL",
-                       help="fleet peers this runner may fetch cached "
-                            "results from ($REPRO_FLEET_PEERS)")
     serve.set_defaults(func=cmd_serve)
 
     router = sub.add_parser(
@@ -605,11 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     router.add_argument("--runners", default=None, metavar="URL,URL",
                         help="comma-separated runner base URLs "
                              "($REPRO_FLEET_RUNNERS)")
-    router.add_argument("--steal-threshold", type=int, default=None,
-                        metavar="N",
-                        help="owner queue depth past which jobs go to "
-                             "the least-loaded runner "
-                             "($REPRO_FLEET_STEAL_THRESHOLD)")
     router.add_argument("--probe-interval", type=float, default=None,
                         metavar="S",
                         help="runner health-probe period "
@@ -655,14 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
         "config", parents=[common],
         help="print the resolved REPRO_* configuration as JSON")
     fleet = config.add_argument_group(
-        "fleet settings (REPRO_FLEET_*; see `serve` and `router`)")
+        "fleet settings (REPRO_FLEET_*; see `router`)")
     fleet.add_argument("--runners", default=None, metavar="URL,URL",
                        help="router: runner base URLs")
-    fleet.add_argument("--peers", default=None, metavar="URL,URL",
-                       help="runner: peer URLs for cache read-through")
-    fleet.add_argument("--steal-threshold", type=int, default=None,
-                       metavar="N", help="router: owner queue depth "
-                       "that triggers work stealing")
     fleet.add_argument("--probe-interval", type=float, default=None,
                        metavar="S", help="router: seconds between "
                        "runner health probes")

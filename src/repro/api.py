@@ -80,18 +80,9 @@ def open_service(config: Optional[ReproConfig] = None,
     call ``close()``).
     """
     cfg = (config or ReproConfig.from_env()).replace(**overrides)
-    cache = None
-    if cfg.cache_dir and cfg.peer_list():
-        # fleet runner: local misses read through to peer nodes
-        from repro.fleet.peers import PeerFetchCache
-        from repro.service.cache import ResultCache
-
-        cache = PeerFetchCache(ResultCache(cfg.cache_dir),
-                               cfg.peer_list())
     return DesignService(engine=engine, cache_dir=cfg.cache_dir,
                          workers=cfg.workers,
-                         default_retries=cfg.retries,
-                         cache=cache)
+                         default_retries=cfg.retries)
 
 
 def run_flow(app: str, mode: str = "informed", *,

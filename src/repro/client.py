@@ -264,11 +264,6 @@ class ReproClient:
         """Drain a runner's span buffer past ``since`` (collector use)."""
         return self._request("GET", f"/v1/obs/spans?since={since}")
 
-    def obs_profile(self) -> str:
-        """Folded-stack profiler dump, or raises 404 when it's off."""
-        return fetch_text(self._pool, self.base_url, "/v1/obs/profile",
-                          self.timeout_s)
-
     # ------------------------------------------------------------------
     # Jobs
     # ------------------------------------------------------------------

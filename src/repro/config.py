@@ -5,9 +5,9 @@ point of use.  :class:`ReproConfig` consolidates them into a single
 frozen value object with one parsing rule set, an explicit precedence
 chain, and a JSON rendering the ``python -m repro config`` subcommand
 prints so an operator can see exactly what a process would run with.
-The fleet tier (PR 6) adds the ``REPRO_FLEET_*`` family -- runner
-list, peer list, steal threshold, probe interval -- consumed by
-``python -m repro router`` and ``serve --peers``.
+The fleet tier adds the ``REPRO_FLEET_*`` family -- runner list,
+probe interval, standby target -- consumed by ``python -m repro
+router``.
 
 Precedence (weakest to strongest)::
 
@@ -33,15 +33,10 @@ field              env var                 meaning
 ``trace_dir``      ``REPRO_TRACE_DIR``     per-process JSONL span sink
 ``faults``         ``REPRO_FAULTS``        fault-injection plan spec
 ``fleet_runners``  ``REPRO_FLEET_RUNNERS`` router: runner URLs (comma)
-``fleet_peers``    ``REPRO_FLEET_PEERS``   runner: peer-fetch URLs
-``fleet_steal_threshold``  ``REPRO_FLEET_STEAL_THRESHOLD``  queue depth
-                                           past which shards are stolen
 ``fleet_probe_interval_s`` ``REPRO_FLEET_PROBE_INTERVAL``   runner
                                            health-probe period (s)
 ``obs_buffer``     ``REPRO_OBS_BUFFER``    span ring-buffer capacity for
                                            the fleet collector (0 = off)
-``profile_hz``     ``REPRO_PROFILE_HZ``    sampling stack profiler rate
-                                           in Hz (0 = off)
 ``durable``        ``REPRO_DURABLE``       fsync cache/journal writes
 ``journal_dir``    ``REPRO_JOURNAL_DIR``   router write-ahead journal
                                            root (enables recovery)
@@ -79,11 +74,8 @@ ENV_VARS = (
     ("trace_dir", "REPRO_TRACE_DIR"),
     ("faults", "REPRO_FAULTS"),
     ("fleet_runners", "REPRO_FLEET_RUNNERS"),
-    ("fleet_peers", "REPRO_FLEET_PEERS"),
-    ("fleet_steal_threshold", "REPRO_FLEET_STEAL_THRESHOLD"),
     ("fleet_probe_interval_s", "REPRO_FLEET_PROBE_INTERVAL"),
     ("obs_buffer", "REPRO_OBS_BUFFER"),
-    ("profile_hz", "REPRO_PROFILE_HZ"),
     ("durable", "REPRO_DURABLE"),
     ("journal_dir", "REPRO_JOURNAL_DIR"),
     ("fleet_standby_of", "REPRO_FLEET_STANDBY_OF"),
@@ -136,20 +128,11 @@ class ReproConfig:
     #: comma-separated runner base URLs `python -m repro router` shards
     #: jobs across
     fleet_runners: Optional[str] = None
-    #: comma-separated peer base URLs a runner's cache may fetch
-    #: completed results from before recomputing
-    fleet_peers: Optional[str] = None
-    #: owner queue depth past which the router steals the job onto the
-    #: least-loaded healthy runner
-    fleet_steal_threshold: int = 4
     #: router health-probe period in seconds
     fleet_probe_interval_s: float = 2.0
     #: span ring-buffer capacity a server keeps for the fleet collector
     #: (``/v1/obs/spans``); 0 disables collection entirely
     obs_buffer: int = 0
-    #: sampling stack-profiler frequency in Hz (``/v1/obs/profile``);
-    #: 0 (the default) keeps the profiler off
-    profile_hz: float = 0.0
     #: fsync cache and journal writes so a SIGKILL/power-loss never
     #: leaves a half-visible entry (opt-in: slower, crash-consistent)
     durable: bool = False
@@ -165,10 +148,6 @@ class ReproConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.fleet_steal_threshold < 1:
-            raise ConfigError(
-                f"fleet_steal_threshold must be >= 1, "
-                f"got {self.fleet_steal_threshold}")
         if not self.fleet_probe_interval_s > 0:
             raise ConfigError(
                 f"fleet_probe_interval_s must be > 0, "
@@ -176,18 +155,11 @@ class ReproConfig:
         if self.obs_buffer < 0:
             raise ConfigError(
                 f"obs_buffer must be >= 0, got {self.obs_buffer}")
-        if self.profile_hz < 0:
-            raise ConfigError(
-                f"profile_hz must be >= 0, got {self.profile_hz}")
 
     # ------------------------------------------------------------------
     def runner_list(self) -> list:
         """``fleet_runners`` parsed into a URL list."""
         return _split_urls(self.fleet_runners)
-
-    def peer_list(self) -> list:
-        """``fleet_peers`` parsed into a URL list."""
-        return _split_urls(self.fleet_peers)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -214,13 +186,6 @@ class ReproConfig:
         raw = env.get("REPRO_FLEET_RUNNERS")
         if raw:
             kwargs["fleet_runners"] = raw
-        raw = env.get("REPRO_FLEET_PEERS")
-        if raw:
-            kwargs["fleet_peers"] = raw
-        raw = env.get("REPRO_FLEET_STEAL_THRESHOLD")
-        if raw is not None and raw.strip():
-            kwargs["fleet_steal_threshold"] = _parse_int(
-                "REPRO_FLEET_STEAL_THRESHOLD", raw, 1)
         raw = env.get("REPRO_FLEET_PROBE_INTERVAL")
         if raw is not None and raw.strip():
             kwargs["fleet_probe_interval_s"] = _parse_float(
@@ -228,10 +193,6 @@ class ReproConfig:
         raw = env.get("REPRO_OBS_BUFFER")
         if raw is not None and raw.strip():
             kwargs["obs_buffer"] = _parse_int("REPRO_OBS_BUFFER", raw, 0)
-        raw = env.get("REPRO_PROFILE_HZ")
-        if raw is not None and raw.strip():
-            kwargs["profile_hz"] = _parse_float(
-                "REPRO_PROFILE_HZ", raw, 0.0)
         raw = env.get("REPRO_DURABLE")
         if raw is not None and raw.strip():
             # opt-in: only an explicit "1" enables

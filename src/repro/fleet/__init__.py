@@ -2,8 +2,7 @@
 
 Scales the design-generation service past one process by fanning
 ``/v1`` jobs across N runner nodes (each a ``python -m repro serve``
-instance), with a shared-nothing cache tier stitched together over
-HTTP:
+instance), each with its own shared-nothing result cache:
 
 - :mod:`repro.fleet.hashring` -- consistent hashing from job content
   hash to shard-owner runner, stable under node churn;
@@ -11,11 +10,8 @@ HTTP:
   view of one node: health probe, version, drain and restart state,
   in-flight accounting) and :class:`RunnerProcess` (a supervised local
   ``repro serve`` subprocess for benchmarks, chaos tests and CI);
-- :mod:`repro.fleet.peers` -- :class:`PeerFetchCache`, a
-  :class:`~repro.service.cache.CacheBackend` that fills local misses
-  from the shard owner's ``/v1/cache/{key}`` before recomputing;
 - :mod:`repro.fleet.router` -- :class:`FleetRouter`, the front door:
-  shard routing with work stealing, node-loss re-routing that never
+  shard-owner routing, node-loss re-routing that never
   consumes job retries, aggregated ``/healthz`` and router-side
   ``repro_fleet_*`` metrics;
 - :mod:`repro.fleet.durable` -- the placement table's one reducer
@@ -43,12 +39,11 @@ from repro.fleet.durable import (
     FencedOut, LeaseFile, RouterJournal, apply_record,
 )
 from repro.fleet.hashring import HashRing
-from repro.fleet.peers import PeerFetchCache
 from repro.fleet.router import FleetRouter
 from repro.fleet.runner import RouterProcess, RunnerHandle, RunnerProcess
 
 __all__ = [
     "FencedOut", "FleetRouter", "HashRing", "LeaseFile",
-    "PeerFetchCache", "RouterJournal", "RouterProcess", "RunnerHandle",
-    "RunnerProcess", "apply_record",
+    "RouterJournal", "RouterProcess", "RunnerHandle", "RunnerProcess",
+    "apply_record",
 ]

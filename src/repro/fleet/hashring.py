@@ -9,8 +9,8 @@ to the fleet:
   ~1/N keys adjacent to its ring points, so a node restart does not
   reshuffle the whole placement (and with it every warm cache);
 - **determinism** -- the mapping depends only on the member URLs, so
-  the router, a rebooted router, and any peer-fetching runner all
-  compute the same owner for a key without coordination.
+  a router, its rebooted self and its standby all compute the same
+  owner for a key without coordination.
 
 Keys and nodes are hashed with sha256 (the job keys already *are*
 sha256 hex, but re-hashing keeps arbitrary strings uniform).
@@ -85,8 +85,8 @@ class HashRing:
         """All nodes in fail-over order for ``key`` (owner first).
 
         Walking clockwise from the key's hash yields a deterministic
-        ordering every fleet member agrees on -- the peer-fetch tier
-        tries owners in exactly this order.
+        ordering every fleet member agrees on -- the router offers a
+        job to runners in exactly this order.
         """
         if not self._points:
             return []
@@ -104,25 +104,3 @@ class HashRing:
     def __repr__(self):
         return (f"<HashRing nodes={len(self._nodes)} "
                 f"replicas={self.replicas}>")
-
-
-def pick_target(ring: HashRing, loads: Dict[str, int], key: str,
-                steal_threshold: int
-                ) -> Tuple[Optional[str], Optional[str]]:
-    """Where to place ``key`` among ``loads`` (candidate -> in-flight).
-
-    The shard owner takes it unless its load is at or past
-    ``steal_threshold``; then the least-loaded candidate (first on
-    ties) steals it.  Returns ``(target, owner)``; ``target != owner``
-    is a steal, ``(None, None)`` means no candidate.
-    """
-    if not loads:
-        return None, None
-    owner = ring.owner(key, exclude={n for n in ring.nodes
-                                     if n not in loads})
-    lightest = min(loads, key=loads.get)
-    if owner is None:
-        return lightest, None
-    if loads[owner] >= steal_threshold:
-        return lightest, owner
-    return owner, owner

@@ -1,4 +1,4 @@
-"""The fleet front door: shard, steal, survive node loss.
+"""The fleet front door: shard, survive node loss.
 
 :class:`FleetRouter` speaks the same ``/v1`` wire schema as a single
 ``python -m repro serve`` node, so :class:`repro.client.ReproClient`
@@ -8,13 +8,9 @@ needs no changes -- it just points at the router.  Behind the facade:
 consistent :class:`~repro.fleet.hashring.HashRing` over the *routable*
 runners, so identical specs land on the same node (its cache and
 in-flight dedup absorb them) and a node restart only reshuffles its
-own shard.
-
-**Work stealing.**  When the shard owner's router-side queue depth
-(:meth:`RunnerHandle.load`) is at or past ``steal_threshold``, the job
-is placed on the least-loaded routable runner instead -- hash affinity
-is a cache optimization, not a correctness constraint, because results
-are content-addressed and the peer-fetch tier heals misplacement.
+own shard.  A submit always goes to the owner, however many jobs it
+already holds; the next runner in the key's ring order takes it only
+when the owner is unroutable, unreachable or refuses it.
 
 **Node-loss recovery.**  A dead runner (forward error, failed probes)
 or one that lost its memory (restart answering 404) gets its in-flight
@@ -65,7 +61,7 @@ from repro.fleet.durable import (
     FencedOut, RouterJournal, apply_record, holder, inflight_counts,
     orphans, plan_recovery,
 )
-from repro.fleet.hashring import HashRing, pick_target
+from repro.fleet.hashring import HashRing
 from repro.fleet.runner import RunnerHandle
 from repro.resilience import faults
 from repro.server import protocol
@@ -96,7 +92,6 @@ class FleetRouter(HttpServerBase):
 
     def __init__(self, runners: Iterable[str],
                  host: str = "127.0.0.1", port: int = 8000,
-                 steal_threshold: int = 4,
                  probe_interval_s: float = 2.0,
                  expected_version: Optional[str] = None,
                  forward_timeout_s: float = 60.0,
@@ -132,7 +127,6 @@ class FleetRouter(HttpServerBase):
         self._tail_cursor = 0
         self._tail_failures = 0
         self._tail_task: Optional[asyncio.Task] = None
-        self.steal_threshold = steal_threshold
         self.probe_interval_s = probe_interval_s
         self.forward_timeout_s = forward_timeout_s
         #: runners must match this version exactly (None disables)
@@ -164,9 +158,6 @@ class FleetRouter(HttpServerBase):
         self._m_shard = reg.counter(
             "repro_fleet_shard_jobs_total",
             "jobs placed on a runner by the router", ("runner",))
-        self._m_steals = reg.counter(
-            "repro_fleet_steals_total", "jobs placed off-owner because "
-            "the owner was overloaded", ("runner",))
         self._m_reroutes = reg.counter(
             "repro_fleet_reroutes_total",
             "jobs moved between runners after placement", ("reason",))
@@ -500,21 +491,14 @@ class FleetRouter(HttpServerBase):
     # Forwarding core
     # ------------------------------------------------------------------
 
-    def _pick_target(self, key: str,
-                     exclude: Iterable[str] = ()
-                     ) -> Optional[RunnerHandle]:
-        """Shard owner, unless overloaded -- then the lightest node."""
-        loads = {h.url: h.load() for h in self.routable()
-                 if h.url not in exclude}
-        target, owner = pick_target(self.ring, loads, key,
-                                    self.steal_threshold)
-        if target is None:
-            return None
-        if owner is not None and target != owner:
-            self._m_steals.inc(runner=target)
-            obs.event("fleet.steal", key=key[:12], owner=owner,
-                      target=target, owner_load=loads[owner])
-        return self.handles[target]
+    def _owner(self, key: str,
+               exclude: Iterable[str] = ()) -> Optional[RunnerHandle]:
+        """The key's shard owner among the routable runners not in
+        ``exclude``; None when there is none."""
+        skip = set(exclude).union(
+            url for url, h in self.handles.items() if not h.routable)
+        owner = self.ring.owner(key, exclude=skip)
+        return None if owner is None else self.handles[owner]
 
     @contextlib.asynccontextmanager
     async def _one_forward(self, key: str):
@@ -591,7 +575,7 @@ class FleetRouter(HttpServerBase):
         tried = set(exclude)
         last_refusal = None
         while True:
-            target = self._pick_target(key, exclude=tried)
+            target = self._owner(key, exclude=tried)
             if target is None:
                 return last_refusal
             tried.add(target.url)
@@ -602,8 +586,7 @@ class FleetRouter(HttpServerBase):
                 traceparent = obs.format_traceparent(ctx) if ctx else None
                 headers = ({"traceparent": traceparent} if traceparent
                            else None)
-                # the open forward counts against its target: a burst
-                # of submits sees its own load and stealing balances it
+                # the open forward counts against its target
                 self._open[key] = target.url
                 self._count(target.url, 1)
                 try:
@@ -720,7 +703,6 @@ class FleetRouter(HttpServerBase):
             "version": repro.__version__, "now": obs.now(),
             "fleet": {
                 "healthy": len(self.routable()), "total": len(handles),
-                "steal_threshold": self.steal_threshold,
                 "placements": len(self._placements),
                 "inflight": sum(h.inflight for h in handles),
                 "runners": [h.snapshot() for h in handles],

@@ -62,7 +62,7 @@ class RunnerHandle:
         self.last_probe_s: Optional[float] = None
         self.last_error: Optional[str] = None
         #: router-side queue depth: forwards accepted but not terminal
-        #: (this is the gauge work stealing compares to the threshold)
+        #: (``repro_fleet_runner_inflight``, ``/healthz`` ``inflight``)
         self.inflight = 0
         #: seconds to ADD to this runner's timestamps to land on the
         #: local clock (probe round-trip midpoint vs. reported ``now``)
@@ -77,9 +77,6 @@ class RunnerHandle:
     @property
     def routable(self) -> bool:
         return self.state == "healthy"
-
-    def load(self) -> int:
-        return self.inflight
 
     # ------------------------------------------------------------------
     def exchange(self, method: str, path: str,
@@ -226,7 +223,7 @@ class RunnerProcess:
     cache directory, waits until ``/healthz`` answers, and can kill it
     dead (SIGKILL) for node-loss chaos.  ``env`` entries overlay the
     parent environment, which is how tests pin ``REPRO_OBS_BUFFER``
-    or ``REPRO_FLEET_PEERS`` per node.
+    per node.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,

@@ -31,7 +31,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     REGISTRY, Counter, Gauge, Histogram, MetricsRegistry, get_registry,
 )
-from repro.obs.profiler import StackProfiler
 from repro.obs.span import (
     NULL_SPAN, Span, SpanCollector, SpanEvent, add_sink, adopt_spans,
     current_context, current_span, enabled, event, new_trace_id, now,
@@ -45,7 +44,6 @@ __all__ = [
     "span_depth", "write_chrome_trace",
     "REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry",
-    "StackProfiler",
     "NULL_SPAN", "Span", "SpanCollector", "SpanEvent", "add_sink",
     "adopt_spans", "current_context", "current_span", "enabled",
     "event", "new_trace_id", "now", "remove_sink", "span",

@@ -139,12 +139,10 @@ def render_top(summary: Dict[str, Any],
             f"{_fmt_count(miss):>6}")
 
     reroutes = metric_sum(samples, "repro_fleet_reroutes_total")
-    steals = metric_sum(samples, "repro_fleet_steals_total")
     dropped = metric_sum(samples, "repro_metrics_dropped_labels_total")
     lines.append("")
-    lines.append(f"fleet: reroutes {_fmt_count(reroutes)} · steals "
-                 f"{_fmt_count(steals)} · dropped-label obs "
-                 f"{_fmt_count(dropped)}")
+    lines.append(f"fleet: reroutes {_fmt_count(reroutes)} · "
+                 f"dropped-label obs {_fmt_count(dropped)}")
     return "\n".join(lines)
 
 

@@ -54,7 +54,7 @@ from repro.flow.task import FlowObserver
 from repro.server import protocol
 from repro.server.http import HttpServerBase, JSON_TYPE, MAX_BODY_BYTES
 from repro.server.protocol import (
-    JOB_STATUS_HEADER, TERMINAL, JobNotFound, ServerError,
+    JOB_STATUS_HEADER, TERMINAL, JobNotFound,
 )
 from repro.service import DesignService, ServiceOverloaded
 from repro.service.jobs import FlowJob, JobValidationError
@@ -165,7 +165,7 @@ class ReproServer(HttpServerBase):
         self.config = config if config is not None \
             else ReproConfig.from_env()
         # the span ring buffer a fleet collector drains is opt-in
-        # (obs_buffer), and so is the sampling profiler (profile_hz)
+        # (obs_buffer)
         super().__init__(self.config.obs_buffer)
         self._own_service = service is None
         self.service = service or api.open_service(config)
@@ -174,9 +174,6 @@ class ReproServer(HttpServerBase):
         self.max_queue = max_queue
         self.drain_timeout_s = drain_timeout_s
         self.draining = False
-        self.profiler: Optional[obs.StackProfiler] = (
-            obs.StackProfiler(self.config.profile_hz)
-            if self.config.profile_hz > 0 else None)
         self._jobs: Dict[str, _JobState] = {}
         self._inflight = 0                # uncached jobs not yet done
         self._seq = 0                     # global SSE event id
@@ -201,8 +198,6 @@ class ReproServer(HttpServerBase):
         self._idle.set()
         self.service.add_listener(self._on_service_event)
         self.service.set_tracer_factory(self._frames_for)
-        if self.profiler is not None:
-            self.profiler.start()
 
     def _listening(self) -> None:
         log.info("serving on http://%s:%d", self.host, self.port)
@@ -224,8 +219,6 @@ class ReproServer(HttpServerBase):
         await super().shutdown()
         self.service.remove_listener(self._on_service_event)
         self.service.set_tracer_factory(None)
-        if self.profiler is not None:
-            self.profiler.stop()
         if self._own_service:
             self.service.close()
 
@@ -300,8 +293,6 @@ class ReproServer(HttpServerBase):
             return "healthz", self._h_healthz, ()
         if parts[:1] == [protocol.API_VERSION]:
             rest = parts[1:]
-            if rest == ["obs", "profile"] and method == "GET":
-                return "obs_profile", self._h_obs_profile, ()
             if rest == ["obs", "summary"] and method == "GET":
                 return "obs_summary", self._h_obs_summary, ()
             if rest == ["apps"] and method == "GET":
@@ -320,8 +311,6 @@ class ReproServer(HttpServerBase):
             if (len(rest) == 3 and rest[0] == "jobs"
                     and rest[2] == "events" and method == "GET"):
                 return "events", self._h_events, (rest[1],)
-            if len(rest) == 2 and rest[0] == "cache" and method == "GET":
-                return "cache", self._h_cache_entry, (rest[1],)
         return super()._route(method, path, query)
 
     # -- handlers -------------------------------------------------------
@@ -342,25 +331,12 @@ class ReproServer(HttpServerBase):
 
     # -- fleet observability surface ------------------------------------
 
-    async def _h_obs_profile(self, writer, body, headers) -> int:
-        """Folded-stack profiler dump (flamegraph.pl input format)."""
-        if self.profiler is None:
-            raise ServerError(
-                "profiler is off (set REPRO_PROFILE_HZ to enable)",
-                status=404, code="not_found")
-        text = self.profiler.folded()
-        return await self._send(writer, 200,
-                                (text + "\n").encode("utf-8"),
-                                "text/plain; charset=utf-8")
-
     async def _h_obs_summary(self, writer, body, headers) -> int:
         payload = {
             "role": "runner",
             "version": repro.__version__,
             "now": obs.now(),
             "spans": self._span_stats(),
-            "profiler": (self.profiler.snapshot()
-                         if self.profiler is not None else None),
         }
         return await self._send_json(writer, 200, payload)
 
@@ -474,23 +450,6 @@ class ReproServer(HttpServerBase):
         if final:
             state.body = encoded
         return encoded
-
-    async def _h_cache_entry(self, writer, body, headers,
-                             key: str) -> int:
-        """Serve one verified *local* cache entry to a fleet peer.
-
-        Reads through ``get_local_entry`` so a PeerFetchCache-backed
-        service never chains a peer fetch off a peer fetch.
-        """
-        cache = self.service.cache
-        entry = None
-        if cache is not None:
-            entry = await asyncio.get_running_loop().run_in_executor(
-                None, cache.get_local_entry, key)
-        if entry is None:
-            raise ServerError(f"no cache entry for {key!r}",
-                              status=404, code="not_found")
-        return await self._send_json(writer, 200, entry)
 
     def _state_of(self, key: str) -> _JobState:
         state = self._jobs.get(key)

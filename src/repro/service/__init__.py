@@ -29,7 +29,7 @@ from repro.service.batch import (
     BatchItem, BatchReport, expand_jobs, iter_batch, run_batch,
 )
 from repro.service.cache import (
-    CACHE_FORMAT_VERSION, CacheBackend, CacheStats, ResultCache,
+    CACHE_FORMAT_VERSION, CacheStats, ResultCache,
 )
 from repro.service.core import DesignService, ServiceOverloaded, ServiceResult
 from repro.service.jobs import (
@@ -42,7 +42,7 @@ from repro.service.scheduler import (
 
 __all__ = [
     "BatchItem", "BatchReport", "expand_jobs", "iter_batch", "run_batch",
-    "CACHE_FORMAT_VERSION", "CacheBackend", "CacheStats", "ResultCache",
+    "CACHE_FORMAT_VERSION", "CacheStats", "ResultCache",
     "DesignService", "ServiceOverloaded", "ServiceResult",
     "FlowJob", "JobValidationError", "execute_job", "execute_job_payload",
     "JobCancelled", "JobError", "JobFailed", "JobHandle",

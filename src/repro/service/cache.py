@@ -50,14 +50,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional
 
-try:                                    # py3.8+: typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:                     # pragma: no cover - ancient py
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
-
 from repro import obs
 from repro.flow.serialize import FlowResultRecord, result_from_dict
 from repro.resilience import faults
@@ -126,36 +118,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """What :class:`~repro.service.core.DesignService` needs from a
-    result store.
-
-    :class:`ResultCache` is the default (CRC-verified disk) backend;
-    :class:`repro.fleet.peers.PeerFetchCache` wraps one to consult
-    shard-owner nodes on a local miss.  Implementations must keep
-    :meth:`put` atomic with respect to concurrent readers, and two
-    concurrent :meth:`put` calls for the same key must converge on one
-    valid entry (content-hash keys make the writes byte-identical, so
-    last-write-wins is idempotent).
-    """
-
-    stats: CacheStats
-
-    def get(self, key: str) -> Optional[FlowResultRecord]:
-        """Deserialized result for ``key``, or None on miss."""
-        ...
-
-    def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw, integrity-verified entry dict, or None."""
-        ...
-
-    def put(self, key: str, job_spec: Dict[str, Any],
-            result_dict: Dict[str, Any]) -> str:
-        """Persist one computed result; returns a storage locator."""
-        ...
 
 
 class ResultCache:
@@ -229,52 +191,6 @@ class ResultCache:
                     # sync BEFORE the rename: a crash between the two
                     # leaves either no entry or a complete one, never
                     # a renamed-but-empty file after power loss
-                    _fsync_handle(fh)
-            os.replace(tmp, path)
-            if _durable():
-                _fsync_dirname(path)
-        except BaseException:
-            self._discard(tmp)
-            raise
-        self.stats.writes += 1
-        return path
-
-    def get_local_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get_entry` but never consults peers.
-
-        The peer-serving HTTP endpoint reads through this so two nodes
-        missing the same key can never chase each other in a fetch
-        loop.  For the plain disk cache it *is* ``get_entry``.
-        """
-        return self.get_entry(key)
-
-    def put_entry(self, entry: Dict[str, Any]) -> str:
-        """Adopt a complete entry produced elsewhere (peer fetch).
-
-        The entry is verified exactly like a read -- format version and
-        CRC32 -- before it touches disk, so a corrupt or stale payload
-        from a peer can never poison the local store.  Re-adopting an
-        entry that already exists is idempotent (atomic replace with
-        byte-identical content).
-        """
-        if not isinstance(entry, dict) or not entry.get("key"):
-            raise ValueError("cache entry must be a dict with a 'key'")
-        if entry.get("format") != CACHE_FORMAT_VERSION:
-            raise ValueError(
-                f"cache entry format {entry.get('format')!r} != "
-                f"{CACHE_FORMAT_VERSION}")
-        if entry.get("crc32") != entry_crc32(entry):
-            raise ValueError(
-                f"cache entry crc32 mismatch (stored "
-                f"{entry.get('crc32')!r})")
-        path = self._path(entry["key"])
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-                if _durable():
                     _fsync_handle(fh)
             os.replace(tmp, path)
             if _durable():

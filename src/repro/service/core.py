@@ -140,18 +140,12 @@ class DesignService:
                  workers: int = 1, pool: str = "auto",
                  default_timeout: Optional[float] = None,
                  default_retries: int = 0,
-                 crash_retries: int = 2,
-                 cache: Optional[Any] = None):
+                 crash_retries: int = 2):
         self.engine = engine or FlowEngine()
         # a custom strategy object defeats content hashing and pickling
         self._cacheable = self.engine._strategy_override is None
-        # `cache` accepts any CacheBackend (e.g. the fleet tier's
-        # PeerFetchCache); cache_dir remains the plain-disk shorthand
-        if cache is not None and self._cacheable:
-            self.cache = cache
-        else:
-            self.cache = (ResultCache(cache_dir)
-                          if cache_dir and self._cacheable else None)
+        self.cache = (ResultCache(cache_dir)
+                      if cache_dir and self._cacheable else None)
         self.scheduler = JobScheduler(
             workers=workers,
             mode="thread" if not self._cacheable else pool,
@@ -291,8 +285,8 @@ class DesignService:
         return held
 
     def _read_cache(self, key: str) -> Optional[Any]:
-        # outside the lock: a cache backend may go to fleet peers, and a
-        # slow peer must not stall lookups of keys this node holds
+        # outside the lock: a slow disk read must not stall lookups of
+        # keys this node holds
         return self.cache.get(key) if self.cache is not None else None
 
     # ------------------------------------------------------------------

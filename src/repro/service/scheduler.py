@@ -31,11 +31,15 @@ Worker-crash recovery: a dead worker process surfaces as
 ``BrokenProcessPool`` (on submit or while waiting on an attempt).  The
 scheduler rebuilds the pool exactly once per breakage and re-queues
 the interrupted attempt *without* consuming one of the job's regular
-retries -- the job did not fail, the worker did.  A job whose attempts
-see the pool break more than ``crash_retries`` times resolves as an
+retries -- the job did not fail, the worker did.  The pool cannot tell
+which payload killed it, so a breakage is charged only to an attempt
+that was alone on the pool when it broke.  Every attempt a breakage
+interrupted re-runs alone -- other attempts wait for it to finish --
+so an innocent job succeeds and the culprit breaks the pool by itself.
+A job charged more than ``crash_retries`` breakages resolves as an
 ordinary :class:`JobFailed` naming its crash count, so every job
-terminates.  A breakage is charged to every attempt in flight on the
-broken pool, since the pool cannot tell which payload killed it.
+terminates.  A pool recycled after a timeout was broken on purpose:
+that breakage is charged to no one.
 
 Flow execution is pure Python, so the thread pool gives concurrency
 but not CPU parallelism (GIL); the process pool gives real parallelism
@@ -50,6 +54,7 @@ import enum
 import queue
 import threading
 import time
+import weakref
 from concurrent.futures import (
     BrokenExecutor, CancelledError, Future, ThreadPoolExecutor,
     TimeoutError as FutureTimeout,
@@ -302,6 +307,15 @@ class JobScheduler:
         self._drivers = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-drive")
         self._lock = threading.Lock()
+        #: admission to the work pool: an attempt that must run alone
+        #: waits for the pool to empty, and holds every other back
+        self._gate = threading.Condition(self._lock)
+        #: attempts in flight on the current pool -> runs alone
+        self._live: Dict[JobHandle, bool] = {}
+        self._solo_waiting = 0
+        #: dead pool -> frozenset of the attempts in flight on it when
+        #: it was replaced (empty when the breakage was deliberate)
+        self._broken = weakref.WeakKeyDictionary()
         self._inflight: Dict[str, JobHandle] = {}
         self.dedup_joins = 0
         self.pool_rebuilds = 0
@@ -355,28 +369,29 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # Pool replacement (worker death / hung-slot reclamation).
     # ------------------------------------------------------------------
-    def _current_pool(self):
-        with self._lock:
-            return self._pool
-
     def _replace_pool(self, dead, reason: str,
                       kill_workers: bool = False) -> bool:
         """Swap a fresh work pool in for ``dead``; idempotent per pool.
 
         Several driver threads may observe the same breakage; only the
         first to arrive rebuilds (the swap is compare-and-set on the
-        pool object).  With ``kill_workers`` the old pool's worker
+        pool object) and records which attempts were in flight on the
+        dead pool.  With ``kill_workers`` the old pool's worker
         processes are terminated best-effort -- that is what turns a
         hung-slot recycle into a reclaimed slot, and it deliberately
         breaks the old pool so any attempt still riding it re-queues
-        through the crash path onto the new pool.
+        through the crash path onto the new pool, charged nothing.
         """
-        with self._lock:
+        with self._gate:
             if self._closed or self._pool is not dead:
                 return False
             self._pool, _resolved, _note = _make_work_pool(
                 self.mode, self.workers)
             self.pool_rebuilds += 1
+            self._broken[dead] = (frozenset() if kill_workers
+                                  else frozenset(self._live))
+            self._live = {}
+            self._gate.notify_all()
         _POOL_REBUILDS.inc(reason=reason)
         obs.event("scheduler.pool_rebuild", reason=reason)
         if kill_workers:
@@ -393,6 +408,27 @@ class JobScheduler:
             pass
         return True
 
+    def _admit(self, handle: JobHandle, solo: bool):
+        """Wait until ``handle``'s next attempt may use the work pool,
+        and return the pool.  A ``solo`` attempt waits for the pool to
+        empty; while one waits or runs, no other attempt is admitted."""
+        with self._gate:
+            if solo:
+                self._solo_waiting += 1
+                while self._live:
+                    self._gate.wait()
+                self._solo_waiting -= 1
+            else:
+                while self._solo_waiting or any(self._live.values()):
+                    self._gate.wait()
+            self._live[handle] = solo
+            return self._pool
+
+    def _release(self, handle: JobHandle) -> None:
+        with self._gate:
+            self._live.pop(handle, None)
+            self._gate.notify_all()
+
     # ------------------------------------------------------------------
     def _drive(self, handle: JobHandle, fn: Callable, args, kwargs,
                timeout: Optional[float], retries: int) -> None:
@@ -404,6 +440,7 @@ class JobScheduler:
         attempt = 0       # failures consumed against the retry budget
         tries = 0         # actual submissions (crash re-queues included)
         crashes = 0
+        solo = False      # once a breakage hits it, it runs alone
         while attempt < attempts_allowed:
             if handle._cancel_requested:
                 last_error = JobCancelled(
@@ -413,72 +450,81 @@ class JobScheduler:
             handle.status = JobStatus.RUNNING
             tries += 1
             handle.attempts = tries
-            pool = self._current_pool()
+            pool = self._admit(handle, solo)
             try:
-                future = pool.submit(fn, *args, **kwargs)
-            except BrokenExecutor:
-                # the pool died before this attempt even queued
-                crash = self._on_crash(handle, pool, crashes)
-                crashes = handle.crashes = crash[0]
-                if crash[1] is not None:
-                    last_error = crash[1]
+                try:
+                    future = pool.submit(fn, *args, **kwargs)
+                except BrokenExecutor:
+                    # the pool died before this attempt even queued
+                    crashes, last_error = self._on_crash(handle, pool,
+                                                         crashes)
+                    handle.crashes = crashes
+                    solo = True
+                    if last_error is not None:
+                        break
+                    continue
+                except RuntimeError as exc:   # pool shut down under us
+                    last_error = JobCancelled(
+                        f"job {handle.key[:12]}: {exc}")
                     break
-                continue
-            except RuntimeError as exc:       # pool shut down under us
-                last_error = JobCancelled(
-                    f"job {handle.key[:12]}: {exc}")
-                break
-            with handle._lock:
-                handle._attempt_future = future
-            try:
-                result = future.result(timeout)
-                if handle._cancel_requested:
-                    # cancel() already promised "no result" to its
-                    # caller; the attempt racing to completion must
-                    # not un-cancel the job
+                with handle._lock:
+                    handle._attempt_future = future
+                try:
+                    result = future.result(timeout)
+                    if handle._cancel_requested:
+                        # cancel() already promised "no result" to its
+                        # caller; the attempt racing to completion must
+                        # not un-cancel the job
+                        _ATTEMPTS.inc(outcome="cancelled")
+                        last_error = JobCancelled(
+                            f"job {handle.key[:12]} cancelled while "
+                            f"running")
+                        break
+                    _ATTEMPTS.inc(outcome="ok")
+                    _JOBS.inc(status="succeeded")
+                    handle._finish(JobStatus.SUCCEEDED, result=result,
+                                   wall_s=time.perf_counter() - start)
+                    return
+                except FutureTimeout:
+                    if not future.cancel():
+                        # the attempt is genuinely running: its slot is
+                        # occupied until the stuck callable returns
+                        _ABANDONED.inc()
+                        future.add_done_callback(
+                            lambda _f: _ABANDONED.dec())
+                        if self.mode == "process":
+                            self._replace_pool(pool,
+                                               reason="timeout-reclaim",
+                                               kill_workers=True)
+                    _ATTEMPTS.inc(outcome="timeout")
+                    last_error = JobTimeout(
+                        f"job {handle.key[:12]} exceeded {timeout}s "
+                        f"(attempt {attempt + 1}/{attempts_allowed})")
+                except CancelledError:
                     _ATTEMPTS.inc(outcome="cancelled")
                     last_error = JobCancelled(
-                        f"job {handle.key[:12]} cancelled while running")
+                        f"job {handle.key[:12]} attempt cancelled")
                     break
-                _ATTEMPTS.inc(outcome="ok")
-                _JOBS.inc(status="succeeded")
-                handle._finish(JobStatus.SUCCEEDED, result=result,
-                               wall_s=time.perf_counter() - start)
-                return
-            except FutureTimeout:
-                if not future.cancel():
-                    # the attempt is genuinely running: its slot is
-                    # occupied until the stuck callable returns
-                    _ABANDONED.inc()
-                    future.add_done_callback(lambda _f: _ABANDONED.dec())
-                    if self.mode == "process":
-                        self._replace_pool(pool, reason="timeout-reclaim",
-                                           kill_workers=True)
-                _ATTEMPTS.inc(outcome="timeout")
-                last_error = JobTimeout(
-                    f"job {handle.key[:12]} exceeded {timeout}s "
-                    f"(attempt {attempt + 1}/{attempts_allowed})")
-            except CancelledError:
-                _ATTEMPTS.inc(outcome="cancelled")
-                last_error = JobCancelled(
-                    f"job {handle.key[:12]} attempt cancelled")
-                break
-            except BrokenExecutor:
-                # a worker died mid-attempt: recover the pool and
-                # re-queue without consuming a regular retry
-                crash = self._on_crash(handle, pool, crashes)
-                crashes = handle.crashes = crash[0]
-                if crash[1] is not None:
-                    last_error = crash[1]
-                    break
-                continue
-            except BaseException as exc:
-                _ATTEMPTS.inc(outcome="error")
-                failure = JobFailed(
-                    f"job {handle.key[:12]} failed "
-                    f"(attempt {attempt + 1}/{attempts_allowed}): {exc!r}")
-                failure.__cause__ = exc
-                last_error = failure
+                except BrokenExecutor:
+                    # a worker died mid-attempt: recover the pool and
+                    # re-queue without consuming a regular retry
+                    crashes, last_error = self._on_crash(handle, pool,
+                                                         crashes)
+                    handle.crashes = crashes
+                    solo = True
+                    if last_error is not None:
+                        break
+                    continue
+                except BaseException as exc:
+                    _ATTEMPTS.inc(outcome="error")
+                    failure = JobFailed(
+                        f"job {handle.key[:12]} failed "
+                        f"(attempt {attempt + 1}/{attempts_allowed}): "
+                        f"{exc!r}")
+                    failure.__cause__ = exc
+                    last_error = failure
+            finally:
+                self._release(handle)
             attempt += 1
             if attempt < attempts_allowed \
                     and not handle._cancel_requested:
@@ -502,14 +548,23 @@ class JobScheduler:
                   crashes: int) -> Tuple[int, Optional[JobError]]:
         """One pool breakage observed by ``handle``'s driver.
 
-        Returns ``(new crash count, terminal error or None)``; None
-        means the attempt should be re-queued on the rebuilt pool.
+        The breakage counts as a crash of ``handle`` only when its
+        attempt was alone on the pool when it broke.  Returns ``(new
+        crash count, terminal error or None)``; None means the attempt
+        should be re-queued on the rebuilt pool.
         """
-        crashes += 1
         _ATTEMPTS.inc(outcome="crash")
-        obs.event("scheduler.worker_crash", key=handle.key[:12],
-                  crashes=crashes)
         self._replace_pool(pool, reason="worker-crash")
+        with self._lock:
+            # no record: the scheduler closed before it could rebuild
+            suspects = self._broken.get(pool, frozenset((handle,)))
+        if suspects != {handle}:
+            obs.event("scheduler.worker_crash", key=handle.key[:12],
+                      crashes=crashes, charged=False)
+            return crashes, None
+        crashes += 1
+        obs.event("scheduler.worker_crash", key=handle.key[:12],
+                  crashes=crashes, charged=True)
         if crashes > self.crash_retries:
             return crashes, JobFailed(
                 f"job {handle.key[:12]} failed: the worker pool broke "

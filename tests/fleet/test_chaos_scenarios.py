@@ -97,9 +97,8 @@ def test_every_former_ci_assertion_names_an_invariant(chaos):
     assert {home.strip("`") for _, home, _ in rows} == set(FORMER_HOMES)
     names = set(chaos.INVARIANTS) | set(chaos.SCENARIOS)
     for assertion, home, now in rows:
-        if home.strip("`") == "test_fleet_scaling.py" \
-                and now.startswith("retired"):
-            continue                   # the sleep-scaling gate
+        if now.startswith("retired"):
+            continue                   # its mechanism is deleted
         named = re.findall(r"`([a-z0-9_]+)`", now)
         assert set(named) <= names, (assertion, named)
         assert set(named) & set(chaos.INVARIANTS), (assertion, now)

@@ -4,7 +4,7 @@ No sockets: three in-memory runners answer the router's requests (a
 submit answer names the job's status in its header and inlines a done
 key's result, as a real runner's does), and the rules drive the same code paths a live fleet does -- the one
 mutation path (``_commit`` through :func:`apply_record`), orphan
-re-routing (:func:`orphans`), target picking (:func:`pick_target`),
+re-routing (:func:`orphans`), owner-only placement on the hash ring,
 crash recovery (:func:`plan_recovery`) and the standby's tail fold --
 against a real :class:`RouterJournal` and lease in a temp directory.
 
@@ -72,8 +72,8 @@ class Fleet:
     def __init__(self):
         self.alive = {url: True for url in RUNNERS}
         self.jobs = {url: {} for url in RUNNERS}    # key -> running|done
-        #: results every runner can reach (disk cache + peer fetch)
-        self.results = {}
+        #: each runner's disk cache: survives its restarts
+        self.results = {url: set() for url in RUNNERS}
 
     def exchange(self, url, method, path, payload=None, headers=None,
                  timeout_s=None):
@@ -85,7 +85,7 @@ class Fleet:
         if method == "POST":
             key = payload["key"]
             fresh = key not in jobs
-            if key in self.results:
+            if key in self.results[url]:
                 jobs[key] = "done"    # a cache hit, recorded as a job
             jobs.setdefault(key, "running")
             done = jobs[key] == "done"
@@ -239,7 +239,7 @@ class PlacementMachine(RuleBasedStateMachine):
         """A router over the in-memory fleet whose journal appends can
         be armed to crash the process right after a record lands."""
         router = FleetRouter(
-            RUNNERS, steal_threshold=2, expected_version="", obs_buffer=0,
+            RUNNERS, expected_version="", obs_buffer=0,
             journal=RouterJournal(self.root, name=name, compact_every=5),
             node_name=name,
             standby_of="http://10.7.7.9:7000" if standby else None)
@@ -324,7 +324,7 @@ class PlacementMachine(RuleBasedStateMachine):
         for key, state in self.fleet.jobs[runner].items():
             if state == "running" and self.fleet.alive[runner]:
                 self.fleet.jobs[runner][key] = "done"
-                self.fleet.results[key] = "succeeded"
+                self.fleet.results[runner].add(key)
 
     @rule(key=st.sampled_from(KEYS))
     def read(self, key):

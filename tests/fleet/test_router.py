@@ -1,4 +1,4 @@
-"""FleetRouter: sharding, stealing, node loss, version fencing.
+"""FleetRouter: sharding, node loss, version fencing.
 
 Placement policy is tested on a bare router (no sockets); everything
 wire-shaped runs against real runners through a live router.
@@ -43,59 +43,9 @@ def all_healthy(router):
 # Placement policy (no sockets)
 # ----------------------------------------------------------------------
 
-def test_pick_target_prefers_the_shard_owner():
-    router = bare_router()
-    all_healthy(router)
-    owner = router.ring.owner(KEY)
-    assert router._pick_target(KEY).url == owner
-    # stable across repeated asks (no load, no churn)
-    assert router._pick_target(KEY).url == owner
-
-
-def test_pick_target_steals_from_an_overloaded_owner():
-    router = bare_router(steal_threshold=4)
-    all_healthy(router)
-    owner = router.handles[router.ring.owner(KEY)]
-    owner.inflight = 4
-    target = router._pick_target(KEY)
-    assert target.url != owner.url and target.load() == 0
-    assert router._m_steals.get(runner=target.url) >= 1
-
-
-def test_pick_target_keeps_owner_below_threshold():
-    router = bare_router(steal_threshold=4)
-    all_healthy(router)
-    owner = router.handles[router.ring.owner(KEY)]
-    owner.inflight = 3
-    assert router._pick_target(KEY) is owner
-
-
-def test_pick_target_follows_preference_under_exclusion():
-    router = bare_router()
-    all_healthy(router)
-    order = router.ring.preference(KEY)
-    assert router._pick_target(KEY, exclude={order[0]}).url == order[1]
-    assert router._pick_target(KEY, exclude=set(URLS)) is None
-
-
-def test_pick_target_ignores_unroutable_states():
-    router = bare_router()
-    for state, handle in zip(("unknown", "draining", "rejected"),
-                             router.handles.values()):
-        handle.state = state
-    assert router._pick_target(KEY) is None
-    next(iter(router.handles.values())).state = "healthy"
-    assert router._pick_target(KEY) is not None
-
-
-@pytest.mark.parametrize("steal_threshold", [1, 4])
-def test_probe_and_read_reroute_a_lost_job_once(steal_threshold):
-    # the probe loop's node-loss re-route and a client's status read
-    # both find the job's runner dead; exactly one may resubmit it
-    router = bare_router(steal_threshold=steal_threshold)
-    all_healthy(router)
-    posts = []
-
+def accepting(router, posts):
+    """Every runner of ``router`` accepts each POST, logging its URL to
+    ``posts``; forwards run inline on the loop."""
     def fake_exchange(url):
         def exchange(method, path, payload=None, headers=None,
                      timeout_s=None):
@@ -108,6 +58,66 @@ def test_probe_and_read_reroute_a_lost_job_once(steal_threshold):
 
     for url, handle in router.handles.items():
         handle.exchange = fake_exchange(url)
+
+
+def test_pick_target_prefers_the_shard_owner():
+    router = bare_router()
+    all_healthy(router)
+    owner = router.ring.owner(KEY)
+    assert router._owner(KEY).url == owner
+    # stable across repeated asks (no load, no churn)
+    assert router._owner(KEY).url == owner
+
+
+def test_a_submit_goes_to_its_owner_however_busy():
+    router = bare_router()
+    all_healthy(router)
+    owner = router.handles[router.ring.owner(KEY)]
+    # four unfinished jobs of the owner's shard are in flight on it
+    busy = (f"{i:064x}" for i in range(10_000))
+    held = [k for k in busy if router.ring.owner(k) == owner.url][:4]
+    for key in held:
+        router._commit("place", key, runner=owner.url,
+                       payload={"app": "kmeans"}, trace=None, done=False)
+    assert owner.inflight == 4
+    posts = []
+    accepting(router, posts)
+
+    async def inline(fn, *args):
+        return fn(*args)
+
+    router._in_executor = inline
+    asyncio.run(router._forward_submit(KEY, {"app": "kmeans"}))
+    assert posts == [owner.url]
+    assert router._placements[KEY]["runner"] == owner.url
+    assert owner.inflight == 5
+
+
+def test_pick_target_follows_preference_under_exclusion():
+    router = bare_router()
+    all_healthy(router)
+    order = router.ring.preference(KEY)
+    assert router._owner(KEY, exclude={order[0]}).url == order[1]
+    assert router._owner(KEY, exclude=set(URLS)) is None
+
+
+def test_pick_target_ignores_unroutable_states():
+    router = bare_router()
+    for state, handle in zip(("unknown", "draining", "rejected"),
+                             router.handles.values()):
+        handle.state = state
+    assert router._owner(KEY) is None
+    next(iter(router.handles.values())).state = "healthy"
+    assert router._owner(KEY) is not None
+
+
+def test_probe_and_read_reroute_a_lost_job_once():
+    # the probe loop's node-loss re-route and a client's status read
+    # both find the job's runner dead; exactly one may resubmit it
+    router = bare_router()
+    all_healthy(router)
+    posts = []
+    accepting(router, posts)
 
     async def on_the_wire(fn, *args):
         await asyncio.sleep(0.01)      # a forward takes a while

@@ -39,6 +39,12 @@ def _sleep_forever():
     time.sleep(60)
 
 
+def _hold_slot(name):
+    """An innocent payload holding its pool slot for a second."""
+    time.sleep(1.0)
+    return name
+
+
 @pytest.fixture
 def process_scheduler():
     sched = JobScheduler(workers=2, mode="process",
@@ -84,6 +90,28 @@ class TestCrashRecovery:
         # crash budget (2) + the final straw
         assert handle.crashes == 3
         assert process_scheduler.inflight == 0
+
+    def test_a_crash_is_charged_to_the_crasher_not_its_neighbours(self):
+        # three slots: both innocent jobs are in flight on the pool
+        # when the poison payload first breaks it
+        sched = JobScheduler(workers=3, mode="process", crash_retries=2,
+                             backoff_s=0.001, max_backoff_s=0.01)
+        if sched.mode != "process":
+            sched.shutdown(wait=True)
+            pytest.skip("process pool unavailable on this host")
+        try:
+            innocent = [sched.submit(name, _hold_slot, name)[0]
+                        for name in ("nbody", "bezier")]
+            crasher, _ = sched.submit("kmeans", _crash_always)
+            with pytest.raises(JobFailed, match=r"3 times"):
+                crasher.result(timeout=120)
+            assert crasher.crashes == sched.crash_retries + 1
+            for handle in innocent:
+                assert handle.result(timeout=120) == handle.key
+                assert handle.status is JobStatus.SUCCEEDED
+                assert handle.crashes == 0
+        finally:
+            sched.shutdown(wait=False)
 
     def test_mid_batch_crash_loses_no_results(self, process_scheduler,
                                               tmp_path):

@@ -4,6 +4,7 @@ Timing discipline: fake tasks block on Events (released by the test)
 rather than sleeping, so nothing here waits anywhere near 1s in CI.
 """
 
+import sys
 import threading
 
 import pytest
@@ -61,6 +62,23 @@ class TestExecution:
             ordered.append(handle.key)
             gate_a.set()
         assert ordered == ["fast", "slow"]
+
+    def test_pool_admission_drains_under_contention(self):
+        """More drivers than cores and a thread switch every few
+        bytecodes: every job completes and the admission gate ends
+        empty (a lost release would hang a job or leave it behind)."""
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        sched = JobScheduler(workers=8, mode="thread")
+        try:
+            handles = [sched.submit(f"k{i}", pow, i, 2)[0]
+                       for i in range(400)]
+            assert [h.result(timeout=30) for h in handles] \
+                == [i * i for i in range(400)]
+        finally:
+            sys.setswitchinterval(saved)
+            sched.shutdown(wait=True)
+        assert sched._live == {} and sched._solo_waiting == 0
 
 
 class TestDedup:

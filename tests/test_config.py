@@ -126,85 +126,86 @@ def test_apply_round_trips_through_environ():
 def test_env_dict_names_every_documented_var():
     values = ReproConfig(cache_dir="/c", trace_dir="/t", faults="x:1",
                          fleet_runners="http://a:1",
-                         fleet_peers="http://b:2",
                          journal_dir="/j",
                          fleet_standby_of="http://p:3").env_dict()
     assert set(values) == {var for _, var in ENV_VARS}
 
 
 # ----------------------------------------------------------------------
-# REPRO_FLEET_* family (PR 6)
+# REPRO_FLEET_* family
 # ----------------------------------------------------------------------
 
 def test_fleet_vars_parse_from_env():
     cfg = ReproConfig.from_env(environ={
         "REPRO_FLEET_RUNNERS":
             "http://10.0.0.1:8001, http://10.0.0.2:8002/,",
-        "REPRO_FLEET_PEERS": "http://10.0.0.3:8003",
-        "REPRO_FLEET_STEAL_THRESHOLD": "9",
         "REPRO_FLEET_PROBE_INTERVAL": "0.5",
+        "REPRO_FLEET_STANDBY_OF": "http://10.0.0.3:8000/",
     })
     # whitespace trimmed, trailing slash and empty items dropped
     assert cfg.runner_list() == ["http://10.0.0.1:8001",
                                  "http://10.0.0.2:8002"]
-    assert cfg.peer_list() == ["http://10.0.0.3:8003"]
-    assert cfg.fleet_steal_threshold == 9
     assert cfg.fleet_probe_interval_s == 0.5
+    assert cfg.fleet_standby_of == "http://10.0.0.3:8000"
 
 
 def test_fleet_defaults_are_single_node():
     cfg = ReproConfig()
-    assert cfg.runner_list() == [] and cfg.peer_list() == []
-    assert cfg.fleet_steal_threshold == 4
+    assert cfg.runner_list() == [] and cfg.fleet_standby_of is None
     assert cfg.fleet_probe_interval_s == 2.0
 
 
 def test_fleet_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
-        ReproConfig(fleet_steal_threshold=0)
-    with pytest.raises(ConfigError):
         ReproConfig(fleet_probe_interval_s=0.0)
     with pytest.raises(ConfigError):
         ReproConfig.from_env(
-            environ={"REPRO_FLEET_STEAL_THRESHOLD": "lots"})
+            environ={"REPRO_FLEET_PROBE_INTERVAL": "lots"})
     with pytest.raises(ConfigError):
         ReproConfig.from_env(environ={"REPRO_FLEET_PROBE_INTERVAL": "-1"})
 
 
 def test_fleet_precedence_env_cli_kwarg():
     env = {"REPRO_FLEET_RUNNERS": "http://env:1",
-           "REPRO_FLEET_PEERS": "http://env:2",
-           "REPRO_FLEET_STEAL_THRESHOLD": "2"}
+           "REPRO_FLEET_STANDBY_OF": "http://env:2",
+           "REPRO_FLEET_PROBE_INTERVAL": "2"}
     cfg = ReproConfig.resolve(
         environ=env,
         cli={"fleet_runners": "http://cli:1,http://cli:2",
-             "fleet_steal_threshold": 6},
-        fleet_steal_threshold=8)
+             "fleet_probe_interval_s": 6.0},
+        fleet_probe_interval_s=8.0)
     assert cfg.runner_list() == ["http://cli:1", "http://cli:2"]
-    assert cfg.peer_list() == ["http://env:2"]   # env survives
-    assert cfg.fleet_steal_threshold == 8        # kwarg beats cli
+    assert cfg.fleet_standby_of == "http://env:2"   # env survives
+    assert cfg.fleet_probe_interval_s == 8.0        # kwarg beats cli
 
 
 def test_fleet_vars_round_trip_through_apply():
     cfg = ReproConfig(fleet_runners="http://a:1,http://b:2",
-                      fleet_peers="http://c:3",
-                      fleet_steal_threshold=7,
+                      fleet_standby_of="http://c:3",
                       fleet_probe_interval_s=1.5)
     env = {}
     cfg.apply(environ=env)
     assert env["REPRO_FLEET_RUNNERS"] == "http://a:1,http://b:2"
-    assert env["REPRO_FLEET_STEAL_THRESHOLD"] == "7"
+    assert env["REPRO_FLEET_PROBE_INTERVAL"] == "1.5"
     assert ReproConfig.from_env(environ=env) == cfg
 
 
 def test_config_subcommand_surfaces_fleet_flags(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_FLEET_PEERS", "http://env-peer:9")
+    monkeypatch.setenv("REPRO_FLEET_STANDBY_OF", "http://env-primary:9")
     assert main(["config", "--runners", "http://a:1,http://b:2",
-                 "--steal-threshold", "5"]) == 0
+                 "--probe-interval", "5"]) == 0
     resolved = json.loads(capsys.readouterr().out)
     assert resolved["fleet_runners"] == "http://a:1,http://b:2"
-    assert resolved["fleet_steal_threshold"] == 5
-    assert resolved["fleet_peers"] == "http://env-peer:9"
+    assert resolved["fleet_probe_interval_s"] == 5.0
+    assert resolved["fleet_standby_of"] == "http://env-primary:9"
+
+
+def test_config_help_lists_only_live_fleet_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["config", "--help"])
+    text = capsys.readouterr().out
+    assert "--runners" in text and "--probe-interval" in text
+    assert "--peers" not in text and "--steal-threshold" not in text
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +220,7 @@ def test_config_subcommand_prints_resolved_json(capsys, monkeypatch):
     assert resolved["workers"] == 7
     # the reference-process switch is not part of the configuration
     assert "interp" not in json.dumps(resolved)
-    assert len(resolved) == len(ENV_VARS) == 14
+    assert len(resolved) == len(ENV_VARS) == 11
 
 
 def test_config_subcommand_flag_beats_env(capsys, monkeypatch):
