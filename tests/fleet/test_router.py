@@ -111,9 +111,11 @@ def test_pick_target_ignores_unroutable_states():
     assert router._owner(KEY) is not None
 
 
-def test_probe_and_read_reroute_a_lost_job_once():
-    # the probe loop's node-loss re-route and a client's status read
-    # both find the job's runner dead; exactly one may resubmit it
+@pytest.mark.parametrize("readers", [1, 4])
+def test_probe_and_read_reroute_a_lost_job_once(readers):
+    # the probe loop's node-loss re-route and `readers` concurrent
+    # status reads all find the job's runner dead; exactly one may
+    # resubmit it
     router = bare_router()
     all_healthy(router)
     posts = []
@@ -132,7 +134,8 @@ def test_probe_and_read_reroute_a_lost_job_once():
     async def race():
         await asyncio.gather(
             router._reroute_orphans(dead, reason="node_loss"),
-            router._forward_job_read(KEY, f"/v1/jobs/{KEY}"))
+            *(router._forward_job_read(KEY, f"/v1/jobs/{KEY}")
+              for _ in range(readers)))
 
     asyncio.run(race())
     assert len(posts) == 1
