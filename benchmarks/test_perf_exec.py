@@ -53,8 +53,7 @@ def _cold_fig5_seconds(extra_env):
     """Wall time of ``eval fig5`` in a fresh process, all caches off."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("REPRO_CACHE_DIR", "REPRO_EXEC",
-                        "REPRO_PROFILE_CACHE", "REPRO_FAULTS",
-                        "REPRO_RETRIES")}
+                        "REPRO_PROFILE_CACHE", "REPRO_FAULTS")}
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.update(extra_env)
     t0 = time.perf_counter()

@@ -26,7 +26,6 @@ Every flow-running subcommand (``run``, ``eval``, ``batch``,
 
     --cache-dir DIR    persistent result cache
     --workers N        service worker pool size
-    --retries N        per-job retry budget
     --trace-out PATH   write a Perfetto-loadable Chrome trace
     --metrics-out PATH write the Prometheus text dump
 
@@ -51,7 +50,6 @@ def _config_from_args(args) -> ReproConfig:
     return ReproConfig.resolve(cli={
         "cache_dir": getattr(args, "cache_dir", None),
         "workers": getattr(args, "workers", None),
-        "retries": getattr(args, "retries", None),
         "fleet_runners": getattr(args, "runners", None),
         "fleet_probe_interval_s": getattr(args, "probe_interval", None),
         "journal_dir": getattr(args, "journal_dir", None),
@@ -328,8 +326,6 @@ def cmd_batch(args) -> int:
     job_kwargs = {}
     if args.timeout is not None:
         job_kwargs["timeout_s"] = args.timeout
-    if args.retries is not None:
-        job_kwargs["retries"] = args.retries
     try:
         jobs = expand_jobs(apps, modes, **job_kwargs)
     except (KeyError, JobValidationError) as exc:
@@ -501,9 +497,6 @@ def _common_parent() -> argparse.ArgumentParser:
                             "($REPRO_CACHE_DIR)")
     group.add_argument("--workers", type=int, default=None, metavar="N",
                        help="service worker pool size ($REPRO_WORKERS)")
-    group.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="retry failed/timed-out jobs up to N times "
-                            "($REPRO_RETRIES)")
     _add_obs_flags(group)
     return common
 

@@ -81,8 +81,7 @@ def open_service(config: Optional[ReproConfig] = None,
     """
     cfg = (config or ReproConfig.from_env()).replace(**overrides)
     return DesignService(engine=engine, cache_dir=cfg.cache_dir,
-                         workers=cfg.workers,
-                         default_retries=cfg.retries)
+                         workers=cfg.workers)
 
 
 def run_flow(app: str, mode: str = "informed", *,
@@ -95,7 +94,7 @@ def run_flow(app: str, mode: str = "informed", *,
 
     With a ``service`` (or a config that wants caching / parallelism)
     the flow goes through the design service -- content-hash dedup,
-    persistent cache, retry policy -- and may return a
+    persistent cache, crash recovery -- and may return a
     :class:`~repro.flow.serialize.FlowResultRecord`.  With the default
     single-worker uncached config it runs directly on a
     :class:`FlowEngine` and returns the live
@@ -111,7 +110,7 @@ def run_flow(app: str, mode: str = "informed", *,
         return service.run(service.job_for(app, mode, **job_kwargs),
                            timeout=timeout)
     cfg = config or ReproConfig.from_env()
-    if cfg.cache_dir is None and cfg.workers == 1 and cfg.retries == 0:
+    if cfg.cache_dir is None and cfg.workers == 1:
         # nothing the service adds is wanted: run on the engine itself
         engine = FlowEngine(**({"intensity_threshold": intensity_threshold}
                                if intensity_threshold is not None else {}))

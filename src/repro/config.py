@@ -29,7 +29,6 @@ field              env var                 meaning
 =================  ======================  ==============================
 ``cache_dir``      ``REPRO_CACHE_DIR``     persistent result-cache root
 ``workers``        ``REPRO_WORKERS``       service worker-pool size
-``retries``        ``REPRO_RETRIES``       per-job retry budget
 ``trace_dir``      ``REPRO_TRACE_DIR``     per-process JSONL span sink
 ``faults``         ``REPRO_FAULTS``        fault-injection plan spec
 ``fleet_runners``  ``REPRO_FLEET_RUNNERS`` router: runner URLs (comma)
@@ -70,7 +69,6 @@ from typing import Any, Dict, Mapping, MutableMapping, Optional
 ENV_VARS = (
     ("cache_dir", "REPRO_CACHE_DIR"),
     ("workers", "REPRO_WORKERS"),
-    ("retries", "REPRO_RETRIES"),
     ("trace_dir", "REPRO_TRACE_DIR"),
     ("faults", "REPRO_FAULTS"),
     ("fleet_runners", "REPRO_FLEET_RUNNERS"),
@@ -122,7 +120,6 @@ class ReproConfig:
 
     cache_dir: Optional[str] = None
     workers: int = 1
-    retries: int = 0
     trace_dir: Optional[str] = None
     faults: Optional[str] = None
     #: comma-separated runner base URLs `python -m repro router` shards
@@ -146,8 +143,6 @@ class ReproConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
         if not self.fleet_probe_interval_s > 0:
             raise ConfigError(
                 f"fleet_probe_interval_s must be > 0, "
@@ -174,9 +169,6 @@ class ReproConfig:
         raw = env.get("REPRO_WORKERS")
         if raw is not None and raw.strip():
             kwargs["workers"] = _parse_int("REPRO_WORKERS", raw, 1)
-        raw = env.get("REPRO_RETRIES")
-        if raw is not None and raw.strip():
-            kwargs["retries"] = _parse_int("REPRO_RETRIES", raw, 0)
         raw = env.get("REPRO_TRACE_DIR")
         if raw:
             kwargs["trace_dir"] = raw

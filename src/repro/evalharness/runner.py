@@ -5,7 +5,7 @@ the five benchmarks.  The runner sits on :class:`DesignService`, so
 Fig. 5, Table I and Fig. 6 regeneration get in-flight dedup, optional
 parallel execution and persistent cross-run caching for free; the
 service configuration comes from :class:`repro.config.ReproConfig`
-(``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` / ``REPRO_RETRIES``) with
+(``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``) with
 constructor arguments taking precedence.  With the defaults (one
 in-process worker, no cache dir) it behaves exactly like the old
 serial runner and returns live :class:`FlowResult` objects.

@@ -11,9 +11,8 @@ instance), each with its own shared-nothing result cache:
   in-flight accounting) and :class:`RunnerProcess` (a supervised local
   ``repro serve`` subprocess for benchmarks, chaos tests and CI);
 - :mod:`repro.fleet.router` -- :class:`FleetRouter`, the front door:
-  shard-owner routing, node-loss re-routing that never
-  consumes job retries, aggregated ``/healthz`` and router-side
-  ``repro_fleet_*`` metrics;
+  shard-owner routing, node-loss re-routing, aggregated ``/healthz``
+  and router-side ``repro_fleet_*`` metrics;
 - :mod:`repro.fleet.durable` -- the placement table's one reducer
   :func:`apply_record` (live router, replay, standbys and tests all
   fold through it) and pure recovery core, :class:`RouterJournal`

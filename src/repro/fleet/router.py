@@ -14,10 +14,10 @@ when the owner is unroutable, unreachable or refuses it.
 
 **Node-loss recovery.**  A dead runner (forward error, failed probes)
 or one that lost its memory (restart answering 404) gets its in-flight
-jobs *resubmitted* to survivors with their full retry budget; content-
-hash idempotency makes that safe (a finished job resolves from cache
-or dedup, never runs twice).  One forward per key runs at a time, so
-the probe loop and a status read never re-route one job twice.
+jobs *resubmitted* to survivors; content-hash idempotency makes that
+safe (a finished job resolves from cache or dedup, never runs twice).
+One forward per key runs at a time, so the probe loop and a status
+read never re-route one job twice.
 
 **No routable runner.**  A submit that finds no runner to take it
 answers ``503 unavailable`` with ``Retry-After`` set to the probe

@@ -6,12 +6,13 @@ result cache, scheduler payloads, execution engines, profile cache,
 fleet wire and router journal; off by default, configured via API or
 ``$REPRO_FAULTS``, deterministic per (seed, site, invocation index) so
 chaos runs replay.  What absorbs the faults lives with the code that
-hits them: scheduler retries and pool rebuilds, the interpreter
-fallback, cache quarantine, fleet re-routing.
+hits them: pool rebuilds, the interpreter fallback, cache quarantine
+and skipped cache writes, fleet re-routing and client retries.
 
-Quick chaos run::
+Quick chaos run (a fresh cache dir, so the storm reaches the cache and
+profile-disk sites)::
 
-    REPRO_FAULTS="seed=7,rate=0.05" REPRO_RETRIES=3 \\
+    REPRO_FAULTS="seed=7,rate=0.05" REPRO_CACHE_DIR="$(mktemp -d)" \\
         python -m repro eval fig5 --trace-out chaos.json
 """
 

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for chaos testing.
 
 One process-global :class:`FaultPlan` decides, at each named *injection
-site* (``inject("cache.read")``, ``inject("worker.exec")``, ...),
+site* (``inject("cache.read")``, ``inject("cache.write")``, ...),
 whether that invocation fails.  The decision is a pure function of
 ``(seed, site, invocation index)`` -- a SHA-256 of the triple compared
 against the configured rate -- so a chaos run replays the same fault
@@ -14,7 +14,7 @@ hot paths pay nothing.  A plan is installed either via
 :func:`install_plan` or the ``REPRO_FAULTS`` environment spec::
 
     REPRO_FAULTS="seed=7,rate=0.05"                    # all sites
-    REPRO_FAULTS="seed=7,rate=0.1,sites=cache.read|worker.exec"
+    REPRO_FAULTS="seed=7,rate=0.1,sites=cache.read|cache.write"
     REPRO_FAULTS="seed=3,rate=0.2,max=10"              # stop after 10
 
 The env path is how pool *worker processes* join a chaos run: they
@@ -26,7 +26,6 @@ Sites wired through the stack (see README "Resilience"):
 ==================  ====================================================
 ``cache.read``      ResultCache entry treated as corrupt (quarantined)
 ``cache.write``     ResultCache.put fails (service skips the write)
-``worker.exec``     job execution raises (scheduler retry path)
 ``worker.crash``    pool worker hard-exits (BrokenProcessPool recovery)
 ``exec.compiled``   compiled engine faults (interpreter fallback,
                     counted in ``repro_exec_fallback_total``)
@@ -70,7 +69,7 @@ _FAULTS_TOTAL = obs.REGISTRY.counter(
 
 #: the sites this codebase currently threads ``inject`` through
 KNOWN_SITES = (
-    "cache.read", "cache.write", "worker.exec", "worker.crash",
+    "cache.read", "cache.write", "worker.crash",
     "exec.compiled", "profile.disk",
     "net.request", "journal.write", "cache.fsync",
 )

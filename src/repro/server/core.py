@@ -26,7 +26,7 @@ spliced in as ``"result"``, so a cache hit costs one round trip; every
 Backpressure is a **bounded accept queue**: at most ``max_queue``
 uncached jobs in flight; past that, new work is shed with ``429 busy``
 (:class:`~repro.service.ServiceOverloaded` on the wire; a client
-raises it once its retries are spent) while cached results (served via
+raises it once it stops retrying) while cached results (served via
 :meth:`DesignService.lookup`) keep flowing.  Graceful shutdown flips
 to draining (new jobs ``503 unavailable``, ``/healthz``
 ``degraded``), waits out in-flight jobs up to ``drain_timeout_s``,

@@ -15,8 +15,8 @@ code               status  in-process exception
                            full)
 ``timeout``        504     :class:`JobTimeout`
 ``cancelled``      409     :class:`JobCancelled`
-``failed``         500     :class:`JobFailed` (retries or crash budget
-                           spent)
+``failed``         500     :class:`JobFailed` (the attempt raised, or
+                           the crash budget is spent)
 ``invalid_job``    400     :class:`JobValidationError`
 ``not_found``      404     :class:`JobNotFound`
 ``unavailable``    503     draining, or no routable runner (a router)
@@ -50,7 +50,7 @@ JOB_STATUS_HEADER = "X-Repro-Job-Status"
 #: fields a POST /v1/jobs body may set (everything else is rejected --
 #: unknown keys are typos, not forward compatibility)
 JOB_FIELDS = ("app", "mode", "intensity_threshold", "scale", "priority",
-              "timeout_s", "retries")
+              "timeout_s")
 
 
 class JobNotFound(KeyError):
@@ -96,15 +96,6 @@ def job_from_payload(payload: Dict[str, Any]) -> FlowJob:
         return FlowJob(**payload)
     except TypeError as exc:
         raise JobValidationError(str(exc)) from None
-
-
-def job_to_payload(job: FlowJob) -> Dict[str, Any]:
-    return {
-        "app": job.app, "mode": job.mode,
-        "intensity_threshold": job.intensity_threshold,
-        "scale": job.scale, "priority": job.priority,
-        "timeout_s": job.timeout_s, "retries": job.retries,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ needs):
   content-addressed result store with versioned invalidation;
 - :mod:`repro.service.scheduler` -- :class:`JobScheduler`, a worker
   pool (processes with thread fallback) with in-flight dedup, per-job
-  timeout, bounded retry with backoff, and cancellation;
+  timeout, crash re-queues, and cancellation;
 - :mod:`repro.service.batch` -- app x mode expansion and streaming
   batch execution;
 - :mod:`repro.service.core` -- :class:`DesignService`, the facade

@@ -24,7 +24,7 @@ def expand_jobs(apps: Optional[Sequence[str]] = None,
 
     ``apps=None`` means every registered benchmark (paper order);
     ``modes=None`` means both informed and uninformed.  Extra keyword
-    arguments (priority, timeout_s, retries, scale, ...) apply to every
+    arguments (priority, timeout_s, scale, ...) apply to every
     expanded job.
     """
     apps = list(apps) if apps else list(PAPER_ORDER)

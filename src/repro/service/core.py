@@ -22,9 +22,9 @@ An engine carrying a custom ``strategy_a`` override cannot be content-
 hashed or pickled, so such a service runs uncached and in-process --
 correctness over throughput for experimental strategies.
 
-A job that fails -- its retries spent, or the worker pool broken
-under it more than ``crash_retries`` times -- holds no state here: a
-resubmission runs it again.  A failed cache write degrades to an
+A job that fails -- its one attempt raised or timed out, or the worker
+pool broke under it more than ``crash_retries`` times -- holds no
+state here: a resubmission runs it again.  A failed cache write degrades to an
 uncached result instead of failing the job.
 """
 
@@ -58,8 +58,8 @@ class ServiceOverloaded(RuntimeError):
     """A server is shedding new work: its accept queue is full.
 
     The HTTP front end answers it as ``429 busy``, and
-    :class:`~repro.client.ReproClient` raises it once its retries of
-    that answer are spent; ``retry_after_s`` is the ``Retry-After``.
+    :class:`~repro.client.ReproClient` raises it once it has stopped
+    retrying that answer; ``retry_after_s`` is the ``Retry-After``.
     Cached results are still served.
     """
 
@@ -139,7 +139,6 @@ class DesignService:
                  cache_dir: Optional[str] = None,
                  workers: int = 1, pool: str = "auto",
                  default_timeout: Optional[float] = None,
-                 default_retries: int = 0,
                  crash_retries: int = 2):
         self.engine = engine or FlowEngine()
         # a custom strategy object defeats content hashing and pickling
@@ -150,7 +149,6 @@ class DesignService:
             workers=workers,
             mode="thread" if not self._cacheable else pool,
             default_timeout=default_timeout,
-            default_retries=default_retries,
             crash_retries=crash_retries)
         # per-job flow observer (the HTTP server streams live task
         # events through this); called as factory(job, key)
@@ -344,7 +342,7 @@ class DesignService:
             args = ()
         handle, created = self.scheduler.submit(
             pending.key, fn, *args,
-            timeout=job.timeout_s, retries=job.retries)
+            timeout=job.timeout_s)
         pending.handle = handle
         if created:
             _EVENTS.inc(event="jobs_run")

@@ -51,13 +51,11 @@ class FlowJob:
     priority: int = 0
     #: per-job attempt timeout in seconds (None = scheduler default)
     timeout_s: Optional[float] = None
-    #: bounded retries on failure/timeout (None = scheduler default)
-    retries: Optional[int] = None
 
     def __post_init__(self):
         # a JSON ``true`` is not a number: it would hash apart from 1.0
         for name in ("intensity_threshold", "scale", "priority",
-                     "timeout_s", "retries"):
+                     "timeout_s"):
             if isinstance(getattr(self, name), bool):
                 raise JobValidationError(
                     f"{name} must be a number, not a boolean")
@@ -79,10 +77,6 @@ class FlowJob:
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise JobValidationError(
                 f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.retries is not None and not (
-                isinstance(self.retries, int) and self.retries >= 0):
-            raise JobValidationError(
-                f"retries must be an int >= 0, got {self.retries!r}")
 
     # ------------------------------------------------------------------
     @property
@@ -127,10 +121,6 @@ class FlowJob:
 def execute_job(job: FlowJob, engine: Optional[FlowEngine] = None,
                 observer=None) -> FlowResult:
     """Run one job in this process and return the live FlowResult."""
-    from repro.resilience import faults
-
-    # chaos site: a transient worker error the retry policy absorbs
-    faults.inject("worker.exec")
     engine = engine or FlowEngine(
         intensity_threshold=job.intensity_threshold)
     return engine.run(get_app(job.app), mode=job.mode,

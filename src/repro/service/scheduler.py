@@ -1,14 +1,19 @@
-"""Worker-pool job scheduler: parallelism, dedup, timeout, retry,
-crash recovery.
+"""Worker-pool job scheduler: parallelism, dedup, timeout, crash
+recovery.
 
 Two executor layers:
 
 - a **work pool** (``ProcessPoolExecutor`` when requested/available,
   ``ThreadPoolExecutor`` fallback) that runs the job payloads;
 - a **driver pool** of lightweight threads, one per in-flight job,
-  that wraps each job with the control policy: per-attempt timeout,
-  bounded retry with exponential backoff, and cancellation checks
-  between attempts.
+  that wraps each job with the control policy: the attempt timeout,
+  crash re-queues, and cancellation checks between attempts.
+
+An attempt that raises or times out ends the job as :class:`JobFailed`
+or :class:`JobTimeout`; only an attempt that a pool breakage
+interrupted runs again (below).  A flow is deterministic, so a flow
+that raised once would raise again; a caller that wants another try
+resubmits the job once it is terminal.
 
 Identical jobs (same content key) submitted while one is in flight
 join the existing :class:`JobHandle` instead of running twice -- the
@@ -30,16 +35,17 @@ remedy (threads cannot be killed).
 Worker-crash recovery: a dead worker process surfaces as
 ``BrokenProcessPool`` (on submit or while waiting on an attempt).  The
 scheduler rebuilds the pool exactly once per breakage and re-queues
-the interrupted attempt *without* consuming one of the job's regular
-retries -- the job did not fail, the worker did.  The pool cannot tell
-which payload killed it, so a breakage is charged only to an attempt
-that was alone on the pool when it broke.  Every attempt a breakage
-interrupted re-runs alone -- other attempts wait for it to finish --
-so an innocent job succeeds and the culprit breaks the pool by itself.
-A job charged more than ``crash_retries`` breakages resolves as an
-ordinary :class:`JobFailed` naming its crash count, so every job
-terminates.  A pool recycled after a timeout was broken on purpose:
-that breakage is charged to no one.
+the interrupted attempt -- the job did not fail, the worker did.  The
+pool cannot tell which payload killed it, so a breakage is charged
+only to an attempt that was alone on the pool when it broke.  Every
+attempt a breakage interrupted re-runs alone -- other attempts wait
+for it to finish -- so an innocent job succeeds and the culprit breaks
+the pool by itself.  A job charged more than ``crash_retries``
+breakages resolves as an ordinary :class:`JobFailed` naming its crash
+count, so every job terminates.  A pool recycled after a timeout was
+broken on purpose: that breakage is charged to no one.  A job
+cancelled while its re-queued attempt waits for the pool never starts
+that attempt.
 
 Flow execution is pure Python, so the thread pool gives concurrency
 but not CPU parallelism (GIL); the process pool gives real parallelism
@@ -100,12 +106,12 @@ class JobError(Exception):
 
 
 class JobFailed(JobError):
-    """The job raised on every allowed attempt (cause chained), or the
-    worker pool broke under it more than ``crash_retries`` times."""
+    """The job raised (cause chained), or the worker pool broke under
+    it more than ``crash_retries`` times."""
 
 
 class JobTimeout(JobError):
-    """Every allowed attempt exceeded its time budget.
+    """The job's attempt exceeded its time budget.
 
     When the timeout comes from a *client-side* wait budget
     (``ReproClient.max_wait_s``), ``status``/``attempts`` carry the
@@ -280,14 +286,10 @@ def _make_work_pool(mode: str, workers: int):
 
 
 class JobScheduler:
-    """Runs keyed jobs on a bounded worker pool with retry/timeout."""
+    """Runs keyed jobs on a bounded worker pool with a timeout."""
 
     def __init__(self, workers: int = 1, mode: str = "auto",
                  default_timeout: Optional[float] = None,
-                 default_retries: int = 0,
-                 backoff_s: float = 0.05,
-                 backoff_factor: float = 2.0,
-                 max_backoff_s: float = 2.0,
                  crash_retries: int = 2):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -296,10 +298,6 @@ class JobScheduler:
                 f"crash_retries must be >= 0, got {crash_retries}")
         self.workers = workers
         self.default_timeout = default_timeout
-        self.default_retries = default_retries
-        self.backoff_s = backoff_s
-        self.backoff_factor = backoff_factor
-        self.max_backoff_s = max_backoff_s
         #: pool breakages one job may ride out before it fails
         self.crash_retries = crash_retries
         self._pool, self.mode, self.fallback_note = \
@@ -331,7 +329,6 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def submit(self, key: str, fn: Callable, *args,
                timeout: Optional[float] = None,
-               retries: Optional[int] = None,
                **kwargs) -> Tuple[JobHandle, bool]:
         """Schedule ``fn(*args, **kwargs)`` under ``key``.
 
@@ -350,9 +347,8 @@ class JobScheduler:
             self._inflight[key] = handle
         handle.add_done_callback(self._retire)
         timeout = self.default_timeout if timeout is None else timeout
-        retries = self.default_retries if retries is None else retries
         driver = self._drivers.submit(
-            self._drive, handle, fn, args, kwargs, timeout, retries)
+            self._drive, handle, fn, args, kwargs, timeout)
         with handle._lock:
             handle._driver_future = driver
         # cancel() may have raced the driver registration
@@ -411,7 +407,9 @@ class JobScheduler:
     def _admit(self, handle: JobHandle, solo: bool):
         """Wait until ``handle``'s next attempt may use the work pool,
         and return the pool.  A ``solo`` attempt waits for the pool to
-        empty; while one waits or runs, no other attempt is admitted."""
+        empty; while one waits or runs, no other attempt is admitted.
+        Returns None, admitting nothing, when the job was cancelled
+        while it waited."""
         with self._gate:
             if solo:
                 self._solo_waiting += 1
@@ -421,6 +419,9 @@ class JobScheduler:
             else:
                 while self._solo_waiting or any(self._live.values()):
                     self._gate.wait()
+            if handle._cancel_requested:
+                self._gate.notify_all()
+                return None
             self._live[handle] = solo
             return self._pool
 
@@ -431,60 +432,36 @@ class JobScheduler:
 
     # ------------------------------------------------------------------
     def _drive(self, handle: JobHandle, fn: Callable, args, kwargs,
-               timeout: Optional[float], retries: int) -> None:
+               timeout: Optional[float]) -> None:
+        """Run ``handle``'s job once.  The loop repeats only to re-queue
+        an attempt that a pool breakage interrupted; an attempt that
+        raises or times out is terminal."""
         start = time.perf_counter()
         handle.queue_wait_s = start - handle.submitted_at
         _QUEUE_WAIT.observe(handle.queue_wait_s)
-        last_error: Optional[JobError] = None
-        attempts_allowed = retries + 1
-        attempt = 0       # failures consumed against the retry budget
-        tries = 0         # actual submissions (crash re-queues included)
-        crashes = 0
+        error: Optional[JobError] = None
         solo = False      # once a breakage hits it, it runs alone
-        while attempt < attempts_allowed:
-            if handle._cancel_requested:
-                last_error = JobCancelled(
-                    f"job {handle.key[:12]} cancelled after "
-                    f"{tries} attempt{'s' if tries != 1 else ''}")
-                break
+        while error is None and not handle._cancel_requested:
             handle.status = JobStatus.RUNNING
-            tries += 1
-            handle.attempts = tries
             pool = self._admit(handle, solo)
+            if pool is None:
+                break
+            handle.attempts += 1
             try:
                 try:
                     future = pool.submit(fn, *args, **kwargs)
                 except BrokenExecutor:
                     # the pool died before this attempt even queued
-                    crashes, last_error = self._on_crash(handle, pool,
-                                                         crashes)
-                    handle.crashes = crashes
+                    error = self._on_crash(handle, pool)
                     solo = True
-                    if last_error is not None:
-                        break
                     continue
                 except RuntimeError as exc:   # pool shut down under us
-                    last_error = JobCancelled(
-                        f"job {handle.key[:12]}: {exc}")
+                    error = JobCancelled(f"job {handle.key[:12]}: {exc}")
                     break
                 with handle._lock:
                     handle._attempt_future = future
                 try:
                     result = future.result(timeout)
-                    if handle._cancel_requested:
-                        # cancel() already promised "no result" to its
-                        # caller; the attempt racing to completion must
-                        # not un-cancel the job
-                        _ATTEMPTS.inc(outcome="cancelled")
-                        last_error = JobCancelled(
-                            f"job {handle.key[:12]} cancelled while "
-                            f"running")
-                        break
-                    _ATTEMPTS.inc(outcome="ok")
-                    _JOBS.inc(status="succeeded")
-                    handle._finish(JobStatus.SUCCEEDED, result=result,
-                                   wall_s=time.perf_counter() - start)
-                    return
                 except FutureTimeout:
                     if not future.cancel():
                         # the attempt is genuinely running: its slot is
@@ -497,61 +474,59 @@ class JobScheduler:
                                                reason="timeout-reclaim",
                                                kill_workers=True)
                     _ATTEMPTS.inc(outcome="timeout")
-                    last_error = JobTimeout(
-                        f"job {handle.key[:12]} exceeded {timeout}s "
-                        f"(attempt {attempt + 1}/{attempts_allowed})")
+                    error = JobTimeout(
+                        f"job {handle.key[:12]} exceeded {timeout}s")
                 except CancelledError:
                     _ATTEMPTS.inc(outcome="cancelled")
-                    last_error = JobCancelled(
+                    error = JobCancelled(
                         f"job {handle.key[:12]} attempt cancelled")
-                    break
                 except BrokenExecutor:
                     # a worker died mid-attempt: recover the pool and
-                    # re-queue without consuming a regular retry
-                    crashes, last_error = self._on_crash(handle, pool,
-                                                         crashes)
-                    handle.crashes = crashes
+                    # re-queue the attempt alone
+                    error = self._on_crash(handle, pool)
                     solo = True
-                    if last_error is not None:
-                        break
-                    continue
                 except BaseException as exc:
                     _ATTEMPTS.inc(outcome="error")
-                    failure = JobFailed(
-                        f"job {handle.key[:12]} failed "
-                        f"(attempt {attempt + 1}/{attempts_allowed}): "
-                        f"{exc!r}")
-                    failure.__cause__ = exc
-                    last_error = failure
+                    error = JobFailed(
+                        f"job {handle.key[:12]} failed: {exc!r}")
+                    error.__cause__ = exc
+                else:
+                    if not handle._cancel_requested:
+                        _ATTEMPTS.inc(outcome="ok")
+                        _JOBS.inc(status="succeeded")
+                        handle._finish(JobStatus.SUCCEEDED, result=result,
+                                       wall_s=time.perf_counter() - start)
+                        return
+                    # cancel() already promised "no result" to its
+                    # caller; the attempt racing to completion must not
+                    # un-cancel the job
+                    _ATTEMPTS.inc(outcome="cancelled")
+                    error = JobCancelled(
+                        f"job {handle.key[:12]} cancelled while running")
             finally:
                 self._release(handle)
-            attempt += 1
-            if attempt < attempts_allowed \
-                    and not handle._cancel_requested:
-                time.sleep(min(
-                    self.backoff_s * self.backoff_factor ** attempt,
-                    self.max_backoff_s))
         if handle._cancel_requested \
-                and not isinstance(last_error, JobCancelled):
-            last_error = JobCancelled(
-                f"job {handle.key[:12]} cancelled")
+                and not isinstance(error, JobCancelled):
+            error = JobCancelled(
+                f"job {handle.key[:12]} cancelled after "
+                f"{handle.attempts} attempt"
+                f"{'s' if handle.attempts != 1 else ''}")
         status = (JobStatus.CANCELLED
-                  if isinstance(last_error, JobCancelled)
+                  if isinstance(error, JobCancelled)
                   else JobStatus.TIMEOUT
-                  if isinstance(last_error, JobTimeout)
+                  if isinstance(error, JobTimeout)
                   else JobStatus.FAILED)
         _JOBS.inc(status=status.value)
-        handle._finish(status, error=last_error,
+        handle._finish(status, error=error,
                        wall_s=time.perf_counter() - start)
 
-    def _on_crash(self, handle: JobHandle, pool,
-                  crashes: int) -> Tuple[int, Optional[JobError]]:
+    def _on_crash(self, handle: JobHandle, pool) -> Optional[JobError]:
         """One pool breakage observed by ``handle``'s driver.
 
         The breakage counts as a crash of ``handle`` only when its
-        attempt was alone on the pool when it broke.  Returns ``(new
-        crash count, terminal error or None)``; None means the attempt
-        should be re-queued on the rebuilt pool.
+        attempt was alone on the pool when it broke.  Returns the
+        terminal error once the crash budget is spent, else None: the
+        attempt is re-queued on the rebuilt pool.
         """
         _ATTEMPTS.inc(outcome="crash")
         self._replace_pool(pool, reason="worker-crash")
@@ -560,17 +535,17 @@ class JobScheduler:
             suspects = self._broken.get(pool, frozenset((handle,)))
         if suspects != {handle}:
             obs.event("scheduler.worker_crash", key=handle.key[:12],
-                      crashes=crashes, charged=False)
-            return crashes, None
-        crashes += 1
+                      crashes=handle.crashes, charged=False)
+            return None
+        handle.crashes += 1
         obs.event("scheduler.worker_crash", key=handle.key[:12],
-                  crashes=crashes, charged=True)
-        if crashes > self.crash_retries:
-            return crashes, JobFailed(
+                  crashes=handle.crashes, charged=True)
+        if handle.crashes > self.crash_retries:
+            return JobFailed(
                 f"job {handle.key[:12]} failed: the worker pool broke "
-                f"under it {crashes} times (crash budget "
+                f"under it {handle.crashes} times (crash budget "
                 f"{self.crash_retries})")
-        return crashes, None
+        return None
 
     # ------------------------------------------------------------------
     @staticmethod

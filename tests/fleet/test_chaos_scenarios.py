@@ -3,8 +3,9 @@
 The scenarios themselves boot real fleets and run from the command
 line; this checks only their declarative table: every step and
 invariant a scenario names exists, every invariant is used, every
-scenario that hurts a process checks ``victim_busy``, and every fleet
-assertion the change log maps onto the script names a real invariant.
+scenario that hurts a process checks ``victim_busy``, and every
+assertion of the retired fleet CI jobs and bench maps onto a real
+invariant.
 """
 
 import importlib.util
@@ -19,6 +20,106 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: the CI jobs and bench whose assertions moved into the script
 FORMER_HOMES = ("fleet-smoke", "fleet-trace-smoke", "fleet-durable-smoke",
                 "test_fleet_scaling.py")
+
+#: every assertion those homes made, and what checks it now: a
+#: scenario and invariants of the script, or "retired" when the
+#: mechanism it checked is deleted
+FORMER_ASSERTIONS = {
+    "fleet-smoke": (
+        ("the router `/healthz` answers JSON once two runners are up",
+         "`kill_runner` · `console_snapshot` (runners 2/2 healthy)"),
+        ("fig5 through the router diffs clean against fig5 in-process",
+         "`kill_primary` · `fig5_identical`"),
+        ("16 submitted jobs have 16 distinct ids",
+         "every scenario · `terminal_once` (submits = distinct ids)"),
+        ("the SIGKILLed runner held in-flight work (`inflight > 0`)",
+         "`kill_runner` · `victim_busy`"),
+        ("no job lost after the runner kill",
+         "`kill_runner` · `zero_lost`"),
+        ("exactly one result per job",
+         "`kill_runner` · `terminal_once`"),
+        ("every result is the submitted app's (kmeans)",
+         "`terminal_once` (each result is its spec's app)"),
+        ("router `/metrics` passes `validate_trace.py --no-defaults` "
+         "requiring `repro_http_requests_total`, `_fleet_shard_jobs_total`, "
+         "`_fleet_reroutes_total`, `_fleet_runner_inflight`, "
+         "`_fleet_runners_healthy` (the in-process fig5 trace given to the "
+         "same call stays checked by the trace-smoke job)",
+         "`kill_runner` · `metrics_exposition`"),
+    ),
+    "fleet-trace-smoke": (
+        ("traced runners and router boot and `/healthz` answers",
+         "`kill_runner` · `console_snapshot`"),
+        ("fig5 through the traced router completes",
+         "`kill_primary` · `fig5_identical`"),
+        ("one traced job runs to completion through the router",
+         "`terminal_once`"),
+        ("`repro obs trace ID --out --timeline` fetches the stitched trace",
+         "`stitched_trace` (fetches through that CLI)"),
+        ("the stitched trace passes `--stitched` and holds spans `fleet.job`,"
+         " `fleet.route`, `service.job`",
+         "`kill_runner`, `kill_primary` · `stitched_trace`"),
+        ('federated `/metrics` carries a `runner="…"` series for each runner',
+         "`kill_runner` · `federated_metrics`"),
+        ("federated `/metrics` has `repro_fleet_runners_healthy`, "
+         "`repro_slo_burn_rate`, `repro_server_jobs_inflight`",
+         "`kill_runner` · `federated_metrics`"),
+        ("`/v1/obs/profile` answers on the runner armed with "
+         "`REPRO_PROFILE_HZ=50`",
+         "retired: the sampling profiler and `/v1/obs/profile` are deleted"),
+        ("`obs top --once` shows `repro fleet console`, `runners 2/2 "
+         "healthy`, both runner URLs, `slo router`",
+         "`kill_runner` · `console_snapshot` (before any process is hurt)"),
+        ("no job lost after SIGKILLing the busiest runner",
+         "`kill_runner` · `zero_lost`, `rerouted`"),
+        ("each key's stitched trace has exactly one trace id",
+         "`kill_runner` · `one_trace_per_job`"),
+    ),
+    "fleet-durable-smoke": (
+        ("`chaos_fleet.py --jobs 12` passes `kill_primary`, "
+         "`partition_runner`, `torn_journal`",
+         "those scenarios · `terminal_once`, `zero_lost`, "
+         "`no_duplicate_exec`, `failover_happened`, `stitched_trace`, "
+         "`rerouted`, `torn_seen`"),
+        ("a job is in flight before the primary is SIGKILLed",
+         "`kill_primary` · `victim_busy`"),
+        ("fig5 through primary + standby, primary SIGKILLed mid-batch, diffs "
+         "clean against in-process",
+         "`kill_primary` · `fig5_identical` (fails if fig5 had already "
+         "finished)"),
+        ("the standby answers `role: primary`",
+         "`kill_primary` · `failover_happened`"),
+        ("the promoted standby is not `fenced`",
+         "`kill_primary` · `failover_happened`"),
+        ("`journal.term >= 2` on the promoted standby",
+         "`kill_primary` · `failover_happened`"),
+        ("a failed-over job's stitched trace passes `validate_stitched`",
+         "`kill_primary` · `stitched_trace`"),
+        ("`repro_fleet_failovers_total` is exported by the standby",
+         "`kill_primary` · `failover_happened` (and is >= 1)"),
+        ("`repro_journal_records_total` is exported by the standby",
+         "`kill_primary` · `failover_happened`"),
+    ),
+    "test_fleet_scaling.py": (
+        ("4 runners deliver >= 3x the aggregate throughput of 1 (3.53x in "
+         "`BENCH_fleet.json`)",
+         "retired: it measured scaling over 1 s `time.sleep` calls "
+         "(`REPRO_SIM_LATENCY_S`), not real work"),
+        ("each throughput run returns 24 results, all kmeans",
+         "`terminal_once`"),
+        ("24 submitted jobs have 24 distinct ids",
+         "`terminal_once`"),
+        ("the SIGKILLed runner held in-flight work",
+         "`kill_runner` · `victim_busy`"),
+        ("zero jobs lost after SIGKILLing one runner mid-batch",
+         "`kill_runner` · `zero_lost`"),
+        ("every key has one result, all kmeans",
+         "`kill_runner` · `terminal_once`"),
+        ("the dead runner's jobs were rerouted (`rerouted_node_loss` snapshot"
+         " field)",
+         "`kill_runner` · `rerouted`"),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -76,27 +177,12 @@ def test_job_specs_are_distinct_real_flows(chaos):
     assert {s["app"] for s in specs} == {app for app, _, _ in chaos.WORK}
 
 
-def _former_assertions():
-    """``(assertion, former home, now)`` rows of the change-log table."""
-    rows, in_table = [], False
-    text = (REPO_ROOT / "CHANGES.md").read_text(encoding="utf-8")
-    for line in text.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if line.startswith("| Former assertion |"):
-            in_table = True
-        elif in_table and line.startswith("|"):
-            if not set(cells[0]) <= set("-: "):
-                rows.append(tuple(cells[:3]))
-        elif in_table:
-            break
-    return rows
-
-
 def test_every_former_ci_assertion_names_an_invariant(chaos):
-    rows = _former_assertions()
-    assert {home.strip("`") for _, home, _ in rows} == set(FORMER_HOMES)
+    assert set(FORMER_ASSERTIONS) == set(FORMER_HOMES)
+    assert all(FORMER_ASSERTIONS.values())
     names = set(chaos.INVARIANTS) | set(chaos.SCENARIOS)
-    for assertion, home, now in rows:
+    for assertion, now in (row for rows in FORMER_ASSERTIONS.values()
+                           for row in rows):
         if now.startswith("retired"):
             continue                   # its mechanism is deleted
         named = re.findall(r"`([a-z0-9_]+)`", now)

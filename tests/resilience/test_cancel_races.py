@@ -1,12 +1,14 @@
 """Cancellation races: cancel landing in the scheduler's windows.
 
 Each test aims ``cancel()`` at a specific gap in the job lifecycle --
-between retry attempts, behind a dedup join, racing submission itself
--- and asserts the invariant that matters: every handle resolves, no
+a crash re-queue waiting for the pool, behind a dedup join, racing
+submission itself -- and asserts the invariant that matters: every handle resolves, no
 waiter hangs, and a cancelled job reports CANCELLED exactly once.
 """
 
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -17,33 +19,60 @@ from repro.service.scheduler import (
 
 @pytest.fixture
 def scheduler():
-    sched = JobScheduler(workers=2, mode="thread",
-                         backoff_s=0.05, max_backoff_s=0.05)
+    sched = JobScheduler(workers=2, mode="thread")
     yield sched
     sched.shutdown(wait=True)
 
 
 class TestCancelBetweenAttempts:
-    def test_cancel_during_backoff_stops_the_retry(self, scheduler):
-        """First attempt fails; cancel lands in the backoff window; the
-        second attempt must never start."""
-        first_failed = threading.Event()
-        attempts = []
+    def test_cancel_in_solo_wait_skips_rerun(self, scheduler):
+        """A breakage interrupts two attempts; one re-runs alone while
+        the other waits for the pool to empty.  Cancel lands in that
+        wait: the waiting attempt must never start again.
 
-        def flaky():
-            attempts.append(1)
-            first_failed.set()
-            raise RuntimeError("boom")
+        The payloads raise ``BrokenProcessPool`` themselves, which is
+        what the driver sees from a process pool whose worker died, so
+        the order of events is fixed by the test."""
+        shared_rerun = threading.Event()
+        victim_started = threading.Event()
+        release = threading.Event()
+        victim_calls = []
+        shared_calls = []
 
-        handle, _ = scheduler.submit("racy", flaky, retries=5)
-        assert first_failed.wait(5)
-        handle.cancel()
+        def shared():
+            shared_calls.append(1)
+            if len(shared_calls) == 1:
+                assert victim_started.wait(5)
+                raise BrokenProcessPool("worker died")
+            shared_rerun.set()      # re-running alone on the new pool
+            assert release.wait(5)
+            return "shared"
+
+        def victim():
+            victim_calls.append(1)
+            if len(victim_calls) == 1:
+                victim_started.set()
+                assert shared_rerun.wait(5)
+                raise BrokenProcessPool("worker died")
+            return "ran again"
+
+        first, _ = scheduler.submit("shared", shared)
+        handle, _ = scheduler.submit("victim", victim)
+        deadline = time.monotonic() + 5
+        while scheduler._solo_waiting == 0:
+            assert time.monotonic() < deadline, "victim never re-queued"
+            time.sleep(0.005)
+        assert handle.cancel()
+        release.set()
         with pytest.raises(JobCancelled):
             handle.result(timeout=5)
         assert handle.status is JobStatus.CANCELLED
-        # the 50ms backoff gave cancel() its window: at most one more
-        # attempt could have squeezed in, the other four must not run
-        assert len(attempts) <= 2
+        assert len(victim_calls) == 1 and handle.attempts == 1
+        # neither breakage was charged: both attempts were on the pool
+        assert handle.crashes == 0 and first.crashes == 0
+        assert first.result(timeout=5) == "shared"
+        assert first.attempts == 2
+        assert scheduler._live == {} and scheduler._solo_waiting == 0
 
 
 class TestCancelBehindDedupJoin:

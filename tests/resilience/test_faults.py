@@ -30,7 +30,7 @@ class TestDecision:
     def test_sites_decorrelated(self):
         plan = FaultPlan(seed=7, rate=0.2)
         a = [plan.would_fire("cache.read", i) for i in range(100)]
-        b = [plan.would_fire("worker.exec", i) for i in range(100)]
+        b = [plan.would_fire("cache.write", i) for i in range(100)]
         assert a != b
 
     def test_seed_changes_schedule(self):
@@ -61,7 +61,7 @@ class TestCheck:
 
     def test_sites_filter(self):
         plan = FaultPlan(seed=0, rate=1.0, sites=("cache.read",))
-        plan.check("worker.exec")           # filtered: no raise
+        plan.check("cache.write")           # filtered: no raise
         with pytest.raises(InjectedFault):
             plan.check("cache.read")
 
@@ -104,12 +104,12 @@ class TestCheck:
 class TestSpec:
     def test_roundtrip(self):
         plan = FaultPlan(seed=7, rate=0.05,
-                         sites=("cache.read", "worker.exec"),
+                         sites=("cache.read", "cache.write"),
                          max_faults=10)
         parsed = FaultPlan.from_spec(plan.spec())
         assert parsed.seed == 7
         assert parsed.rate == 0.05
-        assert parsed.sites == frozenset(("cache.read", "worker.exec"))
+        assert parsed.sites == frozenset(("cache.read", "cache.write"))
         assert parsed.max_faults == 10
 
     def test_parse_minimal(self):

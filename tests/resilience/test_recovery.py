@@ -47,8 +47,7 @@ def _hold_slot(name):
 
 @pytest.fixture
 def process_scheduler():
-    sched = JobScheduler(workers=2, mode="process",
-                         backoff_s=0.001, max_backoff_s=0.01)
+    sched = JobScheduler(workers=2, mode="process")
     if sched.mode != "process":
         sched.shutdown(wait=True)
         pytest.skip("process pool unavailable on this host")
@@ -65,17 +64,9 @@ class TestCrashRecovery:
         assert handle.result(timeout=60) == "recovered"
         assert handle.status is JobStatus.SUCCEEDED
         assert handle.crashes == 1
+        # the crash re-queue is a real submission, counted as one
+        assert handle.attempts == 2
         assert process_scheduler.pool_rebuilds >= 1
-
-    def test_crash_requeue_does_not_consume_retries(self,
-                                                    process_scheduler,
-                                                    tmp_path):
-        # retries=0: a regular failure would be terminal, yet the job
-        # still recovers because a crash re-queue is free
-        sentinel = str(tmp_path / "crashed.flag")
-        handle, _ = process_scheduler.submit("crashy0", _crash_once,
-                                             sentinel, retries=0)
-        assert handle.result(timeout=60) == "recovered"
 
     def test_poison_payload_fails_once_its_crash_budget_is_spent(
             self, process_scheduler):
@@ -94,8 +85,7 @@ class TestCrashRecovery:
     def test_a_crash_is_charged_to_the_crasher_not_its_neighbours(self):
         # three slots: both innocent jobs are in flight on the pool
         # when the poison payload first breaks it
-        sched = JobScheduler(workers=3, mode="process", crash_retries=2,
-                             backoff_s=0.001, max_backoff_s=0.01)
+        sched = JobScheduler(workers=3, mode="process", crash_retries=2)
         if sched.mode != "process":
             sched.shutdown(wait=True)
             pytest.skip("process pool unavailable on this host")
@@ -135,8 +125,7 @@ class TestCrashRecovery:
 
 class TestTimeoutReclamation:
     def test_abandoned_thread_slot_is_gauged(self):
-        sched = JobScheduler(workers=1, mode="thread",
-                             backoff_s=0.001, max_backoff_s=0.01)
+        sched = JobScheduler(workers=1, mode="thread")
         try:
             base = _ABANDONED.get()
             release = threading.Event()

@@ -5,7 +5,7 @@ import pytest
 from repro.server import protocol
 from repro.server.protocol import (
     JobNotFound, ServerError, error_from_payload, error_to_payload,
-    job_from_payload, job_to_payload,
+    job_from_payload,
 )
 from repro.service.core import ServiceOverloaded
 from repro.service.jobs import FlowJob, JobValidationError
@@ -111,16 +111,12 @@ def test_empty_body_still_maps():
 # job payloads
 # ----------------------------------------------------------------------
 
-def test_job_payload_round_trip():
-    job = FlowJob(app="kmeans", mode="uninformed", scale=2.0, retries=1)
-    rebuilt = job_from_payload(job_to_payload(job))
-    assert rebuilt.key() == job.key()
-
-
 def test_job_payload_rejects_unknown_fields():
-    # "dse" pinned a job's DSE lowering; the wire no longer carries it
+    # "dse" pinned a job's DSE lowering and "retries" a job's retry
+    # budget; the wire carries neither any more
     for body in ({"app": "kmeans", "sudo": True},
-                 {"app": "kmeans", "dse": "point"}):
+                 {"app": "kmeans", "dse": "point"},
+                 {"app": "kmeans", "retries": 0}):
         with pytest.raises(JobValidationError, match="unknown job field"):
             job_from_payload(body)
 

@@ -112,7 +112,7 @@ def test_a_failed_submit_has_no_result(live_server_factory, monkeypatch):
 
     monkeypatch.setattr(service_core, "execute_job", explode)
     live = live_server_factory(config=ReproConfig(workers=1))
-    spec = {"app": "kmeans", "mode": "informed", "retries": 0}
+    spec = {"app": "kmeans", "mode": "informed"}
     client = ReproClient(live.url)
     job_id = client.submit(**spec)["id"]
     done = [data for event, data in client.events(job_id)

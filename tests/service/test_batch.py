@@ -56,9 +56,9 @@ class TestExpansion:
 
     def test_subset_and_kwargs(self):
         jobs = expand_jobs(["kmeans"], ["informed"], priority=3,
-                           retries=1)
+                           timeout_s=60)
         assert jobs == [FlowJob("kmeans", "informed", priority=3,
-                                retries=1)]
+                                timeout_s=60)]
 
     def test_unknown_names_rejected(self):
         with pytest.raises(KeyError):

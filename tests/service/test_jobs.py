@@ -27,13 +27,9 @@ class TestValidation:
         with pytest.raises(JobValidationError):
             FlowJob("kmeans", timeout_s=0)
         with pytest.raises(JobValidationError):
-            FlowJob("kmeans", retries=-1)
-        with pytest.raises(JobValidationError):
             FlowJob("kmeans", priority="high")
-        with pytest.raises(JobValidationError, match="int"):
-            FlowJob("kmeans", retries=1.5)
         for name in ("intensity_threshold", "scale", "priority",
-                     "timeout_s", "retries"):
+                     "timeout_s"):
             with pytest.raises(JobValidationError, match="boolean"):
                 FlowJob("kmeans", **{name: True})
 
@@ -58,8 +54,8 @@ class TestKeys:
         """Scheduling knobs are not content -- same work, same key."""
         base = FlowJob("kmeans", "informed")
         assert FlowJob("kmeans", "informed", priority=9).key() == base.key()
-        assert FlowJob("kmeans", "informed", timeout_s=60,
-                       retries=2).key() == base.key()
+        assert FlowJob("kmeans", "informed",
+                       timeout_s=60).key() == base.key()
 
     def test_spec_includes_source_hash_and_format(self):
         spec = FlowJob("kmeans", "informed").spec()

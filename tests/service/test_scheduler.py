@@ -1,4 +1,4 @@
-"""JobScheduler tests: parallelism, dedup, timeout, retry, cancel.
+"""JobScheduler tests: parallelism, dedup, timeout, failure, cancel.
 
 Timing discipline: fake tasks block on Events (released by the test)
 rather than sleeping, so nothing here waits anywhere near 1s in CI.
@@ -16,8 +16,7 @@ from repro.service.scheduler import (
 
 @pytest.fixture
 def scheduler():
-    sched = JobScheduler(workers=2, mode="thread",
-                         backoff_s=0.001, max_backoff_s=0.01)
+    sched = JobScheduler(workers=2, mode="thread")
     yield sched
     sched.shutdown(wait=True)
 
@@ -118,56 +117,63 @@ class TestTimeout:
         assert handle.status is JobStatus.TIMEOUT
         hang.set()               # let the abandoned worker finish fast
 
-    def test_timeout_then_retry_can_succeed(self, scheduler):
-        """First attempt hangs; the retry finds the gate open."""
+    def test_resubmission_after_timeout_runs_again(self, scheduler):
+        """The timed-out attempt is terminal; a resubmission of the
+        same key is a new job that runs the payload again."""
         gate = threading.Event()
-        attempts = []
+        calls = []
 
-        def flaky_hang():
-            attempts.append(1)
-            if len(attempts) == 1:
-                gate.wait(5)     # first attempt: hangs past the timeout
+        def hangs_once():
+            calls.append(1)
+            if len(calls) == 1:
+                gate.wait(5)     # first run: hangs past the timeout
             return "recovered"
 
-        handle, _ = scheduler.submit("fh", flaky_hang,
-                                     timeout=0.05, retries=1)
-        assert handle.result(timeout=5) == "recovered"
-        assert handle.attempts == 2
+        first, _ = scheduler.submit("fh", hangs_once, timeout=0.05)
+        with pytest.raises(JobTimeout):
+            first.result(timeout=5)
+        assert first.attempts == 1 and len(calls) == 1
+        second, created = scheduler.submit("fh", hangs_once, timeout=5)
+        assert created and second is not first
+        assert second.result(timeout=5) == "recovered"
+        assert second.attempts == 1 and len(calls) == 2
         gate.set()
 
 
-class TestRetry:
-    def test_flaky_job_retries_until_success(self, scheduler):
+class TestFailure:
+    def test_raising_job_runs_once_and_fails_with_cause(self, scheduler):
+        """No retry and no backoff sleep: the job ends after one run."""
         calls = []
 
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise RuntimeError(f"boom {len(calls)}")
-            return "ok"
-
-        handle, _ = scheduler.submit("flaky", flaky, retries=3)
-        assert handle.result(timeout=5) == "ok"
-        assert handle.attempts == 3
-        assert len(calls) == 3
-
-    def test_exhausted_retries_raise_with_cause(self, scheduler):
         def always_fails():
+            calls.append(1)
             raise ValueError("nope")
 
-        handle, _ = scheduler.submit("bad", always_fails, retries=2)
+        handle, _ = scheduler.submit("bad", always_fails)
         with pytest.raises(JobFailed) as excinfo:
             handle.result(timeout=5)
         assert handle.status is JobStatus.FAILED
-        assert handle.attempts == 3
+        assert handle.attempts == 1 and len(calls) == 1
         assert isinstance(excinfo.value.__cause__, ValueError)
+        assert handle.wall_s < 0.25
 
-    def test_zero_retries_fails_on_first_error(self, scheduler):
-        handle, _ = scheduler.submit(
-            "once", lambda: (_ for _ in ()).throw(RuntimeError("x")))
+    def test_resubmission_after_failure_runs_again(self, scheduler):
+        calls = []
+
+        def fails_once():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return "ok"
+
+        first, _ = scheduler.submit("flaky", fails_once)
         with pytest.raises(JobFailed):
-            handle.result(timeout=5)
-        assert handle.attempts == 1
+            first.result(timeout=5)
+        second, created = scheduler.submit("flaky", fails_once)
+        assert created and second is not first
+        assert second.result(timeout=5) == "ok"
+        assert (first.attempts, second.attempts) == (1, 1)
+        assert len(calls) == 2
 
 
 class TestCancellation:

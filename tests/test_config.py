@@ -15,19 +15,19 @@ from repro.config import ConfigError, ENV_VARS, ReproConfig
 def test_defaults():
     cfg = ReproConfig.from_env(environ={})
     assert cfg == ReproConfig()
-    assert cfg.workers == 1 and cfg.retries == 0
+    assert cfg.workers == 1
     assert cfg.cache_dir is None
 
 
 def test_from_env_reads_every_var():
     cfg = ReproConfig.from_env(environ={
         "REPRO_CACHE_DIR": "/tmp/c", "REPRO_WORKERS": "4",
-        "REPRO_RETRIES": "2",
-        "REPRO_TRACE_DIR": "/tmp/t", "REPRO_FAULTS": "worker.exec:0.5",
+        "REPRO_TRACE_DIR": "/tmp/t",
+        "REPRO_FAULTS": "seed=7,rate=0.5,sites=cache.write",
     })
     assert cfg.cache_dir == "/tmp/c" and cfg.workers == 4
-    assert cfg.retries == 2 and cfg.trace_dir == "/tmp/t"
-    assert cfg.faults == "worker.exec:0.5"
+    assert cfg.trace_dir == "/tmp/t"
+    assert cfg.faults == "seed=7,rate=0.5,sites=cache.write"
 
 
 def test_bool_parsing_only_zero_disables(monkeypatch):
@@ -66,7 +66,7 @@ def test_bad_values_raise_config_error():
     with pytest.raises(ConfigError):
         ReproConfig.from_env(environ={"REPRO_WORKERS": "0"})
     with pytest.raises(ConfigError):
-        ReproConfig.from_env(environ={"REPRO_RETRIES": "-1"})
+        ReproConfig.from_env(environ={"REPRO_OBS_BUFFER": "-1"})
     with pytest.raises(ConfigError):
         ReproConfig(workers=0)
     with pytest.raises(TypeError):
@@ -79,13 +79,13 @@ def test_bad_values_raise_config_error():
 
 def test_resolve_precedence_chain():
     env = {"REPRO_WORKERS": "2", "REPRO_CACHE_DIR": "/env",
-           "REPRO_RETRIES": "1"}
+           "REPRO_TRACE_DIR": "/trace"}
     cfg = ReproConfig.resolve(environ=env,
                               cli={"workers": 4, "cache_dir": "/cli"},
                               workers=8)
     assert cfg.workers == 8            # kwarg beats cli beats env
     assert cfg.cache_dir == "/cli"     # cli beats env
-    assert cfg.retries == 1            # env survives when nobody overrides
+    assert cfg.trace_dir == "/trace"   # env survives when nobody overrides
 
 
 def test_resolve_none_means_not_given():
@@ -112,8 +112,7 @@ def test_replace_filters_none():
 # ----------------------------------------------------------------------
 
 def test_apply_round_trips_through_environ():
-    cfg = ReproConfig(cache_dir="/tmp/c", workers=3, retries=2,
-                      durable=True)
+    cfg = ReproConfig(cache_dir="/tmp/c", workers=3, durable=True)
     env = {"REPRO_TRACE_DIR": "/stale",     # must be cleared by apply
            "REPRO_EXEC": "interp"}          # not ours: left alone
     cfg.apply(environ=env)
@@ -220,7 +219,7 @@ def test_config_subcommand_prints_resolved_json(capsys, monkeypatch):
     assert resolved["workers"] == 7
     # the reference-process switch is not part of the configuration
     assert "interp" not in json.dumps(resolved)
-    assert len(resolved) == len(ENV_VARS) == 11
+    assert len(resolved) == len(ENV_VARS) == 10
 
 
 def test_config_subcommand_flag_beats_env(capsys, monkeypatch):
