@@ -304,9 +304,25 @@ class FleetRouter(HttpServerBase):
         if not isinstance(entry["payload"], dict):
             self._commit("forget", key)
             return
-        await self._forward_submit(
+        self._forget_if_rejected(key, await self._forward_submit(
             key, entry["payload"], away_from=runner,
-            reroute_reason=reason, obs_ctx=entry["trace"])
+            reroute_reason=reason, obs_ctx=entry["trace"]))
+
+    def _forget_if_rejected(self, key: str, outcome) -> None:
+        """Forget ``key`` when a runner answered its re-forwarded body
+        with a real 4xx error, not a refusal (``400 invalid_job`` for a
+        journaled body this version no longer accepts, say).  No runner
+        will run that body, so the next read answers ``JobNotFound``
+        and the client resubmits its own spec."""
+        if outcome is None:
+            return
+        _, status, data = outcome
+        code = ((data.get("error") or {}).get("code")
+                if isinstance(data, dict) else None)
+        if 400 <= status < 500 and code not in _REFUSAL_CODES:
+            log.warning("runner rejected re-forwarded job %s (%d %s); "
+                        "forgetting it", key[:12], status, code)
+            self._commit("forget", key)
 
     # ------------------------------------------------------------------
     # Durability: journal writes, crash recovery, standby tail/takeover
@@ -386,7 +402,7 @@ class FleetRouter(HttpServerBase):
 
         One observation per undone entry feeds the pure
         :func:`~repro.fleet.durable.plan_recovery`; lost jobs resubmit
-        on their ORIGINAL trace.
+        on their ORIGINAL trace, and one a runner rejects is forgotten.
         """
         table = self._placements
         try:
@@ -406,10 +422,11 @@ class FleetRouter(HttpServerBase):
                     elif action == "forget":
                         self._commit("forget", key)
                     elif action == "resubmit":
-                        await self._forward_submit(
-                            key, table[key]["payload"],
-                            reroute_reason="recovered",
-                            obs_ctx=table[key]["trace"])
+                        self._forget_if_rejected(
+                            key, await self._forward_submit(
+                                key, table[key]["payload"],
+                                reroute_reason="recovered",
+                                obs_ctx=table[key]["trace"]))
                 done = Counter(action for _, action, _ in plan)
                 log.info("journal recovery: %d placement(s) -> %d "
                          "adopted, %d settled, %d resubmitted",
@@ -892,9 +909,11 @@ class FleetRouter(HttpServerBase):
         """Read job state from its runner, healing lost placements.
 
         A wire error or a runner that forgot the job re-routes it and
-        answers ``202 pending``.  The read is bounded by the handle's
-        own ``timeout_s``: a state read never waits on a flow, so a
-        runner that stalls it is partitioned.
+        answers ``202 pending``, or ``JobNotFound`` when the re-route
+        forgot it (no payload, or a runner rejected the payload).  The
+        read is bounded by the handle's own ``timeout_s``: a state read
+        never waits on a flow, so a runner that stalls it is
+        partitioned.
 
         A finished job's ready result comes back as the runner's bytes,
         relayed without decoding: nothing in it changes the table.
@@ -945,8 +964,8 @@ class FleetRouter(HttpServerBase):
         await self._reroute(key, runner, reason)
         if key not in self._placements:
             raise JobNotFound(
-                f"job {key!r} lost with its runner and no recorded "
-                f"payload to resubmit; resubmit it (idempotent)")
+                f"job {key!r} lost with its runner and no runner took "
+                f"its recorded payload; resubmit it (idempotent)")
         return 202, protocol._body(
             "pending", f"job {key[:12]} re-routed after {reason}",
             key=key, status="queued", attempts=0, retry_after_s=1.0)

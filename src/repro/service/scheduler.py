@@ -164,7 +164,7 @@ class JobResultPending(*_PENDING_BASES):
 class JobHandle:
     """Future-like view of one scheduled job."""
 
-    def __init__(self, key: str):
+    def __init__(self, key: str, gate: threading.Condition):
         self.key = key
         self.status = JobStatus.PENDING
         self.attempts = 0
@@ -178,6 +178,8 @@ class JobHandle:
         self._lock = threading.Lock()
         self._callbacks: List[Callable[["JobHandle"], None]] = []
         self._cancel_requested = False
+        #: the scheduler's admission gate, woken by cancel()
+        self._gate = gate
         self._driver_future: Optional[Future] = None
         self._attempt_future: Optional[Future] = None
 
@@ -223,6 +225,9 @@ class JobHandle:
             return True
         if attempt is not None:
             attempt.cancel()
+        # an attempt waiting in the scheduler's _admit sees it at once
+        with self._gate:
+            self._gate.notify_all()
         return True
 
     def add_done_callback(self,
@@ -343,7 +348,7 @@ class JobScheduler:
                 self.dedup_joins += 1
                 _DEDUP.inc()
                 return existing, False
-            handle = JobHandle(key)
+            handle = JobHandle(key, self._gate)
             self._inflight[key] = handle
         handle.add_done_callback(self._retire)
         timeout = self.default_timeout if timeout is None else timeout
@@ -408,16 +413,17 @@ class JobScheduler:
         """Wait until ``handle``'s next attempt may use the work pool,
         and return the pool.  A ``solo`` attempt waits for the pool to
         empty; while one waits or runs, no other attempt is admitted.
-        Returns None, admitting nothing, when the job was cancelled
-        while it waited."""
+        Returns None, admitting nothing, as soon as the job is
+        cancelled."""
         with self._gate:
             if solo:
                 self._solo_waiting += 1
-                while self._live:
+                while self._live and not handle._cancel_requested:
                     self._gate.wait()
                 self._solo_waiting -= 1
             else:
-                while self._solo_waiting or any(self._live.values()):
+                while ((self._solo_waiting or any(self._live.values()))
+                       and not handle._cancel_requested):
                     self._gate.wait()
             if handle._cancel_requested:
                 self._gate.notify_all()

@@ -13,9 +13,10 @@ import time
 import pytest
 
 from repro.client import ReproClient
+from repro.server import protocol
 from repro.server.protocol import JobNotFound
 from repro.config import ReproConfig
-from repro.fleet.durable import LeaseFile
+from repro.fleet.durable import LeaseFile, RouterJournal
 from tests.fleet.conftest import LiveRouter
 
 
@@ -123,6 +124,64 @@ def test_restarted_router_serves_journaled_jobs(
     # forwards straight to the runner that still holds the result
     assert finished(client2, key, 60)["status"] == "succeeded"
     assert reborn.router._placements[key]["runner"] in (a.url, b.url)
+
+
+# ----------------------------------------------------------------------
+# A journaled body every runner rejects
+# ----------------------------------------------------------------------
+
+def _stale_spec(scale):
+    """A client spec, and the body an older journal holds for it (one
+    that still names the since-removed ``retries`` field)."""
+    spec = {"app": "kmeans", "mode": "informed", "scale": scale}
+    key = protocol.job_from_payload(dict(spec)).key()
+    return spec, key, {**spec, "retries": 1}
+
+
+def test_recovery_forgets_a_journaled_body_every_runner_rejects(
+        tmp_path, live_server_factory, live_router_factory):
+    runner = live_server_factory(config=ReproConfig(workers=1))
+    journal_dir = str(tmp_path / "journal")
+    spec, key, stale = _stale_spec(1.21)
+    journal = RouterJournal(journal_dir)
+    journal.open()
+    journal.append("place", key, runner=runner.url, payload=stale,
+                   trace=None, done=False)
+    journal.close()
+
+    router = live_router_factory([runner.url], journal_dir=journal_dir)
+    # the runner lost the job, and answered its replayed body with
+    # 400 invalid_job: recovery settles the entry by forgetting it
+    assert key not in router.router._placements
+    client = ReproClient(router.url, backoff_s=0.05, poll_interval_s=0.05,
+                         max_wait_s=30.0)
+    start = time.monotonic()
+    record = client.run_flow(**spec)
+    assert record.app_name == "kmeans"
+    assert time.monotonic() - start < client.max_wait_s
+    assert router.router._placements[key]["payload"] == spec
+
+
+def test_a_read_whose_reroute_is_rejected_answers_not_found(
+        durable_fleet):
+    a, _, router, _, _ = durable_fleet
+    spec, key, stale = _stale_spec(1.22)
+    client = ReproClient(router.url, backoff_s=0.05, poll_interval_s=0.05,
+                         max_wait_s=30.0)
+
+    async def place_stale():
+        router.router._commit("place", key, runner=a.url, payload=stale,
+                              trace=None, done=False)
+
+    router.call(place_stale())
+    # runner a never saw the job: the read re-routes the journaled body
+    # to b, b rejects it, and the placement is forgotten
+    with pytest.raises(JobNotFound, match="resubmit"):
+        client.status(key)
+    assert key not in router.router._placements
+    start = time.monotonic()
+    assert client.run_flow(**spec).app_name == "kmeans"
+    assert time.monotonic() - start < client.max_wait_s
 
 
 # ----------------------------------------------------------------------

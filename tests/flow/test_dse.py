@@ -2,10 +2,27 @@
 
 import pytest
 
-from repro.flow.dse import BlocksizeDSE, OmpThreadsDSE, UnrollUntilOvermapDSE
+from repro.flow.dse import (
+    BlocksizeDSE, OmpThreadsDSE, UnrollUntilOvermapDSE, unroll_points,
+)
 from repro.flow.task import FlowError
 from repro.flow.context import FlowContext
 from repro.apps import get_app
+from repro.meta.ast_api import Ast
+from repro.toolchains.dpcpp import DpcppToolchain
+from repro.transforms.unroll import set_unroll_pragma
+
+#: a standalone kernel for the Fig. 2 meta-program
+KERNEL = """
+void knl(float* out, const float* x, int n) {
+    for (int i = 0; i < n; i++) {
+        float v = x[i];
+        float a = sqrtf(v + 1.0f);
+        float b = sqrtf(v + 2.0f);
+        out[i] = a * b + v;
+    }
+}
+"""
 
 
 class TestUnrollUntilOvermap:
@@ -44,6 +61,29 @@ class TestUnrollUntilOvermap:
         design = nbody_uninformed.design("oneapi-s10")
         assert design.metadata["unroll_factor"] == 1
         assert design.metadata["hls_report"].variable_inner_loop
+
+
+    @pytest.mark.parametrize("device", ["arria10", "stratix10"])
+    def test_standalone_kernel_doubles_until_overmap(self, device):
+        """Fig. 2 on a kernel outside any app: factors double from 1,
+        utilisation grows monotonically with the factor, and the kept
+        factor (>= 2) fits."""
+        tool = DpcppToolchain()
+        ast = Ast(KERNEL)
+        base = tool.partial_compile(ast, "knl", device)
+        assert base.fitted
+        outcome = unroll_points(tool, ast, "knl", device,
+                                UnrollUntilOvermapDSE.FACTORS)
+        factors = [1] + [f for f, _alm, _util, _over in outcome.points]
+        assert all(b == 2 * a for a, b in zip(factors, factors[1:]))
+        utils = [base.utilization] + [u for _f, _alm, u, _over
+                                      in outcome.points]
+        assert all(a <= b + 1e-9 for a, b in zip(utils, utils[1:]))
+        assert outcome.best_factor >= 2
+        kept = ast.clone_function("knl")
+        for loop in kept.function("knl").outermost_loops():
+            set_unroll_pragma(loop, outcome.best_factor)
+        assert tool.partial_compile(kept, "knl", device).fitted
 
 
 class TestBlocksizeDSE:

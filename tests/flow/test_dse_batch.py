@@ -96,6 +96,18 @@ def test_unroll_fit_matches_partial_compiles_on_generated_kernels():
     assert stops["overmap"] and stops["ineffective"], stops
 
 
+def test_unroll_fit_matches_partial_compiles_on_a_dense_axis():
+    """Every integer factor 2..257 (not just the doublings) on ``main``
+    of the three Fig. 6 apps, where each hotspot nest sits before
+    outlining: the fit equals the per-factor compiles point for point.
+    ``scripts/speed_gates.py dse`` times the same sweeps."""
+    toolchain = DpcppToolchain()
+    for app_name in ("adpredictor", "bezier", "kmeans"):
+        ast = get_app(app_name).ast()
+        args = (toolchain, ast, "main", "stratix10", tuple(range(2, 258)))
+        assert dse.unroll_fit(*args) == dse.unroll_points(*args), app_name
+
+
 def test_rush_larsen_overmap_edge_case(monkeypatch):
     """Overmap at factor 1 -> unsynthesisable, identically on both
     paths (the fit path must not even fit the polynomial)."""

@@ -93,6 +93,7 @@ class TestLearnedStrategy:
         with the learned strategy: it must route every training app to
         its winning target (the tree has seen these points)."""
         tree = train_from_results(list(all_uninformed.values()))
+        assert tree.depth() >= 1
         engine = FlowEngine(strategy_a=MLTargetSelection(tree))
         for name, uninformed in all_uninformed.items():
             result = engine.run(get_app(name), mode="informed")

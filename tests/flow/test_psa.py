@@ -148,3 +148,6 @@ class TestOnRealFlows:
                                               expected):
         result = runner.informed(app_name)
         assert result.selected_target == expected
+        # the target-independent analyses the strategy consumed
+        assert "intensity" in result.facts
+        assert "dependences" in result.facts

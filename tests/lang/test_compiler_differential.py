@@ -342,7 +342,8 @@ class TestApps:
     @pytest.mark.parametrize("name", ALL_APPS)
     def test_app_identical(self, name):
         app = get_app(name)
-        run_both(app.source, app.workload_factory)
+        ra, _ = run_both(app.source, app.workload_factory)
+        assert ra.total_cycles() > 0
 
     def test_instrumented_app_identical(self):
         from repro.analysis.common import loop_path

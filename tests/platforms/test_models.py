@@ -223,6 +223,59 @@ class TestFPGAModel:
         assert zero < copied
 
 
+class TestAblationsOnAppDesigns:
+    """One design choice switched off on a real generated design."""
+
+    def test_dp_rush_larsen_gpu_design_much_slower(self, all_uninformed):
+        """The SP transforms: the Rush Larsen HIP design forced back to
+        double precision (GeForce DP is crippling)."""
+        result = all_uninformed["rush_larsen"]
+        design = result.design("hip-2080ti")
+        gpu = GPUModel(RTX_2080_TI)
+
+        def design_time(sp_fraction):
+            point = GPUDesignPoint(
+                blocksize=design.metadata["blocksize"],
+                registers_per_thread=design.metadata[
+                    "registers_per_thread"],
+                pinned_memory=True, uses_intrinsics=True,
+                spilled=design.metadata["register_spill"],
+                sp_fraction=sp_fraction)
+            return gpu.design_time(result.facts["kernel_profile"], point)
+
+        assert design_time(0.0) > 3 * design_time(0.97)
+
+    def test_pageable_kmeans_gpu_design_slower(self, all_uninformed):
+        result = all_uninformed["kmeans"]
+        design = result.design("hip-2080ti")
+        gpu = GPUModel(RTX_2080_TI)
+
+        def design_time(pinned):
+            point = GPUDesignPoint(
+                blocksize=design.metadata["blocksize"],
+                registers_per_thread=design.metadata[
+                    "registers_per_thread"],
+                pinned_memory=pinned)
+            return gpu.design_time(result.facts["kernel_profile"], point)
+
+        assert design_time(False) > design_time(True)
+
+    def test_zero_copy_changes_kmeans_stratix10_design(self,
+                                                       all_uninformed):
+        result = all_uninformed["kmeans"]
+        design = result.design("oneapi-s10")
+        fpga = FPGAModel(STRATIX10)
+
+        def design_time(zero_copy):
+            point = FPGADesignPoint(
+                unroll_factor=design.metadata["unroll_factor"],
+                ii=design.metadata["hls_report"].ii,
+                zero_copy=zero_copy)
+            return fpga.design_time(result.facts["kernel_profile"], point)
+
+        assert design_time(True) != design_time(False)
+
+
 class TestTransferModel:
     def test_bandwidth_ordering(self):
         xfer = TransferModel()

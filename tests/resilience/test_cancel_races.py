@@ -75,6 +75,49 @@ class TestCancelBetweenAttempts:
         assert scheduler._live == {} and scheduler._solo_waiting == 0
 
 
+    def test_cancel_in_solo_wait_resolves_without_the_holder(
+            self, scheduler):
+        """The same wait, but the re-run holding the pool does not end:
+        the cancelled job must resolve at once, not when the holder
+        releases the pool."""
+        shared_rerun = threading.Event()
+        victim_started = threading.Event()
+        release = threading.Event()
+        shared_calls = []
+
+        def shared():
+            shared_calls.append(1)
+            if len(shared_calls) == 1:
+                assert victim_started.wait(5)
+                raise BrokenProcessPool("worker died")
+            shared_rerun.set()      # re-running alone on the new pool
+            assert release.wait(5)
+            return "shared"
+
+        def victim():
+            victim_started.set()
+            assert shared_rerun.wait(5)
+            raise BrokenProcessPool("worker died")
+
+        first, _ = scheduler.submit("shared", shared)
+        handle, _ = scheduler.submit("victim", victim)
+        deadline = time.monotonic() + 5
+        while scheduler._solo_waiting == 0:
+            assert time.monotonic() < deadline, "victim never re-queued"
+            time.sleep(0.005)
+        try:
+            assert handle.cancel()
+            with pytest.raises(JobCancelled):
+                handle.result(timeout=1.0)
+            assert handle.status is JobStatus.CANCELLED
+            assert handle.attempts == 1
+            assert scheduler._solo_waiting == 0
+        finally:
+            release.set()
+        assert first.result(timeout=5) == "shared"
+        assert scheduler._live == {}
+
+
 class TestCancelBehindDedupJoin:
     def test_joiner_sees_cancellation_of_the_shared_job(self, scheduler):
         release = threading.Event()

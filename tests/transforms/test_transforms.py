@@ -8,8 +8,19 @@ import pytest
 
 from repro.analysis import identify_hotspot_loops
 from repro.analysis.common import LoopPath
+from repro.apps import get_app
+from repro.flow.context import FlowContext
+from repro.flow.graph import Sequence
+from repro.flow.repository import (
+    ArithmeticIntensityAnalysis, DataInOutAnalysis, HotspotLoopExtraction,
+    IdentifyHotspotLoops, LoopDependenceAnalysis, LoopTripCountAnalysis,
+    PointerAnalysis, RemoveArrayPlusEqualsDependency,
+)
 from repro.lang.interpreter import Workload
 from repro.meta.ast_api import Ast
+from repro.platforms import FPGAModel, STRATIX10
+from repro.platforms.fpga import FPGADesignPoint
+from repro.toolchains.dpcpp import DpcppToolchain
 from repro.transforms import (
     employ_sp_literals, employ_sp_math, extract_hotspot,
     insert_parallel_for, remove_array_plus_equals, set_unroll_pragma,
@@ -152,6 +163,42 @@ class TestRemoveArrayPlusEquals:
         }
         """)
         assert remove_array_plus_equals(ast, "knl") == 0
+
+
+class TestRemoveArrayPlusEqualsAblation:
+    """N-Body with and without the transform, through the real flow
+    analyses: scalarising is what lets its FPGA pipeline reach II 1."""
+
+    @staticmethod
+    def analysed(scalarise):
+        ctx = FlowContext(get_app("nbody"))
+        tasks = [IdentifyHotspotLoops(), HotspotLoopExtraction(),
+                 PointerAnalysis(), ArithmeticIntensityAnalysis(),
+                 DataInOutAnalysis(), LoopDependenceAnalysis(),
+                 LoopTripCountAnalysis()]
+        if scalarise:
+            tasks.append(RemoveArrayPlusEqualsDependency())
+        Sequence(*tasks).execute(ctx)
+        return ctx
+
+    def test_nbody_pipeline_ii_collapses_without_it(self):
+        with_t, without = self.analysed(True), self.analysed(False)
+        tool = DpcppToolchain()
+        ii_with = tool.partial_compile(with_t.ast, "hotspot_kernel",
+                                       "stratix10").ii
+        ii_without = tool.partial_compile(without.ast, "hotspot_kernel",
+                                          "stratix10").ii
+        assert ii_with == 1.0
+        assert ii_without >= 8.0      # memory read-modify-write recurrence
+        model = FPGAModel(STRATIX10)
+        t_with = model.pipeline_time(
+            with_t.kernel_profile(),
+            FPGADesignPoint(ii=ii_with, variable_inner_trips=128))
+        t_without = model.pipeline_time(
+            without.kernel_profile(),
+            FPGADesignPoint(ii=ii_without,
+                            variable_inner_trips=128 * ii_without))
+        assert t_without > 2 * t_with
 
 
 class TestSinglePrecision:
